@@ -1,65 +1,96 @@
-//! Byte-addressable DRAM model with access accounting.
+//! Byte-addressable DRAM model: a bounded address space with sparse backing.
+//!
+//! The address space is `[0, capacity)` and every access is bounds-checked
+//! against it. Only the bytes up to the highest one ever written are backed
+//! by memory; everything above reads as zero, exactly like a zero-initialised
+//! device. A programmed device therefore holds (and clones) its plan's
+//! footprint, not the full modelled capacity.
 
 use crate::error::AccelError;
 
-/// The emulated DRAM: a flat byte array plus read/write byte counters used
-/// by the performance model.
-#[derive(Clone, Debug)]
+/// The emulated DRAM.
+#[derive(Debug)]
 pub struct Dram {
+    /// Bytes `[0, data.len())` of the address space; the rest reads as zero.
     data: Vec<u8>,
-    bytes_read: u64,
-    bytes_written: u64,
+    /// Logical size of the address space in bytes.
+    capacity: u64,
+}
+
+impl Clone for Dram {
+    /// Copies the resident bytes and keeps the reserved capacity, so a clone
+    /// of a programmed device does not reallocate on its first inference.
+    fn clone(&self) -> Self {
+        let mut data = Vec::with_capacity(self.data.capacity());
+        data.extend_from_slice(&self.data);
+        Dram {
+            data,
+            capacity: self.capacity,
+        }
+    }
 }
 
 impl Dram {
-    /// Allocates a zeroed DRAM of `capacity` bytes.
+    /// Creates a zeroed DRAM of `capacity` bytes. No backing memory is
+    /// allocated until the first write.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
         Dram {
-            data: vec![0; capacity as usize],
-            bytes_read: 0,
-            bytes_written: 0,
+            data: Vec::new(),
+            capacity,
         }
     }
 
     /// Capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Bytes of backing memory currently materialised: one past the highest
+    /// byte ever written.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
         self.data.len() as u64
     }
 
-    /// Total bytes read since the last [`Dram::reset_counters`].
-    #[must_use]
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Total bytes written since the last [`Dram::reset_counters`].
-    #[must_use]
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Clears the access counters.
-    pub fn reset_counters(&mut self) {
-        self.bytes_read = 0;
-        self.bytes_written = 0;
+    /// Reserves backing for the first `bytes` bytes (clamped to the
+    /// capacity), so writes below that bound never reallocate. Contents and
+    /// [`Dram::resident_bytes`] are unchanged.
+    pub(crate) fn reserve(&mut self, bytes: u64) {
+        let want = bytes.min(self.capacity) as usize;
+        self.data.reserve(want.saturating_sub(self.data.len()));
     }
 
     fn check(&self, addr: u64, len: u64) -> Result<(usize, usize), AccelError> {
-        let end = addr.checked_add(len).ok_or(AccelError::DramOutOfBounds {
-            addr,
-            len,
-            capacity: self.capacity(),
-        })?;
-        if end > self.capacity() {
-            return Err(AccelError::DramOutOfBounds {
+        match addr.checked_add(len) {
+            Some(end) if end <= self.capacity => Ok((addr as usize, end as usize)),
+            _ => Err(AccelError::DramOutOfBounds {
                 addr,
                 len,
-                capacity: self.capacity(),
-            });
+                capacity: self.capacity,
+            }),
         }
-        Ok((addr as usize, end as usize))
+    }
+
+    /// The resident part of the checked range `[a, b)`, plus how many zero
+    /// bytes above the backing complete it.
+    fn resident(&self, a: usize, b: usize) -> (&[u8], usize) {
+        let end = b.min(self.data.len());
+        let start = a.min(end);
+        (&self.data[start..end], (b - a) - (end - start))
+    }
+
+    /// Mutable view of the checked range `[a, b)`, growing the backing with
+    /// zeros to cover it. An empty range writes no byte and grows nothing.
+    fn backing_mut(&mut self, a: usize, b: usize) -> &mut [u8] {
+        if a == b {
+            return &mut [];
+        }
+        if b > self.data.len() {
+            self.data.resize(b, 0);
+        }
+        &mut self.data[a..b]
     }
 
     /// Reads `len` bytes as i8.
@@ -67,10 +98,10 @@ impl Dram {
     /// # Errors
     ///
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
-    pub fn read_i8(&mut self, addr: u64, len: u64) -> Result<Vec<i8>, AccelError> {
-        let (a, b) = self.check(addr, len)?;
-        self.bytes_read += len;
-        Ok(self.data[a..b].iter().map(|&v| v as i8).collect())
+    pub fn read_i8(&self, addr: u64, len: u64) -> Result<Vec<i8>, AccelError> {
+        let mut out = Vec::new();
+        self.read_i8_into(addr, len, &mut out)?;
+        Ok(out)
     }
 
     /// Buffer-reusing [`Dram::read_i8`]: clears `out` and fills it with the
@@ -80,16 +111,12 @@ impl Dram {
     /// # Errors
     ///
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
-    pub fn read_i8_into(
-        &mut self,
-        addr: u64,
-        len: u64,
-        out: &mut Vec<i8>,
-    ) -> Result<(), AccelError> {
+    pub fn read_i8_into(&self, addr: u64, len: u64, out: &mut Vec<i8>) -> Result<(), AccelError> {
         let (a, b) = self.check(addr, len)?;
-        self.bytes_read += len;
+        let (head, zeros) = self.resident(a, b);
         out.clear();
-        out.extend(self.data[a..b].iter().map(|&v| v as i8));
+        out.extend(head.iter().map(|&v| v as i8));
+        out.resize(head.len() + zeros, 0);
         Ok(())
     }
 
@@ -100,8 +127,7 @@ impl Dram {
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
     pub fn write_i8(&mut self, addr: u64, bytes: &[i8]) -> Result<(), AccelError> {
         let (a, b) = self.check(addr, bytes.len() as u64)?;
-        self.bytes_written += bytes.len() as u64;
-        for (dst, &src) in self.data[a..b].iter_mut().zip(bytes) {
+        for (dst, &src) in self.backing_mut(a, b).iter_mut().zip(bytes) {
             *dst = src as u8;
         }
         Ok(())
@@ -112,13 +138,19 @@ impl Dram {
     /// # Errors
     ///
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
-    pub fn read_i32(&mut self, addr: u64, count: usize) -> Result<Vec<i32>, AccelError> {
+    pub fn read_i32(&self, addr: u64, count: usize) -> Result<Vec<i32>, AccelError> {
         let (a, b) = self.check(addr, count as u64 * 4)?;
-        self.bytes_read += count as u64 * 4;
-        Ok(self.data[a..b]
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let (head, _) = self.resident(a, b);
+        let mut words: Vec<i32> = head
+            .chunks(4)
+            .map(|c| {
+                let mut le = [0u8; 4];
+                le[..c.len()].copy_from_slice(c);
+                i32::from_le_bytes(le)
+            })
+            .collect();
+        words.resize(count, 0);
+        Ok(words)
     }
 
     /// Writes little-endian i32 words.
@@ -127,10 +159,9 @@ impl Dram {
     ///
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
     pub fn write_i32(&mut self, addr: u64, words: &[i32]) -> Result<(), AccelError> {
-        let (a, _) = self.check(addr, words.len() as u64 * 4)?;
-        self.bytes_written += words.len() as u64 * 4;
-        for (i, &w) in words.iter().enumerate() {
-            self.data[a + i * 4..a + i * 4 + 4].copy_from_slice(&w.to_le_bytes());
+        let (a, b) = self.check(addr, words.len() as u64 * 4)?;
+        for (dst, w) in self.backing_mut(a, b).chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
         Ok(())
     }
@@ -170,13 +201,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut d = Dram::new(64);
-        d.write_i8(0, &[1; 10]).unwrap();
-        let _ = d.read_i8(0, 4).unwrap();
-        assert_eq!(d.bytes_written(), 10);
-        assert_eq!(d.bytes_read(), 4);
-        d.reset_counters();
-        assert_eq!(d.bytes_written(), 0);
+    fn backing_grows_to_highest_write_and_reads_zero_above() {
+        let mut d = Dram::new(1 << 40);
+        assert_eq!(d.resident_bytes(), 0);
+        assert_eq!(d.read_i8(1 << 39, 4).unwrap(), vec![0; 4]);
+        d.write_i8(10, &[7, 8]).unwrap();
+        assert_eq!(d.resident_bytes(), 12);
+        // Straddles the backing's end: resident bytes, then zeros.
+        assert_eq!(d.read_i8(10, 4).unwrap(), vec![7, 8, 0, 0]);
+        assert_eq!(d.read_i32(10, 1).unwrap(), vec![0x0807]);
+        d.reserve(4096);
+        assert_eq!(d.resident_bytes(), 12, "reserving materialises nothing");
+        let clone = d.clone();
+        assert_eq!(clone.resident_bytes(), 12);
+        assert_eq!(clone.read_i8(10, 2).unwrap(), vec![7, 8]);
     }
 }

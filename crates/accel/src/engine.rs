@@ -23,9 +23,8 @@
 //!   mini-batch: one im2col + GEMM per layer with the mini-batch's columns
 //!   side by side. Per-column independence of GEMM makes the batched result
 //!   bit-identical to the per-image path; intermediate surfaces live in the
-//!   scratch arena rather than DRAM (DRAM access counters therefore account
-//!   weights once per arena fill, and intermediate traffic only on the
-//!   per-image path).
+//!   scratch arena rather than DRAM, which the batched path touches only for
+//!   weight-arena refills and the final logits write.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -293,6 +292,14 @@ impl Accelerator {
         Ok(())
     }
 
+    /// Bytes of DRAM backing memory this device holds: one past the highest
+    /// byte ever written (see the crate docs' DRAM memory model). Cloning the
+    /// device copies exactly this much DRAM.
+    #[must_use]
+    pub fn dram_resident_bytes(&self) -> u64 {
+        self.dram.resident_bytes()
+    }
+
     /// Host DMA out of DRAM.
     ///
     /// # Errors
@@ -416,6 +423,9 @@ impl Accelerator {
             Self::validate_window(w, plan.total_mac_cycles())?;
         }
         self.cycle = 0;
+        // Every surface the plan touches lies below `dram_size`, so one
+        // reservation keeps steady-state inference free of DRAM reallocation.
+        self.dram.reserve(plan.dram_size);
         self.perf_template = Some(perf::plan_report(&plan, self.config.clock_hz));
         self.spans = plan.mac_cycle_spans();
         self.arena.clear();

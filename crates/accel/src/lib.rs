@@ -21,7 +21,7 @@
 //!   requantization / optional residual add / ReLU (shared, bit-exact code
 //!   with the CPU reference in `nvfi-quant`), and pooling.
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
-//!   and weights ([`dram`]), with access counters for the performance model.
+//!   and weights ([`dram`]; see the memory model below).
 //!
 //! # Execution modes and the op-scoped pipeline
 //!
@@ -88,8 +88,21 @@
 //! results are bit-identical to the per-image path, but DRAM is only
 //! touched for weight-arena refills and one final logits write per
 //! mini-batch (the last image's, for parity with per-image runs), so
-//! access counters and `dma_read` of surface addresses reflect per-image
-//! traffic only when `batch == 1`.
+//! `dma_read` of surface addresses reflects per-image traffic only when
+//! `batch == 1`.
+//!
+//! # DRAM memory model
+//!
+//! The device DRAM is a bounded address space `[0, dram_capacity)`: every
+//! access is checked against the capacity and fails with
+//! [`AccelError::DramOutOfBounds`] outside it. Its backing memory, however,
+//! only extends to the highest byte ever written, and every byte above that
+//! reads as zero, exactly like zero-initialised memory.
+//! [`Accelerator::load_plan`] reserves the plan's `dram_size` once, so
+//! steady-state inference never reallocates, and the resident backing
+//! ([`Accelerator::dram_resident_bytes`]) stays within the plan's footprint
+//! whatever the modelled capacity. Cloning a programmed device therefore
+//! costs O(plan footprint), not O(`dram_capacity`).
 //!
 //! # Examples
 //!

@@ -6,7 +6,10 @@
 //! 2. **fast-path + corrections with a warm arena** still equals the exact
 //!    engine for full-override faults;
 //! 3. **batched execution** (`run_batch_i8` / `classify_batch`) is
-//!    bit-identical to the per-image path, with and without faults.
+//!    bit-identical to the per-image path, with and without faults;
+//! 4. **DRAM footprint** — the device's resident DRAM backing never exceeds
+//!    the plan's `dram_size` on any execution path, and a clone of a
+//!    programmed, SEU-struck device predicts exactly like the original.
 
 use nvfi_accel::{AccelConfig, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy};
 use nvfi_compiler::regmap::MultId;
@@ -101,11 +104,14 @@ fn device(model: &QuantModel, mode: ExecMode) -> Accelerator {
     accel
 }
 
+fn plan_of(model: &QuantModel) -> nvfi_compiler::ExecutionPlan {
+    nvfi_compiler::compile(model, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).expect("compiles")
+}
+
 /// Byte offsets (relative to the weight region base) to corrupt, spread
 /// over the first conv's packed weight region.
 fn weight_region(model: &QuantModel) -> (u64, u64) {
-    let plan = nvfi_compiler::compile(model, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY)
-        .expect("compiles");
+    let plan = plan_of(model);
     let (addr, bytes) = &plan.weight_image[0];
     (*addr, bytes.len() as u64)
 }
@@ -203,6 +209,62 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got, &want, "fault: {:?}", fault);
         }
+    }
+
+    /// The resident DRAM backing stays within the plan's footprint after
+    /// plan load, a per-image inference, a batched classify and a golden
+    /// prefix/suffix pair — never the 256 MiB modelled capacity. A clone of
+    /// a programmed device carrying a weight SEU predicts bit-identically to
+    /// the original and to a cold device that imported its weight image.
+    #[test]
+    fn dram_footprint_bounded_and_clones_predict_identically(
+        (model, images, _, _, seed) in case()
+    ) {
+        let plan = plan_of(&model);
+        let qimgs = model.quantize_input(&images);
+        let img = qimgs.slice_image(0);
+        let within = |accel: &Accelerator, after: &str| {
+            assert!(
+                accel.dram_resident_bytes() <= plan.dram_size,
+                "{after}: {} resident DRAM bytes exceed the plan's {}",
+                accel.dram_resident_bytes(),
+                plan.dram_size
+            );
+        };
+
+        let mut accel = device(&model, ExecMode::Auto);
+        within(&accel, "load_plan");
+        let want = accel.run_inference_i8(&img).unwrap().logits;
+        within(&accel, "per-image inference");
+        accel.classify_batch_i8(qimgs.as_slice()).unwrap();
+        within(&accel, "classify_batch_i8");
+        let boundary = 1 + seed as usize % (plan.ops.len() - 1);
+        let surfaces = plan.live_in_surfaces(boundary);
+        accel.run_prefix_i8_view(img.as_slice(), boundary).unwrap();
+        within(&accel, "run_prefix_i8_view");
+        let mut data = Vec::new();
+        for &(addr, bytes) in &surfaces {
+            data.extend(accel.dma_read(addr, bytes).unwrap());
+        }
+        let restored = accel.run_suffix_i8_view(boundary, &surfaces, &data).unwrap();
+        within(&accel, "run_suffix_i8_view");
+        prop_assert_eq!(restored.logits, want);
+
+        // Weight SEU on the programmed device, then clone it.
+        let (w_addr, w_len) = weight_region(&model);
+        accel.flip_dram_bit(w_addr + seed % w_len, (seed % 8) as u8).unwrap();
+        let mut clone = accel.clone();
+        prop_assert_eq!(clone.dram_resident_bytes(), accel.dram_resident_bytes());
+        let mut cold = Accelerator::new(*accel.config());
+        cold.load_plan(&plan).unwrap();
+        cold.import_weight_image(&accel.export_weight_image().unwrap()).unwrap();
+        for n in 0..qimgs.shape().n {
+            let one = qimgs.slice_image(n);
+            let original = accel.run_inference_i8(&one).unwrap().logits;
+            prop_assert_eq!(&clone.run_inference_i8(&one).unwrap().logits, &original);
+            prop_assert_eq!(&cold.run_inference_i8(&one).unwrap().logits, &original);
+        }
+        within(&clone, "clone inference");
     }
 
     /// `classify_batch` agrees with per-image classification for every

@@ -1,9 +1,15 @@
 //! Property-based equivalence: for random small convolution networks,
 //! random inputs and random full-override fault configurations, the fast
 //! (GEMM + correction) engine equals the exact (per-product mux) engine,
-//! and with no faults both equal the CPU reference executor.
+//! and with no faults both equal the CPU reference executor. The sparse
+//! DRAM model is checked against a dense byte-array reference.
 
-use nvfi_accel::{AccelConfig, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy};
+use std::ops::Range;
+
+use nvfi_accel::dram::Dram;
+use nvfi_accel::{
+    AccelConfig, AccelError, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy,
+};
 use nvfi_compiler::regmap::MultId;
 use nvfi_hwnum::Requant;
 use nvfi_quant::{QConv, QLinear, QOp, QOpKind, QuantModel};
@@ -110,8 +116,114 @@ fn run(
     accel.run_inference(image).expect("runs").logits
 }
 
+/// The dense reference's bounds rule: the byte range of a valid access, or
+/// the exact error the DRAM must report.
+fn dense_range(capacity: u64, addr: u64, len: u64) -> Result<Range<usize>, AccelError> {
+    match addr.checked_add(len) {
+        Some(end) if end <= capacity => Ok(addr as usize..end as usize),
+        _ => Err(AccelError::DramOutOfBounds {
+            addr,
+            len,
+            capacity,
+        }),
+    }
+}
+
+/// Places a `len`-byte access, cycling through the edge cases of a sparse
+/// backing whose current end is `top`: anywhere, straddling `top`,
+/// entirely above `top`, ending exactly at `capacity`, ending one byte past
+/// it, and overflowing `addr + len`.
+fn place(edge: usize, off: u64, len: u64, top: u64, capacity: u64) -> u64 {
+    match edge {
+        0 => off % capacity,
+        1 => top.saturating_sub(1 + off % len.saturating_sub(1).max(1)),
+        2 => top + off % 64,
+        3 => capacity.saturating_sub(len),
+        4 => capacity.saturating_sub(len) + 1,
+        _ => u64::MAX - off % len.max(1),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random access sequences through the sparse DRAM and a dense
+    /// `Vec<u8>` model return identical bytes and identical `Ok`/`Err`, and
+    /// the backing is exactly as large as the highest byte written.
+    #[test]
+    fn sparse_dram_matches_dense_reference(
+        capacity in 1u64..2048,
+        ops in collection::vec((0u8..5, 0u64..(1 << 20), 0u64..24, any::<u32>()), 6..48usize),
+        rotate in 0usize..6,
+    ) {
+        let mut dram = Dram::new(capacity);
+        let mut dense = vec![0u8; capacity as usize];
+        let mut high = 0u64;
+        // Stale contents that `read_i8_into` must discard.
+        let mut buf = vec![0x55i8; 5];
+        for (i, &(kind, off, len, seed)) in ops.iter().enumerate() {
+            let words = len as usize / 4;
+            let n = if kind == 1 || kind == 4 { words as u64 * 4 } else { len };
+            let addr = place((i + rotate) % 6, off, n, dram.resident_bytes(), capacity);
+            let range = dense_range(capacity, addr, n);
+            match kind {
+                0 => {
+                    let bytes: Vec<i8> =
+                        (0..n).map(|j| (u64::from(seed) + j * 37) as i8).collect();
+                    prop_assert_eq!(dram.write_i8(addr, &bytes), range.clone().map(|_| ()));
+                    if let Ok(r) = range {
+                        for (d, &b) in dense[r].iter_mut().zip(&bytes) {
+                            *d = b as u8;
+                        }
+                        if n > 0 {
+                            high = high.max(addr + n);
+                        }
+                    }
+                }
+                1 => {
+                    let vals: Vec<i32> = (0..words as u32)
+                        .map(|j| seed.wrapping_mul(j + 1).wrapping_add(j) as i32)
+                        .collect();
+                    prop_assert_eq!(dram.write_i32(addr, &vals), range.clone().map(|_| ()));
+                    if let Ok(r) = range {
+                        let le: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+                        dense[r].copy_from_slice(&le);
+                        if n > 0 {
+                            high = high.max(addr + n);
+                        }
+                    }
+                }
+                2 => {
+                    let want = range.map(|r| dense[r].iter().map(|&b| b as i8).collect());
+                    prop_assert_eq!(dram.read_i8(addr, n), want);
+                }
+                3 => {
+                    let got = dram.read_i8_into(addr, n, &mut buf);
+                    match range {
+                        Ok(r) => {
+                            prop_assert_eq!(got, Ok(()));
+                            let want: Vec<i8> = dense[r].iter().map(|&b| b as i8).collect();
+                            prop_assert_eq!(&buf, &want);
+                        }
+                        Err(e) => prop_assert_eq!(got, Err(e)),
+                    }
+                }
+                _ => {
+                    let want = range.map(|r| {
+                        dense[r]
+                            .chunks_exact(4)
+                            .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                            .collect()
+                    });
+                    prop_assert_eq!(dram.read_i32(addr, words), want);
+                }
+            }
+            prop_assert_eq!(dram.resident_bytes(), high, "op {} at {:#x}+{}", i, addr, n);
+        }
+        let all: Vec<i8> = dense.iter().map(|&b| b as i8).collect();
+        prop_assert_eq!(dram.read_i8(0, capacity).unwrap(), all.clone());
+        prop_assert_eq!(dram.clone().read_i8(0, capacity).unwrap(), all);
+    }
 
     #[test]
     fn fast_equals_exact_under_random_full_override_faults(

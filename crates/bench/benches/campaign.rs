@@ -210,6 +210,25 @@ fn bench_windowed_trio(
     group.finish();
 }
 
+/// The per-campaign set-up cost on the medium (width-16 ResNet-18)
+/// fixture: assemble one programmed device, clone it into a two-device
+/// pool, drop everything. Every in-process `Campaign::run` pays this. The
+/// sparse DRAM backing makes the clones cost the plan's footprint, not the
+/// 256 MiB modelled capacity, so a return to dense allocation shows up here
+/// as a multi-x regression.
+fn bench_fleet_setup(c: &mut Criterion) {
+    let (q, _) = medium_fixture();
+    let mut g = c.benchmark_group("campaign");
+    g.sample_size(10);
+    g.bench_function("fleet_setup_2dev_medium", |b| {
+        b.iter(|| {
+            let proto = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+            DevicePool::from_device(proto, 2).size()
+        })
+    });
+    g.finish();
+}
+
 /// The op-scoped + golden-cache acceptance scenarios.
 ///
 /// * `win4cfg_256img_*`: a window over the third quarter of the MAC cycles
@@ -526,6 +545,7 @@ criterion_group!(
     bench_fault_programming,
     bench_pool_sharded_campaign,
     bench_quantize_once,
+    bench_fleet_setup,
     bench_windowed_campaign,
     bench_dist_campaign,
     bench_session_cache,

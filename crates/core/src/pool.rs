@@ -302,7 +302,9 @@ pub struct DevicePool {
 impl DevicePool {
     /// Compiles `model` once and populates the pool with `devices` clones of
     /// the programmed device (cloning device state is much cheaper than
-    /// recompiling the plan per member).
+    /// recompiling the plan per member). Each clone costs O(plan footprint):
+    /// the device's sparse DRAM backing holds only the bytes the plan has
+    /// written, never the full modelled `dram_capacity`.
     ///
     /// # Errors
     ///
@@ -324,6 +326,10 @@ impl DevicePool {
     }
 
     /// Builds a pool of `devices` members by cloning one programmed device.
+    /// A clone copies the device's resident DRAM (at most the plan's
+    /// `dram_size`, see `Accelerator::dram_resident_bytes`), its weight arena
+    /// and its scratch buffers, so the cost is O(plan footprint) per member,
+    /// independent of the modelled DRAM capacity.
     ///
     /// # Panics
     ///

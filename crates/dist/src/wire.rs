@@ -69,6 +69,12 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"NVFI");
 /// corrupt length prefix cannot make the receiver allocate absurd buffers.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
+/// Upper bound on a [`Msg::Plan`]'s `dram_capacity` (4 GiB). The modelled
+/// DRAM is sparse, but its backing grows to the highest byte written, so an
+/// unbounded capacity would let one far weight-region write make the worker
+/// allocate absurd memory. The repository's default is 256 MiB.
+pub const MAX_WIRE_DRAM_CAPACITY: u64 = 4 << 30;
+
 // Message tags. Coordinator -> worker in the 0x0* range, worker ->
 // coordinator in the 0x1* range (the split is documentation, not mechanism:
 // both sides decode the full set).
@@ -577,6 +583,9 @@ impl Msg {
                     return Err(WireError::Invalid("clock frequency"));
                 }
                 let dram_capacity = d.u64("dram capacity")?;
+                if dram_capacity > MAX_WIRE_DRAM_CAPACITY {
+                    return Err(WireError::Invalid("dram capacity"));
+                }
                 let batch = d.u64("mini-batch")?;
                 let shard_images = d.u64("shard granularity")?;
                 let local_devices = d.u32("local devices")?;

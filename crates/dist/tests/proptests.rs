@@ -69,7 +69,7 @@ proptest! {
         mode in 0u8..3,
         idle in 0u8..2,
         clock in 1.0f64..1e10,
-        dram in 1u64..(1 << 40),
+        dram in 1u64..wire::MAX_WIRE_DRAM_CAPACITY + 1,
         batch in 1u64..256,
         shard in 0u64..256,
         devices in 1u32..64,
@@ -369,4 +369,31 @@ fn out_of_range_lane_rejected() {
         Msg::decode(msg.encode()),
         Err(WireError::Invalid("target lane out of range"))
     );
+}
+
+/// A plan frame claiming more DRAM than [`wire::MAX_WIRE_DRAM_CAPACITY`] is
+/// rejected at decode time, before a worker builds a device from it; the
+/// bound itself is accepted.
+#[test]
+fn oversized_dram_capacity_rejected() {
+    let plan = |dram_capacity| Msg::Plan {
+        config: WireConfig {
+            mode: nvfi_accel::ExecMode::Auto,
+            idle_lanes: nvfi_accel::IdleLanePolicy::ZeroFed,
+            clock_hz: 1e9,
+            dram_capacity,
+            batch: 8,
+            shard_images: 16,
+        },
+        local_devices: 1,
+        words: vec![1, 2, 3],
+    };
+    let max = wire::MAX_WIRE_DRAM_CAPACITY;
+    exercise(&plan(max));
+    for dram_capacity in [max + 1, 1 << 40, u64::MAX] {
+        assert_eq!(
+            Msg::decode(plan(dram_capacity).encode()),
+            Err(WireError::Invalid("dram capacity"))
+        );
+    }
 }
