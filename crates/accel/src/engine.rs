@@ -25,6 +25,46 @@
 //!   bit-identical to the per-image path; intermediate surfaces live in the
 //!   scratch arena rather than DRAM, which the batched path touches only for
 //!   weight-arena refills and the final logits write.
+//!
+//! # Lane-delta fault execution
+//!
+//! An injector touches only the products of its selected lanes, and the
+//! mux is the identity everywhere else. So the exact accumulator of a
+//! faulted op is the clean one plus one delta per injected product:
+//!
+//! ```text
+//! acc_exact[k, col] = acc_clean[k, col] + Σ (f(p) − p)
+//! ```
+//!
+//! where `f` is the injector's `fsel`/`fdata` mux followed by its XOR, and
+//! the sum runs over the selected lanes' products inside the window.
+//! Wrapping i32 addition is associative, so adding the deltas after the
+//! GEMM is bit-identical to the per-product engine. Every faulted op
+//! therefore runs the clean im2col + GEMM and then `lane_delta_into`,
+//! which reads the products straight out of the im2col columns (padding
+//! taps are already zero there). It has two arms:
+//!
+//! * **permanent** (the window covers the whole op): for lane `(m, j)`,
+//!   every kernel row `k ≡ m (mod 8)` with `k < K` and every reduction row
+//!   `(c, r, s)` with `c ≡ j (mod 8)` and `c < C`, add `f(w·x) − w·x` over
+//!   every column — in the batched path the columns of the whole
+//!   mini-batch. The inner loop is branch-free over contiguous columns, so
+//!   it vectorizes; a lane costs 1/64 of the op's MACs. Zero-fed idle
+//!   channels (`c ≥ C`) multiply zeros, so each adds the constant
+//!   `(cb_n − real_blocks)·R·S·f(0)` per output element; gated ones add
+//!   nothing;
+//! * **windowed**: MAC cycles are numbered lexicographically in
+//!   `(kg, oy, ox, cb, r, s)` from the op's schedule-table span start, so a
+//!   window is one contiguous cycle range per op and only the selected
+//!   lanes' products inside it are visited — O(window × lanes). The base
+//!   comes from the span table, not the running counter, so the per-image,
+//!   batched and golden-suffix paths agree.
+//!
+//! The per-product `conv_exact_into` survives only as the
+//! [`ExecMode::Exact`] oracle. The `engine_path_*` counters of the
+//! per-image path say which executor ran per op: `engine_path_fast` when no
+//! selected lane observes the op, `engine_path_fast_corrected` when
+//! lane-delta ran, and `engine_path_exact` for the oracle.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -47,37 +87,33 @@ use crate::perf::{self, AccelConfig, PerfReport};
 /// How convolutions are evaluated functionally.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Every product goes through its injector mux; honours bit-granular
-    /// faults and transient windows. Slow — ground truth.
+    /// Every product goes through its injector mux, one by one. Slow — the
+    /// ground-truth oracle the other modes are tested against.
     Exact,
-    /// Clean GEMM plus per-faulted-lane algebraic corrections. Only valid
-    /// for permanent full-lane overrides; errors otherwise (transient
-    /// windows already at [`Accelerator::set_fault_window`] time).
+    /// Clean GEMM plus lane-delta corrections, restricted to permanent
+    /// full-lane overrides (the paper's 0 / +1 / -1 experiments); errors
+    /// with [`AccelError::FastPathUnsupported`] on bit-granular faults, and
+    /// on transient windows already at [`Accelerator::set_fault_window`]
+    /// time.
     Fast,
-    /// Resolve **per op**: `Fast` wherever the programmed faults allow it,
-    /// `Exact` where they do not. Under a transient window only the ops
-    /// whose MAC-cycle span intersects the window run exact — the
-    /// fault-free prefix and the post-pulse suffix keep the fast path
-    /// (op-scoped execution, bit-identical to all-exact).
+    /// Clean GEMM plus lane-delta corrections for every fault kind and
+    /// window (see the module docs). Ops no selected lane can observe —
+    /// under a window, the fault-free prefix and the post-pulse suffix —
+    /// run the clean GEMM alone. Bit-identical to [`ExecMode::Exact`].
     #[default]
     Auto,
 }
 
 /// How one plan op is evaluated — the per-op refinement of [`ExecMode`].
-///
-/// A transient fault window only touches the ops whose MAC-cycle span
-/// intersects it, so everything outside the window runs the fast path with
-/// **no** corrections (the injectors are provably inactive for every one of
-/// those ops' cycles), and only the intersecting ops pay for the per-product
-/// exact engine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum OpPath {
-    /// Clean register-tiled im2col + GEMM; no fault can observe this op.
+    /// Clean register-tiled im2col + GEMM; no selected lane observes any
+    /// cycle of this op.
     Fast,
-    /// Fast plus per-faulted-lane algebraic corrections (permanent
-    /// full-lane overrides).
-    FastCorrected,
-    /// Per-product exact engine with injection armed.
+    /// Clean im2col + GEMM plus [`lane_delta_into`] over the op's faulted
+    /// cycles.
+    LaneDelta,
+    /// The per-product oracle ([`ExecMode::Exact`] only).
     Exact,
 }
 
@@ -100,17 +136,17 @@ fn golden_restore_counter() -> &'static Counter {
     C.get_or_init(|| metrics::counter("golden_restores"))
 }
 
-/// Per-op path-decision counters (`engine_path_fast`,
-/// `engine_path_fast_corrected`, `engine_path_exact`): how often the
-/// engine took each [`OpPath`]. The fast/exact split is the whole point
-/// of the windowed-execution optimization, so the registry exposes it.
+/// Per-op path-decision counters of the per-image path: how often the
+/// engine took each [`OpPath`] — `engine_path_fast` (no selected lane
+/// observes the op), `engine_path_fast_corrected` (lane-delta ran) and
+/// `engine_path_exact` (the [`ExecMode::Exact`] oracle).
 fn path_counter(path: OpPath) -> &'static Counter {
     static FAST: OnceLock<Counter> = OnceLock::new();
     static CORRECTED: OnceLock<Counter> = OnceLock::new();
     static EXACT: OnceLock<Counter> = OnceLock::new();
     match path {
         OpPath::Fast => FAST.get_or_init(|| metrics::counter("engine_path_fast")),
-        OpPath::FastCorrected => {
+        OpPath::LaneDelta => {
             CORRECTED.get_or_init(|| metrics::counter("engine_path_fast_corrected"))
         }
         OpPath::Exact => EXACT.get_or_init(|| metrics::counter("engine_path_exact")),
@@ -305,7 +341,7 @@ impl Accelerator {
     /// # Errors
     ///
     /// Returns [`AccelError::DramOutOfBounds`] on a bad range.
-    pub fn dma_read(&mut self, addr: u64, len: u64) -> Result<Vec<i8>, AccelError> {
+    pub fn dma_read(&self, addr: u64, len: u64) -> Result<Vec<i8>, AccelError> {
         self.dram.read_i8(addr, len)
     }
 
@@ -511,11 +547,12 @@ impl Accelerator {
     }
 
     /// Restricts injection to a cycle window (a transient / "pulse" fault).
-    /// Windows need the per-product exact engine, but only for the ops whose
-    /// MAC-cycle span intersects the window: under [`ExecMode::Auto`] the
-    /// fault-free prefix and the post-pulse suffix keep the fast
-    /// register-tiled path (op-scoped execution); [`ExecMode::Exact`] runs
-    /// everything exact.
+    /// Under [`ExecMode::Auto`] only the ops whose MAC-cycle span intersects
+    /// the window pay anything: lane-delta visits the selected lanes'
+    /// products inside the window, and every other op runs the clean GEMM.
+    /// [`ExecMode::Exact`] runs every product through the oracle. Windowed
+    /// batches run image by image, the granularity of golden-prefix
+    /// restores.
     ///
     /// Cycle numbering restarts at every launched inference (see
     /// [`Accelerator::mac_cycles_retired`]), so the window describes a pulse
@@ -526,12 +563,11 @@ impl Accelerator {
     /// # Errors
     ///
     /// Returns [`AccelError::FastPathUnsupported`] for a non-`None` window
-    /// under [`ExecMode::Fast`] (the fast path cannot arm injection for the
-    /// intersecting ops — previously this surfaced only at inference time,
-    /// deep in the engine), and [`AccelError::BadPlan`] if a plan is loaded
-    /// and the window cannot overlap any retired MAC cycle (`1..=total`):
-    /// such a "pulse" would silently run a fault-free campaign at exact-mode
-    /// cost.
+    /// under [`ExecMode::Fast`] (its contract is permanent full-lane
+    /// overrides; rejecting here surfaces the conflict before any
+    /// inference), and [`AccelError::BadPlan`] if a plan is loaded and the
+    /// window cannot overlap any retired MAC cycle (`1..=total`): such a
+    /// "pulse" would silently run a fault-free campaign.
     pub fn set_fault_window(&mut self, window: Option<Range<u64>>) -> Result<(), AccelError> {
         if let Some(w) = &window {
             self.validate_fault_window(w)?;
@@ -824,9 +860,10 @@ impl Accelerator {
     /// the images' im2col columns sit side by side in one GEMM — with
     /// intermediate surfaces held in the scratch arena instead of DRAM. The
     /// result is bit-identical to running [`Accelerator::run_inference_i8`]
-    /// per image (GEMM output columns are independent). Whenever the exact
-    /// engine is required (bit-granular faults, transient windows, exact
-    /// mode), the batch transparently degrades to the per-image path.
+    /// per image (GEMM output columns are independent, and lane-delta
+    /// corrects every column of the mini-batch at once). Under
+    /// [`ExecMode::Exact`] or a transient window the batch transparently
+    /// runs image by image.
     ///
     /// # Errors
     ///
@@ -873,7 +910,7 @@ impl Accelerator {
         if b_n == 0 {
             return Ok(Vec::new());
         }
-        if b_n == 1 || self.effective_exact()? {
+        if b_n == 1 || self.per_image_only()? {
             let mut out = Vec::with_capacity(b_n);
             for n in 0..b_n {
                 out.push(self.run_inference_i8_view(&images[n * image_len..(n + 1) * image_len])?);
@@ -1002,71 +1039,63 @@ impl Accelerator {
 
     // -- internal op execution ---------------------------------------------
 
-    /// Whether any op of the next inference may need the per-image exact
-    /// engine — the batch-level decision that drops
-    /// [`Accelerator::run_batch_i8_view`] to the per-image path, where
-    /// [`Accelerator::op_path`] refines the choice per op.
-    fn effective_exact(&self) -> Result<bool, AccelError> {
+    /// Whether the next batch must run image by image: always under
+    /// [`ExecMode::Exact`] (the oracle is per-image), and under an armed
+    /// transient window, whose golden-prefix restores are per image.
+    fn per_image_only(&self) -> Result<bool, AccelError> {
+        self.check_fast_contract()?;
         let fi = &self.csb.fi;
-        let needs_exact = fi.any_active() && (!fi.is_full_override() || fi.window.is_some());
-        match self.config.mode {
-            ExecMode::Exact => Ok(true),
-            ExecMode::Fast => {
-                if needs_exact {
-                    Err(AccelError::FastPathUnsupported)
-                } else {
-                    Ok(false)
-                }
-            }
-            ExecMode::Auto => Ok(needs_exact),
+        Ok(self.config.mode == ExecMode::Exact || (fi.any_active() && fi.window.is_some()))
+    }
+
+    /// [`ExecMode::Fast`] accepts only permanent full-lane overrides.
+    fn check_fast_contract(&self) -> Result<(), AccelError> {
+        let fi = &self.csb.fi;
+        let outside = fi.any_active() && (!fi.is_full_override() || fi.window.is_some());
+        if self.config.mode == ExecMode::Fast && outside {
+            return Err(AccelError::FastPathUnsupported);
         }
+        Ok(())
     }
 
     /// The execution path of plan op `op_idx` under the current fault
-    /// programming — op-scoped exact execution:
-    ///
-    /// * no active fault → [`OpPath::Fast`];
-    /// * permanent full-lane override → [`OpPath::FastCorrected`]
-    ///   (algebraic corrections, no exact engine anywhere);
-    /// * permanent bit-granular fault → [`OpPath::Exact`] for every op
-    ///   (full-inference exact, as before);
-    /// * transient window → [`OpPath::Exact`] only for ops whose MAC-cycle
-    ///   span intersects the window; every other op — the golden prefix and
-    ///   the tainted suffix — runs [`OpPath::Fast`] with **no** corrections,
-    ///   because the injectors are inactive for all of its cycles.
-    ///
-    /// [`ExecMode::Exact`] forces everything exact; [`ExecMode::Fast`]
-    /// errors whenever the exact engine would be needed.
+    /// programming: [`OpPath::Exact`] under [`ExecMode::Exact`], otherwise
+    /// [`OpPath::Fast`] when no selected lane observes any cycle of the op
+    /// (no active fault, or a window missing its span) and
+    /// [`OpPath::LaneDelta`] when one does.
     fn op_path(&self, op_idx: usize) -> Result<OpPath, AccelError> {
-        // Count every decision in the registry (`engine_path_*`).
-        fn counted(path: OpPath) -> Result<OpPath, AccelError> {
-            path_counter(path).inc();
-            Ok(path)
-        }
-        if self.config.mode == ExecMode::Exact {
-            return counted(OpPath::Exact);
-        }
-        let fi = &self.csb.fi;
-        if !fi.any_active() {
-            return counted(OpPath::Fast);
-        }
-        let needs_exact = match &fi.window {
-            Some(w) => span_intersects(&self.spans[op_idx], w),
-            None => !fi.is_full_override(),
-        };
-        if needs_exact {
-            if self.config.mode == ExecMode::Fast {
-                return Err(AccelError::FastPathUnsupported);
+        let path = if self.config.mode == ExecMode::Exact {
+            OpPath::Exact
+        } else {
+            self.check_fast_contract()?;
+            if self.csb.fi.any_active() && !self.faulted_cycles(op_idx).is_empty() {
+                OpPath::LaneDelta
+            } else {
+                OpPath::Fast
             }
-            return counted(OpPath::Exact);
+        };
+        path_counter(path).inc();
+        Ok(path)
+    }
+
+    /// The op-local MAC cycles of plan op `op_idx` (`0` is its first cycle)
+    /// during which the injectors are armed: all of them for a permanent
+    /// fault, the window's overlap with the op's schedule-table span
+    /// otherwise. Computed from the span table rather than the running
+    /// counter, so batched and golden-suffix runs see the same range.
+    fn faulted_cycles(&self, op_idx: usize) -> Range<u64> {
+        let span = &self.spans[op_idx];
+        match &self.csb.fi.window {
+            None => 0..span.end - span.start,
+            Some(w) => {
+                let (lo, hi) = (w.start.max(span.start), w.end.min(span.end));
+                if lo < hi {
+                    lo - span.start..hi - span.start
+                } else {
+                    0..0
+                }
+            }
         }
-        if fi.window.is_some() {
-            // Windowed fault missing this op entirely: plain fast, no
-            // corrections — the mux output equals the product for every
-            // cycle of this op's span.
-            return counted(OpPath::Fast);
-        }
-        counted(OpPath::FastCorrected)
     }
 
     /// Atomic-op (MAC-array cycle) count of plan op `op_idx`, read from the
@@ -1081,6 +1110,7 @@ impl Accelerator {
     fn exec_conv(&mut self, op_idx: usize, op: &ConvOp) -> Result<(), AccelError> {
         let path = self.op_path(op_idx)?;
         let op_cycles = self.op_mac_cycles(op_idx);
+        let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
         let g = op.geom;
         let in_shape = g.input.with_n(1);
@@ -1135,16 +1165,16 @@ impl Accelerator {
                 1,
             );
             this.cycle += op_cycles;
-            if path == OpPath::FastCorrected {
-                apply_fast_corrections_into(
+            if path == OpPath::LaneDelta {
+                lane_delta_into(
                     fi,
                     gated,
-                    &scratch.input,
-                    weights,
+                    faulted,
+                    weights.as_slice(),
+                    &scratch.cols,
                     &g,
                     &mut scratch.acc,
-                    g.oh * g.ow,
-                    0,
+                    1,
                 );
             }
         }
@@ -1169,8 +1199,9 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Batched fast-path convolution: surfaces come from and go to the
-    /// scratch surface map; one GEMM covers the whole mini-batch.
+    /// Batched convolution: surfaces come from and go to the scratch
+    /// surface map; one GEMM, and one lane-delta pass under a fault, cover
+    /// the whole mini-batch.
     fn exec_conv_batch(
         &mut self,
         op_idx: usize,
@@ -1178,6 +1209,7 @@ impl Accelerator {
         b_n: usize,
     ) -> Result<(), AccelError> {
         let op_cycles = self.op_mac_cycles(op_idx);
+        let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
         let g = op.geom;
         let in_len = g.input.image_len();
@@ -1221,18 +1253,16 @@ impl Accelerator {
         );
         this.cycle += op_cycles * b_n as u64;
         if fi.any_active() {
-            for b in 0..b_n {
-                apply_fast_corrections_into(
-                    fi,
-                    gated,
-                    &input[b * in_len..(b + 1) * in_len],
-                    weights,
-                    &g,
-                    &mut scratch.acc,
-                    wide_n,
-                    b * n_cols,
-                );
-            }
+            lane_delta_into(
+                fi,
+                gated,
+                faulted,
+                weights.as_slice(),
+                &scratch.cols,
+                &g,
+                &mut scratch.acc,
+                b_n,
+            );
         }
         // SDP per image into the batched output surface. The output buffer
         // is owned (pulled out of the map), so the residual can stay a
@@ -1318,6 +1348,7 @@ impl Accelerator {
     fn exec_linear(&mut self, op_idx: usize, op: &LinearOp) -> Result<(), AccelError> {
         let path = self.op_path(op_idx)?;
         let op_cycles = self.op_mac_cycles(op_idx);
+        let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
         let in_shape = Shape4::new(1, op.in_f, 1, 1);
         let bytes = surface::surface_bytes(op.in_f, 1, 1) as u64;
@@ -1356,16 +1387,16 @@ impl Accelerator {
                 1,
             );
             this.cycle += op_cycles;
-            if path == OpPath::FastCorrected {
-                apply_fast_corrections_into(
+            if path == OpPath::LaneDelta {
+                lane_delta_into(
                     fi,
                     gated,
-                    &scratch.input,
-                    weights,
+                    faulted,
+                    weights.as_slice(),
+                    &scratch.cols,
                     &g,
                     &mut scratch.acc,
                     1,
-                    0,
                 );
             }
         }
@@ -1386,6 +1417,7 @@ impl Accelerator {
         b_n: usize,
     ) -> Result<Vec<Vec<i32>>, AccelError> {
         let op_cycles = self.op_mac_cycles(op_idx);
+        let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
         let in_shape = Shape4::new(1, op.in_f, 1, 1);
         let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
@@ -1423,18 +1455,16 @@ impl Accelerator {
         );
         this.cycle += op_cycles * b_n as u64;
         if fi.any_active() {
-            for b in 0..b_n {
-                apply_fast_corrections_into(
-                    fi,
-                    gated,
-                    &input[b * op.in_f..(b + 1) * op.in_f],
-                    weights,
-                    &g,
-                    &mut scratch.acc,
-                    b_n,
-                    b,
-                );
-            }
+            lane_delta_into(
+                fi,
+                gated,
+                faulted,
+                weights.as_slice(),
+                &scratch.cols,
+                &g,
+                &mut scratch.acc,
+                b_n,
+            );
         }
         let logits = (0..b_n)
             .map(|b| {
@@ -1513,63 +1543,121 @@ fn conv_exact_into(
     }
 }
 
-/// Fast-path correction: for each faulted lane, replace its clean
-/// contribution with `forced_value * #products`. Exactly equal to the
-/// exact path for permanent full-lane overrides (see the property tests).
+/// The injector's `fsel`/`fdata` mux and XOR as a branch-free map on one
+/// product: what [`FaultInjectorBank::apply`] makes of a selected lane's
+/// product inside the window, in plain i32 arithmetic so the lane-delta
+/// loops vectorize.
+#[derive(Copy, Clone, Debug)]
+struct LaneMux {
+    /// Wires passed through (`!fsel`).
+    keep: u32,
+    /// Wires forced to one (`fdata & fsel`).
+    set: u32,
+    /// Wires inverted after the mux.
+    xor: u32,
+}
+
+impl LaneMux {
+    fn of(fi: &FaultInjectorBank) -> Self {
+        let fsel = fi.fsel & I18::MASK;
+        LaneMux {
+            keep: !fsel & I18::MASK,
+            set: fi.fdata & fsel,
+            xor: fi.xor & I18::MASK,
+        }
+    }
+
+    /// `f(p) − p`: the change the injector makes to product `p`.
+    #[inline(always)]
+    fn delta(self, p: i32) -> i32 {
+        let bits = ((p as u32 & self.keep) | self.set) ^ self.xor;
+        // Sign-extend the 18-bit lane (bit 17) into the i32.
+        (((bits << 14) as i32) >> 14) - p
+    }
+}
+
+/// Lane-delta (see the module docs): adds `f(p) − p` over the selected
+/// lanes' products inside the op-local cycle range `faulted` to the clean
+/// accumulators of one op.
 ///
-/// `acc` addresses element `(k, oy, ox)` at
-/// `k * row_stride + col_off + oy * OW + ox`, which lets the batched
-/// executor correct one image's column block inside the widened GEMM
-/// output.
+/// `cols` is the op's `C*R*S x n` im2col matrix and `acc` its `K x n`
+/// accumulator, with `n = images * OH * OW` and image `b`'s columns at
+/// `b * OH * OW`. `weights` is the dense `K x C*R*S` weight matrix.
 #[allow(clippy::too_many_arguments)]
-fn apply_fast_corrections_into(
+fn lane_delta_into(
     fi: &FaultInjectorBank,
     gated: bool,
-    input: &[i8],
-    weights: &Tensor<i8>,
+    faulted: Range<u64>,
+    weights: &[i8],
+    cols: &[i8],
     g: &ConvGeom,
     acc: &mut [i32],
-    row_stride: usize,
-    col_off: usize,
+    images: usize,
 ) {
-    let v = i64::from(fi.forced_value());
-    let cb_n = g.input.c.div_ceil(8);
-    let (h, w) = (g.input.h, g.input.w);
-    for lane in fi.selected_lanes() {
-        let (m, j) = (lane.mac as usize, lane.mult as usize);
-        let real_blocks = if j < g.input.c {
-            (g.input.c - 1 - j) / 8 + 1
-        } else {
-            0
-        };
-        let blocks = if gated { real_blocks } else { cb_n };
-        let nprod = (blocks * g.r * g.s) as i64;
-        let mut k = m;
-        while k < g.k {
-            for oy in 0..g.oh {
-                for ox in 0..g.ow {
-                    let mut lanesum = 0i64;
-                    let mut c = j;
-                    while c < g.input.c {
-                        for r in 0..g.r {
-                            for s in 0..g.s {
-                                let iy = (oy * g.stride + r) as isize - g.pad as isize;
-                                let ix = (ox * g.stride + s) as isize - g.pad as isize;
-                                if iy >= 0 && ix >= 0 && iy < h as isize && ix < w as isize {
-                                    lanesum +=
-                                        i64::from(input[(c * h + iy as usize) * w + ix as usize])
-                                            * i64::from(weights.at(k, c, r, s));
-                                }
-                            }
-                        }
-                        c += 8;
+    let (c_in, rs, pix) = (g.input.c, g.r * g.s, g.oh * g.ow);
+    let (crs, n, cb_n) = (c_in * rs, images * pix, c_in.div_ceil(8));
+    let op_cycles = (g.k.div_ceil(8) * pix * cb_n * rs) as u64;
+    let mux = LaneMux::of(fi);
+    // Zero-fed idle channels multiply zeros; gated ones make no product.
+    let f0 = if gated { 0 } else { mux.delta(0) };
+    if faulted == (0..op_cycles) {
+        for lane in fi.selected_lanes() {
+            let (m, j) = (usize::from(lane.mac), usize::from(lane.mult));
+            let real_blocks = if j < c_in { (c_in - j).div_ceil(8) } else { 0 };
+            let idle = f0.wrapping_mul(((cb_n - real_blocks) * rs) as i32);
+            for k in (m..g.k).step_by(8) {
+                let arow = &mut acc[k * n..(k + 1) * n];
+                if idle != 0 {
+                    for a in arow.iter_mut() {
+                        *a = a.wrapping_add(idle);
                     }
-                    let corr = (v * nprod - lanesum) as i32;
-                    let slot = &mut acc[k * row_stride + col_off + oy * g.ow + ox];
-                    *slot = slot.wrapping_add(corr);
+                }
+                for c in (j..c_in).step_by(8) {
+                    for row in c * rs..(c + 1) * rs {
+                        let w = i32::from(weights[k * crs + row]);
+                        for (a, &x) in arow.iter_mut().zip(&cols[row * n..(row + 1) * n]) {
+                            *a = a.wrapping_add(mux.delta(w * i32::from(x)));
+                        }
+                    }
                 }
             }
-            k += 8;
+        }
+        return;
+    }
+    // Windowed: walk the range's cycles `(kg, pixel, cb, tap)` in order.
+    let first = faulted.start as usize;
+    let (mut tap, mut cb) = (first % rs, first / rs % cb_n);
+    let (mut px, mut kg) = (first / rs / cb_n % pix, first / rs / cb_n / pix);
+    for _ in faulted {
+        for lane in fi.selected_lanes() {
+            let k = kg * 8 + usize::from(lane.mac);
+            let c = cb * 8 + usize::from(lane.mult);
+            if k >= g.k || (c >= c_in && gated) {
+                continue;
+            }
+            let row = c * rs + tap;
+            for b in 0..images {
+                let col = b * pix + px;
+                let d = if c < c_in {
+                    mux.delta(i32::from(weights[k * crs + row]) * i32::from(cols[row * n + col]))
+                } else {
+                    f0
+                };
+                acc[k * n + col] = acc[k * n + col].wrapping_add(d);
+            }
+        }
+        tap += 1;
+        if tap == rs {
+            tap = 0;
+            cb += 1;
+            if cb == cb_n {
+                cb = 0;
+                px += 1;
+                if px == pix {
+                    px = 0;
+                    kg += 1;
+                }
+            }
         }
     }
 }

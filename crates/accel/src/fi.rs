@@ -24,8 +24,8 @@ pub enum FaultKind {
     /// Bit-flip fault: the wires in `mask` are inverted (XOR) after the
     /// override mux. This is an extension beyond the paper's stuck-at /
     /// constant models — its Sec. II notes "other fault models can easily
-    /// be incorporated"; flips are data-dependent, so only the exact
-    /// engine supports them.
+    /// be incorporated". Flips are data-dependent, so `ExecMode::Fast`
+    /// rejects them; the default engine applies them lane by lane.
     FlipBits {
         /// Which of the 18 wires are inverted.
         mask: u32,
@@ -45,7 +45,7 @@ impl FaultKind {
     }
 
     /// Whether the fault overrides all 18 wires with constants (the class
-    /// the fast execution path supports).
+    /// `ExecMode::Fast` accepts).
     #[must_use]
     pub fn is_full_override(self) -> bool {
         let (fsel, _, xor) = self.registers();
@@ -143,7 +143,9 @@ pub struct FaultInjectorBank {
     pub xor: u32,
     /// Optional transient ("pulse") window in cycles: the injector is only
     /// active while the engine's cycle counter lies in this range. `None`
-    /// means a permanent fault. Only honoured by `ExecMode::Exact`.
+    /// means a permanent fault. Honoured by `ExecMode::Auto` (lane-delta on
+    /// the ops the window reaches) and `ExecMode::Exact`; `ExecMode::Fast`
+    /// rejects windows.
     pub window: Option<Range<u64>>,
 }
 
@@ -161,25 +163,24 @@ impl FaultInjectorBank {
     }
 
     /// Whether the configured fault overrides all 18 wires with constants
-    /// (no data-dependent flips) — the class the fast path can express.
+    /// (no data-dependent flips) — the class `ExecMode::Fast` accepts.
     #[must_use]
     pub fn is_full_override(&self) -> bool {
         self.fsel & I18::MASK == I18::MASK && self.xor & I18::MASK == 0
     }
 
-    /// The forced lane value (only meaningful for full overrides).
-    #[must_use]
-    pub fn forced_value(&self) -> i32 {
-        I18::from_bits(self.fdata).value()
-    }
-
-    /// Lanes currently selected.
-    #[must_use]
-    pub fn selected_lanes(&self) -> Vec<MultId> {
-        (0..regmap::TOTAL_MULTS)
-            .filter(|&l| self.sel & (1 << l) != 0)
-            .map(MultId::from_lane)
-            .collect()
+    /// Lanes currently selected, in lane order. Walks the set bits of `sel`
+    /// without allocating, so the engine can call it per op.
+    pub fn selected_lanes(&self) -> impl Iterator<Item = MultId> {
+        let mut sel = self.sel;
+        std::iter::from_fn(move || {
+            if sel == 0 {
+                return None;
+            }
+            let lane = sel.trailing_zeros() as usize;
+            sel &= sel - 1;
+            Some(MultId::from_lane(lane))
+        })
     }
 
     /// Applies the injector of `lane` to a product, honouring the enable and
@@ -316,7 +317,11 @@ mod tests {
         }
         assert!(bank.enabled);
         assert_eq!(bank.sel, (1 << 0) | (1 << 63) | (1 << 33));
-        assert_eq!(bank.selected_lanes().len(), 3);
+        let lanes: Vec<MultId> = bank.selected_lanes().collect();
+        assert_eq!(
+            lanes,
+            [MultId::new(0, 0), MultId::new(4, 1), MultId::new(7, 7)]
+        );
     }
 
     #[test]

@@ -23,33 +23,34 @@
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
 //!   and weights ([`dram`]; see the memory model below).
 //!
-//! # Execution modes and the op-scoped pipeline
+//! # Execution modes and lane-delta fault execution
 //!
+//! * [`ExecMode::Auto`] (default) runs every op as the clean im2col + GEMM
+//!   and, when a selected injector lane observes the op, adds one
+//!   **lane-delta** correction `f(p) − p` per injected product: `f` is the
+//!   injector mux plus XOR, and only the selected lanes' products inside
+//!   the window are visited. Wrapping i32 accumulation is associative, so
+//!   this is bit-identical to pushing every product through the muxes —
+//!   for every fault kind, bit-granular ([`FaultKind::StuckBits`],
+//!   [`FaultKind::FlipBits`]) included, and every transient window
+//!   ([`Accelerator::set_fault_window`]). Each plan op owns a fixed
+//!   per-inference MAC-cycle span (`ExecutionPlan::mac_cycle_spans`,
+//!   cached on the device at plan-load time), and cycles are numbered
+//!   lexicographically inside it, so a window is one contiguous cycle range
+//!   per op: ops it misses run the clean GEMM alone, and a pulse costs
+//!   O(window × lanes). A permanent fault costs 1/64 of an op's MACs per
+//!   selected lane, on the mini-batched path too.
 //! * [`ExecMode::Exact`] pushes every single product through the injector
-//!   muxes in the CMAC's atomic-op schedule — the ground truth, and the
-//!   only engine that can honour **bit-granular** faults
-//!   ([`FaultKind::StuckBits`], [`FaultKind::FlipBits`]) and **transient
-//!   windows** ([`Accelerator::set_fault_window`]), because both depend on
-//!   per-product values and cycle numbers.
-//! * [`ExecMode::Fast`] computes the clean convolution with im2col + GEMM
-//!   and applies an algebraically identical correction per faulted lane
-//!   (`forced_value * #products - clean_lane_sum`). Valid only for
-//!   permanent full-lane overrides (the paper's 0 / +1 / -1 experiments);
-//!   anything else returns [`AccelError::FastPathUnsupported`] — a
-//!   transient window already at [`Accelerator::set_fault_window`] time.
-//!   The two engines are property-tested bit-equal on their shared domain.
-//! * [`ExecMode::Auto`] (default) resolves **per op**, not per inference.
-//!   Each plan op owns a fixed per-inference MAC-cycle span
-//!   (`ExecutionPlan::mac_cycle_spans`, cached on the device at plan-load
-//!   time), so under a transient window the pipeline is *op-scoped*: ops
-//!   whose span ends before the window run the fast register-tiled path
-//!   (bit-identical when no fault is active), ops intersecting the window
-//!   run exact with injection armed, and ops after the window drop back to
-//!   the fast path on the (tainted) intermediate activations. Permanent
-//!   bit-granular faults still run full-inference exact; permanent
-//!   full-lane overrides run fast-with-corrections everywhere. Window
-//!   placement equivalence against all-exact is tested exhaustively in
-//!   `tests/equivalence.rs`.
+//!   muxes in the CMAC's atomic-op schedule — the ground-truth oracle the
+//!   other modes are tested against.
+//! * [`ExecMode::Fast`] is `Auto` restricted to permanent full-lane
+//!   overrides (the paper's 0 / +1 / -1 experiments); anything else
+//!   returns [`AccelError::FastPathUnsupported`] — a transient window
+//!   already at [`Accelerator::set_fault_window`] time.
+//!
+//! Lane-delta equals the oracle for every fault kind × lane set × window
+//! placement × idle-lane policy; `tests/equivalence.rs` proves it
+//! exhaustively on small geometries and `tests/proptests.rs` by property.
 //!
 //! The fault-free prefix of a windowed inference is also *restorable*:
 //! [`Accelerator::run_prefix_i8_view`] runs ops `0..b` and leaves DRAM in

@@ -2,8 +2,8 @@
 //!
 //! 1. with no faults, the accelerator model matches the CPU reference
 //!    executor **bit-exactly**;
-//! 2. the fast fault path matches the exact (per-product) path for every
-//!    full-lane-override fault;
+//! 2. the lane-delta fault path matches the exact (per-product) oracle for
+//!    every fault kind, lane set, window and idle-lane policy;
 //! 3. register-level fault programming is equivalent to the high-level API;
 //! 4. fault effects are confined to the mapped output channels.
 
@@ -696,4 +696,216 @@ fn perf_report_is_stable_and_fault_independent() {
     // FI muxes are combinational: latency identical with and without faults.
     assert_eq!(r1.total_cycles, r2.total_cycles);
     assert!(r1.latency_ms() > 0.0);
+}
+
+/// A three-conv + pool + linear network shaped to hit every lane-delta
+/// corner: channel counts that are not multiples of 8 (idle multipliers in
+/// ragged channel blocks), kernel counts that leave kernel-tail MACs, a 3x3
+/// stride-2 padded conv, a 1x1 conv, and the linear head.
+fn lane_delta_model() -> QuantModel {
+    use nvfi_hwnum::Requant;
+    use nvfi_quant::{QConv, QLinear, QOp, QOpKind};
+    use nvfi_tensor::{Mat, Shape4};
+
+    let conv = |k: usize, c: usize, r: usize, stride: usize, pad: usize, salt: usize| {
+        let weight = Tensor::from_fn(Shape4::new(k, c, r, r), |k2, c2, r2, s2| {
+            match (k2 * 37 + c2 * 11 + r2 * 5 + s2 + salt) % 23 {
+                0 => -128,
+                1 => 127,
+                v => v as i8 - 11,
+            }
+        });
+        QConv {
+            weight,
+            bias: (0..k).map(|i| i as i32 * 7 - 20).collect(),
+            stride,
+            pad,
+            relu: salt != 2,
+            fuse_add: None,
+            requant: vec![Requant::from_scale(0.004).unwrap()],
+            add_requant: None,
+            out_scale: 0.1,
+        }
+    };
+    let op = |input: usize, kind: QOpKind| QOp {
+        input,
+        kind,
+        out_scale: 0.1,
+    };
+    QuantModel {
+        input_shape: Shape4::new(1, 5, 7, 7),
+        input_scale: 0.01,
+        ops: vec![
+            op(0, QOpKind::Conv(conv(11, 5, 3, 2, 1, 0))),
+            op(1, QOpKind::Conv(conv(13, 11, 1, 1, 0, 1))),
+            op(2, QOpKind::Conv(conv(6, 13, 3, 1, 1, 2))),
+            op(3, QOpKind::GlobalAvgPool),
+            op(
+                4,
+                QOpKind::Linear(QLinear {
+                    weight: Mat::from_vec(3, 6, (0..18).map(|i| (i * 29 % 255) as i8).collect()),
+                    bias: vec![5, -3, 0],
+                    out_scale: 0.1,
+                }),
+            ),
+        ],
+        output: 5,
+    }
+}
+
+/// Exhaustive lane-delta proof: the default engine (clean GEMM plus sparse
+/// per-lane corrections) equals the per-product [`ExecMode::Exact`] oracle
+/// bit for bit — every conv output surface, the logits and the retired
+/// cycle count — for every fault kind x lane set x window x idle-lane
+/// policy on [`lane_delta_model`]. Each case also runs the two images as
+/// one batch and, under a window, as a golden-prefix restore plus suffix.
+#[test]
+fn lane_delta_matches_exact_exhaustively() {
+    use nvfi_compiler::PlanOp;
+
+    let q = lane_delta_model();
+    let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let shape = q.input_shape;
+    let images = q.quantize_input(&Tensor::from_fn(shape.with_n(2), |n, c, h, w| {
+        ((n * 31 + c * 17 + h * 7 + w * 3) % 41) as f32 * 0.06 - 1.2
+    }));
+    let image_len = shape.image_len();
+    let surfaces: Vec<(u64, u64)> = plan
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            PlanOp::Conv(c) => Some((
+                c.output_addr,
+                nvfi_compiler::surface::surface_bytes(c.geom.k, c.geom.oh, c.geom.ow) as u64,
+            )),
+            _ => None,
+        })
+        .collect();
+
+    // (fsel, fdata, xor) as programmed into the injector registers.
+    let kinds = [
+        FaultKind::StuckAtZero,
+        FaultKind::Constant(0),
+        FaultKind::Constant(1),
+        FaultKind::Constant(-1),
+        FaultKind::Constant(131071),
+        FaultKind::Constant(-131071),
+        FaultKind::StuckBits {
+            fsel: 1 << 17,
+            fdata: 1 << 17,
+        },
+        FaultKind::StuckBits {
+            fsel: 0b11,
+            fdata: 0b01,
+        },
+        FaultKind::FlipBits {
+            mask: (1 << 16) | 1,
+        },
+    ];
+    let mut muxes: Vec<(u32, u32, u32)> = kinds.iter().map(|k| k.registers()).collect();
+    muxes.extend([
+        (0x0F0F0, 0x0A0A0, 0x00101),
+        (1 << 17, 0, 0x3FFFF),
+        (0x3FFFF, 0x12345, 0x10001),
+    ]);
+    let lane = |mac, mult| 1u64 << MultId::new(mac, mult).lane();
+    let lane_sets = [
+        lane(1, 2),
+        0xFF << 16,
+        u64::MAX,
+        // Multipliers 6 and 7 never see a real channel of the 5-channel
+        // stem or the 6-input head, and only partly in the 11/13 layers.
+        lane(0, 6) | lane(0, 7) | lane(4, 6) | lane(4, 7),
+        // MACs 6 and 7 sit past K in the 6-kernel conv and the 3-class
+        // head, and in the second kernel group of the 11/13 layers.
+        lane(6, 0) | lane(7, 3) | lane(7, 5),
+    ];
+
+    let probe = accel_with(&q, ExecMode::Exact, IdleLanePolicy::ZeroFed);
+    let spans = probe.mac_cycle_spans().to_vec();
+    let total = probe.total_mac_cycles().unwrap();
+    let (a, b, c) = (&spans[0], &spans[1], &spans[2]);
+    let windows = [
+        None,
+        Some(c.start + 5..c.end - 5),
+        Some(a.start + (a.end - a.start) / 2..b.start + 3),
+        Some(b.start + 7..b.start + 8),
+        Some(0..a.start + 40),
+        Some(0..total + 10),
+    ];
+
+    let mut perturbed = 0;
+    for idle in [IdleLanePolicy::ZeroFed, IdleLanePolicy::Gated] {
+        let exact_proto = accel_with(&q, ExecMode::Exact, idle);
+        let auto_proto = accel_with(&q, ExecMode::Auto, idle);
+        let clean = auto_proto
+            .clone()
+            .run_inference_i8_view(&images.as_slice()[..image_len])
+            .unwrap()
+            .logits;
+        for &(fsel, fdata, xor) in &muxes {
+            for &sel in &lane_sets {
+                for window in &windows {
+                    let program = |proto: &Accelerator| {
+                        let mut d = proto.clone();
+                        for (addr, value) in [
+                            (regmap::REG_FI_SEL_A, sel as u32),
+                            (regmap::REG_FI_SEL_B, (sel >> 32) as u32),
+                            (regmap::REG_FI_FSEL, fsel),
+                            (regmap::REG_FI_FDATA, fdata),
+                            (regmap::REG_FI_XOR, xor),
+                            (regmap::REG_FI_CTRL, 1),
+                        ] {
+                            d.csb_write(addr, value).unwrap();
+                        }
+                        d.set_fault_window(window.clone()).unwrap();
+                        d
+                    };
+                    let (mut exact, mut auto) = (program(&exact_proto), program(&auto_proto));
+                    let case = format!(
+                        "fsel {fsel:#x} fdata {fdata:#x} xor {xor:#x} sel {sel:#x} \
+                         window {window:?} {idle:?}"
+                    );
+                    let mut want = Vec::new();
+                    for img in images.as_slice().chunks(image_len) {
+                        let e = exact.run_inference_i8_view(img).unwrap();
+                        let l = auto.run_inference_i8_view(img).unwrap();
+                        assert_eq!(e.logits, l.logits, "logits: {case}");
+                        for &(addr, bytes) in &surfaces {
+                            assert_eq!(
+                                exact.dma_read(addr, bytes).unwrap(),
+                                auto.dma_read(addr, bytes).unwrap(),
+                                "conv surface {addr:#x}: {case}"
+                            );
+                        }
+                        assert_eq!(exact.mac_cycles_retired(), auto.mac_cycles_retired());
+                        perturbed += usize::from(e.logits != clean);
+                        want.push(e.logits);
+                    }
+                    let batched: Vec<Vec<i32>> = auto
+                        .run_batch_i8_view(images.as_slice())
+                        .unwrap()
+                        .into_iter()
+                        .map(|r| r.logits)
+                        .collect();
+                    assert_eq!(batched, want, "batched: {case}");
+                    let Some(w) = window else { continue };
+                    let boundary = auto.first_op_in_window(w).unwrap();
+                    let live_in = plan.live_in_surfaces(boundary);
+                    let img = &images.as_slice()[..image_len];
+                    auto.run_prefix_i8_view(img, boundary).unwrap();
+                    let mut data = Vec::new();
+                    for &(addr, bytes) in &live_in {
+                        data.extend(auto.dma_read(addr, bytes).unwrap());
+                    }
+                    let got = auto.run_suffix_i8_view(boundary, &live_in, &data).unwrap();
+                    assert_eq!(got.logits, want[0], "golden suffix: {case}");
+                }
+            }
+        }
+    }
+    assert!(
+        perturbed > 100,
+        "only {perturbed} faulted runs moved the logits"
+    );
 }

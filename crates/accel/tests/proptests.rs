@@ -1,8 +1,10 @@
 //! Property-based equivalence: for random small convolution networks,
 //! random inputs and random full-override fault configurations, the fast
 //! (GEMM + correction) engine equals the exact (per-product mux) engine,
-//! and with no faults both equal the CPU reference executor. The sparse
-//! DRAM model is checked against a dense byte-array reference.
+//! and with no faults both equal the CPU reference executor. Batched
+//! lane-delta runs of random raw injector programming equal per-image
+//! oracle runs. The sparse DRAM model is checked against a dense
+//! byte-array reference.
 
 use std::ops::Range;
 
@@ -10,7 +12,7 @@ use nvfi_accel::dram::Dram;
 use nvfi_accel::{
     AccelConfig, AccelError, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy,
 };
-use nvfi_compiler::regmap::MultId;
+use nvfi_compiler::regmap::{self, MultId};
 use nvfi_hwnum::Requant;
 use nvfi_quant::{QConv, QLinear, QOp, QOpKind, QuantModel};
 use nvfi_tensor::{Mat, Shape4, Tensor};
@@ -114,6 +116,23 @@ fn run(
         accel.inject(f);
     }
     accel.run_inference(image).expect("runs").logits
+}
+
+/// Programs the injector bank through its CSB registers, unmasked values
+/// included (the registers keep their low 18 bits).
+fn program(accel: &mut Accelerator, sel: u64, fsel: u32, fdata: u32, xor: u32) {
+    for (addr, value) in [
+        (regmap::REG_FI_SEL_A, sel as u32),
+        (regmap::REG_FI_SEL_B, (sel >> 32) as u32),
+        (regmap::REG_FI_FSEL, fsel),
+        (regmap::REG_FI_FDATA, fdata),
+        (regmap::REG_FI_XOR, xor),
+        (regmap::REG_FI_CTRL, 1),
+    ] {
+        accel
+            .csb_write(addr, value)
+            .expect("FI registers are mapped");
+    }
 }
 
 /// The dense reference's bounds rule: the byte range of a valid access, or
@@ -244,6 +263,60 @@ proptest! {
         let fast = run(&model, &image, ExecMode::Fast, gated, None);
         prop_assert_eq!(&exact, &want[0]);
         prop_assert_eq!(&fast, &want[0]);
+    }
+
+    /// Permanent bit-granular faults run batched: `classify_batch_i8` in
+    /// mini-batches of 4, and the logits of one batch, equal per-image runs
+    /// of the exact oracle for random raw `sel`/`fsel`/`fdata`/`xor` and
+    /// windows (a windowed batch runs image by image).
+    #[test]
+    fn batched_lane_delta_equals_per_image_runs(
+        (model, _, _, _, gated) in case(),
+        (sel, one_lane, fsel, fdata, xor) in
+            (any::<u64>(), any::<bool>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        (windowed, w0, w1) in (any::<bool>(), any::<u64>(), any::<u64>()),
+    ) {
+        let plan = nvfi_compiler::compile(&model, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY)
+            .expect("compiles");
+        let shape = model.input_shape;
+        let images = model.quantize_input(&Tensor::from_fn(shape.with_n(6), |n, c, h, w| {
+            ((n * 13 + c * 7 + h * 3 + w + w0 as usize % 5) % 40) as f32 * 0.05 - 1.0
+        }));
+        let sel = if one_lane { 1 << (sel % 64) } else { sel };
+        let total = plan.total_mac_cycles();
+        let window = windowed.then(|| {
+            let start = 1 + w0 % total;
+            start..start + 1 + w1 % total
+        });
+        let device = |mode| {
+            let mut a = Accelerator::new(AccelConfig {
+                mode,
+                idle_lanes: if gated { IdleLanePolicy::Gated } else { IdleLanePolicy::ZeroFed },
+                batch: 4,
+                ..Default::default()
+            });
+            a.load_plan(&plan).expect("loads");
+            program(&mut a, sel, fsel, fdata, xor);
+            a.set_fault_window(window.clone()).expect("window overlaps the plan");
+            a
+        };
+        let len = shape.image_len();
+        let mut exact = device(ExecMode::Exact);
+        let want: Vec<Vec<i32>> = images
+            .as_slice()
+            .chunks(len)
+            .map(|img| exact.run_inference_i8_view(img).expect("runs").logits)
+            .collect();
+        let mut auto = device(ExecMode::Auto);
+        let batched: Vec<Vec<i32>> = auto
+            .run_batch_i8_view(&images.as_slice()[..4 * len])
+            .expect("runs")
+            .into_iter()
+            .map(|r| r.logits)
+            .collect();
+        prop_assert_eq!(&batched[..], &want[..4]);
+        let classes: Vec<u8> = want.iter().map(|l| nvfi_quant::exec::argmax(l)).collect();
+        prop_assert_eq!(auto.classify_batch_i8(images.as_slice()).expect("runs"), classes);
     }
 
     #[test]

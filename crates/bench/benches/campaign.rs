@@ -141,8 +141,8 @@ fn bench_quantize_once(c: &mut Criterion) {
 ///   the per-product engine — what any windowed campaign cost before
 ///   op-scoped execution;
 /// * **op-scoped** (`ExecMode::Auto`, golden cache disabled): only the ops
-///   whose MAC-cycle span intersects the window run exact; the fault-free
-///   prefix is recomputed (fast path) per work item;
+///   whose MAC-cycle span intersects the window pay for lane-delta
+///   corrections; the fault-free prefix is recomputed per work item;
 /// * **op-scoped + golden cache** (the default): the prefix is captured
 ///   once per image per campaign and restored per work item.
 #[allow(clippy::too_many_arguments)]
@@ -233,12 +233,11 @@ fn bench_fleet_setup(c: &mut Criterion) {
 ///
 /// * `win4cfg_256img_*`: a window over the third quarter of the MAC cycles
 ///   (1/4 of the inference), 256 small-fixture images, 4 fault
-///   configurations — the shape transient-SEU sweeps take. Op-scoping is
-///   the big lever here (3/4 of every inference leaves the exact engine).
+///   configurations — the shape transient-SEU sweeps take.
 /// * `pulse4cfg_256img_*`: a 2000-cycle pulse at the 3/4 mark (a DeepStrike
-///   / EMFI-style narrow transient, ~3% of the inference). The exact-engine
-///   share is tiny, so the golden cache's prefix restore becomes the
-///   dominant saving on top of op-scoping.
+///   / EMFI-style narrow transient, ~3% of the inference). Lane-delta makes
+///   the pulse itself nearly free, so the golden cache's prefix restore is
+///   the dominant saving.
 /// * `win1cfg_16img_medium_*`: the quarter-window trio on the medium
 ///   (paper-sized, width-16 ResNet-18) fixture — fewer images because the
 ///   all-exact baseline costs ~100 ms/inference there — for the >= 2x

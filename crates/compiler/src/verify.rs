@@ -1,7 +1,7 @@
 //! Static verification of [`ExecutionPlan`]s and fault reachability.
 //!
 //! The campaign fabric trusts a lot of derived structure: MAC-cycle spans
-//! decide which ops run exact under a transient window, live-in surface
+//! decide which products a transient window reaches, live-in surface
 //! sets decide what a golden-prefix restore re-seeds, the command-stream
 //! codec decides what a remote worker executes. A silent inconsistency in
 //! any of them produces *wrong campaign results that still look plausible*

@@ -89,8 +89,9 @@ pub struct CampaignSpec {
     pub pool_devices: usize,
     /// Optional transient fault window (in per-inference MAC cycles),
     /// applied alongside every injected fault configuration. Only the plan
-    /// ops whose MAC-cycle span intersects the window run the exact engine
-    /// (op-scoped execution); the fault-free prefix is restored from a
+    /// ops whose MAC-cycle span intersects the window pay for lane-delta
+    /// corrections (op-scoped execution); the fault-free prefix is restored
+    /// from a
     /// campaign-lifetime [`GoldenActivationCache`] (see
     /// [`CampaignSpec::golden_cache_bytes`]). The baseline pass stays
     /// fault- and window-free. Validated against the compiled plan up

@@ -122,7 +122,7 @@ impl GoldenActivationCache {
                 .accel_mut()
                 .run_prefix_i8_view(set.view(i..i + 1), boundary)?;
             for &(addr, bytes) in &surfaces {
-                data.extend(device.accel_mut().dma_read(addr, bytes)?);
+                data.extend(device.accel().dma_read(addr, bytes)?);
             }
         }
         Ok(Some(GoldenActivationCache {
@@ -597,7 +597,8 @@ impl DevicePool {
     /// thread per device, merged in image order); the cache is shared
     /// read-only across the shard threads. Images outside the cache's byte
     /// budget — or all of them, when `cache` is `None` — run the full
-    /// op-scoped inference (fast prefix, exact window ops, fast suffix).
+    /// op-scoped inference (clean prefix, lane-delta on the window's ops,
+    /// clean suffix).
     /// Predictions are bit-identical to [`DevicePool::classify_i8`] for
     /// every cache budget (asserted by `tests/campaign_determinism.rs`).
     ///

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example custom_fault_model`
 
 use nvfi::{EmulationPlatform, PlatformConfig};
-use nvfi_accel::{AccelConfig, ExecMode, FaultConfig, FaultKind};
+use nvfi_accel::{FaultConfig, FaultKind};
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
 
@@ -22,15 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .generate();
     let image = data.test.images.slice_image(0);
 
-    // Bit-granular faults need the exact (per-product) engine.
-    let config = PlatformConfig {
-        accel: AccelConfig {
-            mode: ExecMode::Exact,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut platform = EmulationPlatform::assemble(&qmodel, config)?;
+    // The default engine applies bit-granular faults lane by lane on top
+    // of the clean GEMM, bit-identical to `ExecMode::Exact`.
+    let mut platform = EmulationPlatform::assemble(&qmodel, PlatformConfig::default())?;
     let clean = platform.run(&image)?.logits;
     println!("clean logits:          {clean:?}");
 
