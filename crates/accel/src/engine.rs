@@ -65,18 +65,30 @@
 //! per-image path say which executor ran per op: `engine_path_fast` when no
 //! selected lane observes the op, `engine_path_fast_corrected` when
 //! lane-delta ran, and `engine_path_exact` for the oracle.
+//!
+//! # Phase timing
+//!
+//! While `nvfi_obs` tracing is on, every conv and linear op (per-image and
+//! batched) records the nanoseconds of each phase it runs into the
+//! histograms `engine_phase_{im2col,gemm,lane_delta,sdp,surface}_ns`:
+//! im2col (the batched head's operand transpose too), the GEMM (the
+//! per-product oracle under [`ExecMode::Exact`]), lane-delta, the SDP (the
+//! linear head's bias add), and DRAM surface unpack/pack. Off, an op pays
+//! one trace-gate load and no clock read.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-use nvfi_obs::metrics::{self, Counter};
+use nvfi_obs::metrics::{self, Counter, Histogram};
+use nvfi_obs::trace;
 
 use nvfi_compiler::plan::{ConvOp, ExecutionPlan, LinearOp, PlanOp, PoolKind, PoolOp, RegWrite};
 use nvfi_compiler::surface;
 use nvfi_hwnum::{sat, I18};
 use nvfi_quant::exec::sdp_postprocess;
-use nvfi_tensor::{conv, gemm, im2col, pool, ConvGeom, Shape4, Tensor};
+use nvfi_tensor::{gemm, im2col, pool, ConvGeom, Shape4, Tensor};
 
 use crate::csb::CsbSpace;
 use crate::dram::Dram;
@@ -150,6 +162,46 @@ fn path_counter(path: OpPath) -> &'static Counter {
             CORRECTED.get_or_init(|| metrics::counter("engine_path_fast_corrected"))
         }
         OpPath::Exact => EXACT.get_or_init(|| metrics::counter("engine_path_exact")),
+    }
+}
+
+/// A phase of a conv or linear op, timed by [`PhaseTimer`].
+#[derive(Copy, Clone)]
+enum Phase {
+    Im2col,
+    Gemm,
+    LaneDelta,
+    Sdp,
+    Surface,
+}
+
+/// The `engine_phase_*_ns` histograms, indexed by [`Phase`].
+fn phase_histogram(phase: Phase) -> &'static Histogram {
+    static H: OnceLock<[Histogram; 5]> = OnceLock::new();
+    let all = H.get_or_init(|| {
+        ["im2col", "gemm", "lane_delta", "sdp", "surface"]
+            .map(|p| metrics::histogram(&format!("engine_phase_{p}_ns")))
+    });
+    &all[phase as usize]
+}
+
+/// Lap timer over one op's phases. Armed only when tracing is on at the
+/// start of the op; disarmed, [`PhaseTimer::lap`] reads no clock.
+struct PhaseTimer(Option<Instant>);
+
+impl PhaseTimer {
+    fn start() -> Self {
+        PhaseTimer(trace::is_enabled().then(Instant::now))
+    }
+
+    /// Records the time since the previous lap as `phase`.
+    fn lap(&mut self, phase: Phase) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            let ns = u64::try_from(now.duration_since(*last).as_nanos()).unwrap_or(u64::MAX);
+            phase_histogram(phase).observe(ns);
+            *last = now;
+        }
     }
 }
 
@@ -1112,6 +1164,7 @@ impl Accelerator {
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
+        let mut timer = PhaseTimer::start();
         let g = op.geom;
         let in_shape = g.input.with_n(1);
         let in_bytes = surface::surface_bytes(g.input.c, g.input.h, g.input.w) as u64;
@@ -1136,6 +1189,7 @@ impl Accelerator {
             }
             None => false,
         };
+        timer.lap(Phase::Surface);
         // Accumulate.
         let this = &mut *self;
         let fi = &this.csb.fi;
@@ -1155,14 +1209,15 @@ impl Accelerator {
                 &g,
                 &mut scratch.acc,
             );
+            timer.lap(Phase::Gemm);
         } else {
-            conv::conv2d_i8_into(
+            im2col_gemm(
                 &scratch.input,
                 weights.as_slice(),
                 &g,
                 &mut scratch.cols,
                 &mut scratch.acc,
-                1,
+                &mut timer,
             );
             this.cycle += op_cycles;
             if path == OpPath::LaneDelta {
@@ -1176,6 +1231,7 @@ impl Accelerator {
                     &mut scratch.acc,
                     1,
                 );
+                timer.lap(Phase::LaneDelta);
             }
         }
         // SDP: bias, requant, optional residual add, relu, saturate.
@@ -1189,6 +1245,7 @@ impl Accelerator {
             residual.then_some(&scratch.res[..]),
             &mut scratch.out,
         );
+        timer.lap(Phase::Sdp);
         scratch
             .packed
             .resize(surface::surface_bytes(g.k, g.oh, g.ow), 0);
@@ -1196,6 +1253,7 @@ impl Accelerator {
         let packed = std::mem::take(&mut this.scratch.packed);
         this.dram.write_i8(op.output_addr, &packed)?;
         this.scratch.packed = packed;
+        timer.lap(Phase::Surface);
         Ok(())
     }
 
@@ -1211,6 +1269,7 @@ impl Accelerator {
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
+        let mut timer = PhaseTimer::start();
         let g = op.geom;
         let in_len = g.input.image_len();
         let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
@@ -1241,6 +1300,7 @@ impl Accelerator {
                 b * n_cols,
             );
         }
+        timer.lap(Phase::Im2col);
         scratch.acc.resize(g.k * wide_n, 0);
         scratch.acc.fill(0);
         gemm::gemm_i8_i32_into(
@@ -1251,6 +1311,7 @@ impl Accelerator {
             crs,
             wide_n,
         );
+        timer.lap(Phase::Gemm);
         this.cycle += op_cycles * b_n as u64;
         if fi.any_active() {
             lane_delta_into(
@@ -1263,6 +1324,7 @@ impl Accelerator {
                 &mut scratch.acc,
                 b_n,
             );
+            timer.lap(Phase::LaneDelta);
         }
         // SDP per image into the batched output surface. The output buffer
         // is owned (pulled out of the map), so the residual can stay a
@@ -1291,6 +1353,7 @@ impl Accelerator {
                 );
             }
         }
+        timer.lap(Phase::Sdp);
         // Re-insert the input first: if the allocator aliased the output
         // onto the input region, DRAM semantics say the write wins.
         scratch.batch_surfaces.insert(op.input_addr, input);
@@ -1350,12 +1413,14 @@ impl Accelerator {
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
+        let mut timer = PhaseTimer::start();
         let in_shape = Shape4::new(1, op.in_f, 1, 1);
         let bytes = surface::surface_bytes(op.in_f, 1, 1) as u64;
         self.dram
             .read_i8_into(op.input_addr, bytes, &mut self.scratch.dma)?;
         self.scratch.input.resize(in_shape.image_len(), 0);
         surface::unpack_surface_into(&self.scratch.dma, in_shape, &mut self.scratch.input);
+        timer.lap(Phase::Surface);
         // The head runs on the same MAC array as a 1x1 convolution over a
         // 1x1 spatial extent — faults apply here too.
         let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
@@ -1377,14 +1442,15 @@ impl Accelerator {
                 &g,
                 &mut scratch.acc,
             );
+            timer.lap(Phase::Gemm);
         } else {
-            conv::conv2d_i8_into(
+            im2col_gemm(
                 &scratch.input,
                 weights.as_slice(),
                 &g,
                 &mut scratch.cols,
                 &mut scratch.acc,
-                1,
+                &mut timer,
             );
             this.cycle += op_cycles;
             if path == OpPath::LaneDelta {
@@ -1398,15 +1464,18 @@ impl Accelerator {
                     &mut scratch.acc,
                     1,
                 );
+                timer.lap(Phase::LaneDelta);
             }
         }
         scratch.logits.clear();
         scratch
             .logits
             .extend((0..op.out_f).map(|o| scratch.acc[o].wrapping_add(op.bias[o])));
+        timer.lap(Phase::Sdp);
         let logits = std::mem::take(&mut this.scratch.logits);
         this.dram.write_i32(op.output_addr, &logits)?;
         this.scratch.logits = logits;
+        timer.lap(Phase::Surface);
         Ok(())
     }
 
@@ -1419,6 +1488,7 @@ impl Accelerator {
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
+        let mut timer = PhaseTimer::start();
         let in_shape = Shape4::new(1, op.in_f, 1, 1);
         let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
         let this = &mut *self;
@@ -1443,6 +1513,7 @@ impl Accelerator {
                 scratch.cols[c * b_n + b] = input[b * op.in_f + c];
             }
         }
+        timer.lap(Phase::Im2col);
         scratch.acc.resize(op.out_f * b_n, 0);
         scratch.acc.fill(0);
         gemm::gemm_i8_i32_into(
@@ -1453,6 +1524,7 @@ impl Accelerator {
             op.in_f,
             b_n,
         );
+        timer.lap(Phase::Gemm);
         this.cycle += op_cycles * b_n as u64;
         if fi.any_active() {
             lane_delta_into(
@@ -1465,6 +1537,7 @@ impl Accelerator {
                 &mut scratch.acc,
                 b_n,
             );
+            timer.lap(Phase::LaneDelta);
         }
         let logits = (0..b_n)
             .map(|b| {
@@ -1473,6 +1546,7 @@ impl Accelerator {
                     .collect()
             })
             .collect();
+        timer.lap(Phase::Sdp);
         scratch.batch_surfaces.insert(op.input_addr, input);
         Ok(logits)
     }
@@ -1662,10 +1736,31 @@ fn lane_delta_into(
     }
 }
 
+/// The clean accumulation of one image: im2col into `cols` (resized as
+/// needed), then the GEMM into `acc` (overwritten), timed as two phases.
+fn im2col_gemm(
+    input: &[i8],
+    weights: &[i8],
+    g: &ConvGeom,
+    cols: &mut Vec<i8>,
+    acc: &mut [i32],
+    timer: &mut PhaseTimer,
+) {
+    let (crs, n_cols) = (g.input.c * g.r * g.s, g.oh * g.ow);
+    cols.resize(crs * n_cols, 0);
+    im2col::im2col_into(input, g, cols);
+    timer.lap(Phase::Im2col);
+    acc.fill(0);
+    gemm::gemm_i8_i32_into(weights, cols, acc, g.k, crs, n_cols);
+    timer.lap(Phase::Gemm);
+}
+
 /// SDP post-processing of one image: bias, per-channel requantization,
 /// optional rescaled residual add, ReLU, saturation. Reads accumulator
 /// element `(k, oy, ox)` at `k * row_stride + col_off + oy * OW + ox` and
-/// writes the dense `K x OH x OW` output.
+/// writes the dense `K x OH x OW` output. The bias, both requantizers and
+/// the ReLU flag are hoisted out of the pixel loop, which is then
+/// branch-free and vectorizes.
 fn sdp_into(
     op: &ConvOp,
     g: &ConvGeom,
@@ -1676,8 +1771,9 @@ fn sdp_into(
     out: &mut [i8],
 ) {
     let n_pix = g.oh * g.ow;
+    let relu = op.relu;
     for k in 0..g.k {
-        let rq = op.requant_for(k);
+        let (rq, bias) = (op.requant_for(k), op.bias[k]);
         let arow = &acc[k * row_stride + col_off..k * row_stride + col_off + n_pix];
         let orow = &mut out[k * n_pix..(k + 1) * n_pix];
         match residual {
@@ -1685,14 +1781,12 @@ fn sdp_into(
                 let add_rq = op.add_requant.expect("add requant");
                 let rrow = &res[k * n_pix..(k + 1) * n_pix];
                 for ((o, &a), &rv) in orow.iter_mut().zip(arow).zip(rrow) {
-                    let a = a.wrapping_add(op.bias[k]);
-                    *o = sdp_postprocess(a, rq, Some((rv, add_rq)), op.relu);
+                    *o = sdp_postprocess(a.wrapping_add(bias), rq, Some((rv, add_rq)), relu);
                 }
             }
             None => {
                 for (o, &a) in orow.iter_mut().zip(arow) {
-                    let a = a.wrapping_add(op.bias[k]);
-                    *o = sdp_postprocess(a, rq, None, op.relu);
+                    *o = sdp_postprocess(a.wrapping_add(bias), rq, None, relu);
                 }
             }
         }

@@ -4,11 +4,13 @@
 //! (reported by the `table1` binary); this bench measures the software
 //! cost of each engine.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nvfi::{EmulationPlatform, PlatformConfig};
 use nvfi_accel::{FaultConfig, FaultKind};
 use nvfi_bench::{medium_fixture, small_fixture};
 use nvfi_compiler::regmap::MultId;
+use nvfi_hwnum::Requant;
+use nvfi_quant::exec::sdp_postprocess;
 
 fn bench_cpu_reference(c: &mut Criterion) {
     let (q, data) = medium_fixture();
@@ -80,10 +82,47 @@ fn bench_accelerator_medium(c: &mut Criterion) {
     g.finish();
 }
 
+/// The SDP alone: `sdp_postprocess` over one 16x32x32 accumulator block
+/// (the medium fixture's first stage) with a residual and ReLU, in the
+/// engine's per-channel loop shape (bias and requantizers hoisted out of
+/// the pixel loop). A return to a branchy or i128 requantizer shows up
+/// here as a multiple.
+fn bench_sdp(c: &mut Criterion) {
+    let (k, pix) = (16usize, 32 * 32);
+    // Conv-sized accumulators (about ±2^19) and a full-range residual.
+    let acc: Vec<i32> = (0..k * pix)
+        .map(|i| (i as i32).wrapping_mul(-1_640_531_527) >> 12)
+        .collect();
+    let res: Vec<i8> = (0..k * pix).map(|i| (i * 37 % 256) as u8 as i8).collect();
+    let requant: Vec<Requant> = (0..k)
+        .map(|ch| Requant::from_scale(2e-4 * (1.0 + ch as f64 / 8.0)).unwrap())
+        .collect();
+    let add_rq = Requant::from_scale(0.8).unwrap();
+    let bias: Vec<i32> = (0..k as i32).map(|ch| ch * 1000 - 8000).collect();
+    let mut out = vec![0i8; k * pix];
+    let mut g = c.benchmark_group("inference_medium");
+    g.sample_size(50);
+    g.bench_function("sdp_w16", |b| {
+        b.iter(|| {
+            for ch in 0..k {
+                let (rq, bias) = (requant[ch], bias[ch]);
+                let rows = ch * pix..(ch + 1) * pix;
+                let orow = &mut out[rows.clone()];
+                for ((o, &a), &r) in orow.iter_mut().zip(&acc[rows.clone()]).zip(&res[rows]) {
+                    *o = sdp_postprocess(a.wrapping_add(bias), rq, Some((r, add_rq)), true);
+                }
+            }
+            let _ = black_box(&out);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cpu_reference,
     bench_accelerator_emulation,
-    bench_accelerator_medium
+    bench_accelerator_medium,
+    bench_sdp
 );
 criterion_main!(benches);

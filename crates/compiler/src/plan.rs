@@ -505,6 +505,9 @@ pub fn decode_words(words: &[u32]) -> Result<ExecutionPlan, DecodeError> {
                 if stride == 0 || k == 0 || r == 0 || s == 0 || ic == 0 {
                     return Err(DecodeError::Invalid("conv geometry"));
                 }
+                if ih + 2 * pad < r || iw + 2 * pad < s {
+                    return Err(DecodeError::Invalid("conv kernel does not fit input"));
+                }
                 let geom = ConvGeom::new(Shape4::new(1, ic, ih, iw), k, r, s, stride, pad);
                 let input_addr = n64!();
                 let output_addr = n64!();
@@ -512,9 +515,7 @@ pub fn decode_words(words: &[u32]) -> Result<ExecutionPlan, DecodeError> {
                 let relu = n!() != 0;
                 let (fuse_add_addr, add_requant) = if n!() != 0 {
                     let a = n64!();
-                    let m = n!() as i32;
-                    let sh = n!() as u8;
-                    (Some(a), Some(Requant::from_parts(m, sh)))
+                    (Some(a), Some(decode_requant(n!(), n!())?))
                 } else {
                     (None, None)
                 };
@@ -531,12 +532,7 @@ pub fn decode_words(words: &[u32]) -> Result<ExecutionPlan, DecodeError> {
                 }
                 let mut requant = Vec::with_capacity(n_rq);
                 for _ in 0..n_rq {
-                    let m = n!() as i32;
-                    let sh = n!() as u8;
-                    if m < 0 || sh > Requant::MAX_SHIFT {
-                        return Err(DecodeError::Invalid("requant parts"));
-                    }
-                    requant.push(Requant::from_parts(m, sh));
+                    requant.push(decode_requant(n!(), n!())?);
                 }
                 PlanOp::Conv(ConvOp {
                     geom,
@@ -608,6 +604,16 @@ pub fn decode_words(words: &[u32]) -> Result<ExecutionPlan, DecodeError> {
         weight_image: Vec::new(),
         macs_per_inference,
     })
+}
+
+/// Decodes a `(multiplier, shift)` word pair, range-checking both raw words
+/// before narrowing them: a multiplier word `>= 2^31` would be negative as
+/// `i32`, and a shift word of 300 must not alias to 44 as `u8`.
+fn decode_requant(multiplier: u32, shift: u32) -> Result<Requant, DecodeError> {
+    match (i32::try_from(multiplier), u8::try_from(shift)) {
+        (Ok(m), Ok(sh)) if sh <= Requant::MAX_SHIFT => Ok(Requant::from_parts(m, sh)),
+        _ => Err(DecodeError::Invalid("requant parts")),
+    }
 }
 
 /// The plan as CSB register writes: a FIFO reset followed by one write per
@@ -725,6 +731,27 @@ mod tests {
             decode_words(&words),
             Err(DecodeError::BadTag(0xDEAD))
         ));
+    }
+
+    #[test]
+    fn requant_words_checked_before_narrowing() {
+        assert_eq!(decode_requant(5, 62), Ok(Requant::from_parts(5, 62)));
+        // 300 would alias to shift 44 as a `u8`.
+        assert!(decode_requant(5, 300).is_err());
+        assert!(decode_requant(5, 63).is_err());
+        assert!(decode_requant(0x8000_0000, 0).is_err());
+    }
+
+    #[test]
+    fn kernel_larger_than_input_is_rejected() {
+        let mut words = encode_words(&sample_plan());
+        // The first conv's r field: tag at 14, then ic, ih, iw, k, r.
+        assert_eq!(words[19], 3);
+        words[19] = 11; // 8 + 2 * pad(1) < 11
+        assert_eq!(
+            decode_words(&words),
+            Err(DecodeError::Invalid("conv kernel does not fit input"))
+        );
     }
 
     #[test]

@@ -1,7 +1,14 @@
-//! Property-based tests of the layout and allocation machinery.
+//! Property-based tests of the layout and allocation machinery, and the
+//! descriptor decoder's panic freedom under hostile words.
 
 use nvfi_compiler::alloc::{DramAllocator, ALIGN};
+use nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY;
+use nvfi_compiler::plan::{decode_words, encode_words};
 use nvfi_compiler::surface;
+use nvfi_dataset::{SynthCifar, SynthCifarConfig};
+use nvfi_nn::fold::fold_resnet;
+use nvfi_nn::resnet::ResNet;
+use nvfi_quant::{quantize, QuantConfig};
 use nvfi_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 
@@ -83,4 +90,49 @@ proptest! {
         }
         prop_assert!(alloc.used() <= 1 << 24);
     }
+}
+
+/// Plan words arrive from the wire (worker sessions, the server's audit
+/// arbiter), so `decode_words` must reject hostile words, never panic on
+/// them. Every word of an encoded ResNet plan is replaced in turn by a
+/// sign-bit word (a negative requant multiplier), 63 (one past the largest
+/// shift, and a kernel larger than the input) and 300 (a shift that would
+/// alias to 44 if narrowed to `u8` first); each mutant must decode to `Ok`
+/// or `Err`.
+#[test]
+fn decode_words_never_panics_on_mutated_plans() {
+    let data = SynthCifar::new(SynthCifarConfig {
+        train: 8,
+        test: 4,
+        ..Default::default()
+    })
+    .generate();
+    let net = ResNet::new(4, &[1, 1], 10, 3);
+    let q = quantize(
+        &fold_resnet(&net, 32),
+        &data.train.images,
+        &QuantConfig::default(),
+    )
+    .unwrap();
+    let plan = nvfi_compiler::compile(&q, DEFAULT_DRAM_CAPACITY).unwrap();
+    let words = encode_words(&plan);
+    assert!(decode_words(&words).is_ok(), "the unmutated plan decodes");
+    let mut panicked = Vec::new();
+    let mut rejected = 0usize;
+    for i in 0..words.len() {
+        for value in [0x8000_0000u32, 63, 300] {
+            let mut mutant = words.clone();
+            mutant[i] = value;
+            match std::panic::catch_unwind(|| decode_words(&mutant)) {
+                Ok(Ok(_)) => {}
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panicked.push((i, value)),
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "decode_words panicked on (word, value): {panicked:?}"
+    );
+    assert!(rejected > 0, "the sweep reached no validation at all");
 }

@@ -13,6 +13,8 @@ use crate::sat;
 /// computes `round(x * multiplier / 2^shift)` with round-half-away-from-zero,
 /// entirely in integer arithmetic — identical on the CPU reference executor
 /// and the accelerator model, so outputs are bit-exact across both.
+/// [`Requant::apply_acc`] is the same function for 32-bit accumulators,
+/// branch-free in `i64`; the SDP uses it.
 ///
 /// # Examples
 ///
@@ -166,6 +168,39 @@ impl Requant {
         let mag = (prod.abs() + half) >> self.shift;
         let rounded = if prod < 0 { -mag } else { mag };
         sat::clamp_i128_to_i64(rounded)
+    }
+
+    /// [`Requant::apply`] for a 32-bit accumulator, in plain `i64` with no
+    /// branches, so a loop over it auto-vectorizes. Bit-identical to
+    /// `self.apply(i64::from(x))` for every `x`.
+    ///
+    /// The construction invariants `0 <= multiplier < 2^31` and
+    /// `shift <= 62` bound every intermediate: `|x * multiplier| <= 2^31 *
+    /// (2^31 - 1) < 2^62` and `half = 2^(shift-1) <= 2^61`, so
+    /// `|prod| + half < 2^62 + 2^61 < 2^63` never overflows, and the result
+    /// (at most `|prod|`) always fits the `i64` that [`Requant::apply`]
+    /// would otherwise clamp to. Shift 0 needs no special case: `half` is
+    /// 0 there and the shift is the identity.
+    ///
+    /// ```
+    /// use nvfi_hwnum::Requant;
+    ///
+    /// let r = Requant::from_scale(0.25).unwrap();
+    /// assert_eq!(r.apply_acc(-2), -1); // -0.5 rounds away from zero
+    /// for x in [i32::MIN, -7, 0, 5, i32::MAX] {
+    ///     assert_eq!(r.apply_acc(x), r.apply(i64::from(x)));
+    /// }
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn apply_acc(self, x: i32) -> i64 {
+        let prod = i64::from(x) * i64::from(self.multiplier);
+        let half = (1i64 << self.shift) >> 1;
+        let mag = (prod.abs() + half) >> self.shift;
+        // Restore the sign without a branch: `sign` is 0 or -1 (all ones),
+        // and `(mag ^ -1) - (-1) == -mag`.
+        let sign = prod >> 63;
+        (mag ^ sign) - sign
     }
 
     /// Applies the requantizer and saturates the result to `i8`, the output

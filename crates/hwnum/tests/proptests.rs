@@ -95,12 +95,60 @@ proptest! {
         prop_assert_eq!(r.apply(-x), -r.apply(x));
     }
 
+    /// The branch-free i64 requantizer equals the i128 one for any valid
+    /// multiplier, shift and 32-bit accumulator.
+    #[test]
+    fn apply_acc_matches_apply(
+        m in 0i32..i32::MAX,
+        shift in 0u8..(Requant::MAX_SHIFT + 1),
+        x in any::<i32>(),
+    ) {
+        let r = Requant::from_parts(m, shift);
+        prop_assert_eq!(r.apply_acc(x), r.apply(i64::from(x)), "r={} x={}", r, x);
+    }
+
     /// Saturation is monotone.
     #[test]
     fn sat_monotone(a in any::<i64>(), b in any::<i64>()) {
         if a <= b {
             prop_assert!(sat::to_i8(a) <= sat::to_i8(b));
             prop_assert!(sat::to_i32(a) <= sat::to_i32(b));
+        }
+    }
+}
+
+/// `apply_acc` equals `apply` on a grid of every shift, the extreme and some
+/// random multipliers, and the accumulator extremes plus the rounding tie
+/// points `±(k·2^shift ± half)` and their neighbours.
+#[test]
+fn apply_acc_matches_apply_on_tie_grid() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut random_multiplier = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        i32::try_from(state >> 33).expect("31-bit value fits i32")
+    };
+    for shift in 0..=Requant::MAX_SHIFT {
+        let mut multipliers = vec![0, 1, 1 << 30, i32::MAX];
+        multipliers.extend((0..4).map(|_| random_multiplier()));
+        // i128 so the tie points of large shifts can be formed; those
+        // outside the i32 range are dropped below.
+        let pow = 1i128 << shift;
+        let half = pow >> 1;
+        let mut xs = vec![i128::from(i32::MIN), i128::from(i32::MAX), 0, 1, -1];
+        for k in 0..4 {
+            for base in [k * pow + half, k * pow - half] {
+                for d in [-1, 0, 1] {
+                    xs.extend([base + d, -(base + d)]);
+                }
+            }
+        }
+        for &m in &multipliers {
+            let r = Requant::from_parts(m, shift);
+            for x in xs.iter().filter_map(|&x| i32::try_from(x).ok()) {
+                assert_eq!(r.apply_acc(x), r.apply(i64::from(x)), "r={r} x={x}");
+            }
         }
     }
 }

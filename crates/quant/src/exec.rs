@@ -4,7 +4,14 @@
 //! CPU rows of Table I and (b) the semantic reference the accelerator model
 //! must reproduce bit-for-bit in the fault-free case. All post-accumulation
 //! arithmetic is funnelled through [`sdp_postprocess`], which the
-//! accelerator's SDP model calls too — agreement is by construction.
+//! accelerator's SDP model (every engine path, the exact oracle included)
+//! and the systolic simulator call too — agreement is by construction.
+//!
+//! Because every executor shares it, no engine-equivalence test can catch
+//! an error in `sdp_postprocess` itself. It is branch-free `i64`
+//! ([`Requant::apply_acc`]) for speed, and it is proven equal to the
+//! `i128` [`Requant::apply`] definition by this crate's and `nvfi-hwnum`'s
+//! property tests.
 
 use nvfi_hwnum::{sat, Requant};
 use nvfi_tensor::{conv, pool, ConvGeom, Tensor};
@@ -15,6 +22,12 @@ use crate::swfi::GraphFault;
 /// Post-processing of one accumulator value, exactly as the SDP does it:
 /// per-channel requantization, optional rescaled residual add, optional
 /// ReLU, saturation to i8.
+///
+/// Branch-free in the data: both requantizations go through
+/// [`Requant::apply_acc`] (exact `i64`, no i128), their sum is bounded by
+/// `2^62 + 2^38` so it cannot overflow, and ReLU plus saturation is one
+/// clamp to `[relu ? 0 : -128, 127]`. Inlined into a pixel loop with a
+/// loop-invariant `requant`, `residual` shape and `relu`, it vectorizes.
 #[inline]
 #[must_use]
 pub fn sdp_postprocess(
@@ -23,14 +36,12 @@ pub fn sdp_postprocess(
     residual: Option<(i8, Requant)>,
     relu: bool,
 ) -> i8 {
-    let mut v = requant.apply(i64::from(acc));
+    let mut v = requant.apply_acc(acc);
     if let Some((res, rq)) = residual {
-        v += rq.apply(i64::from(res));
+        v += rq.apply_acc(i32::from(res));
     }
-    if relu && v < 0 {
-        v = 0;
-    }
-    sat::to_i8(v)
+    let lo = if relu { 0 } else { i64::from(i8::MIN) };
+    sat::to_i8(v.clamp(lo, i64::from(i8::MAX)))
 }
 
 /// Integer global average pooling: per-channel wrapping sum then

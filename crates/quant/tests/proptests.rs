@@ -1,7 +1,8 @@
 //! Property-based tests of the quantization pipeline.
 
-use nvfi_hwnum::sat;
+use nvfi_hwnum::{sat, Requant};
 use nvfi_nn::{DeployModel, DeployOp, DeployOpKind};
+use nvfi_quant::exec::sdp_postprocess;
 use nvfi_quant::{quantize, QuantConfig};
 use nvfi_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
@@ -164,4 +165,77 @@ proptest! {
             prop_assert_eq!(*got, sat::quantize_f32_to_i8(*x, scale));
         }
     }
+}
+
+/// The SDP as the i128 requantizer defines it: requantize, add the
+/// requantized residual, ReLU, saturate — each step in the widest type.
+fn sdp_reference(acc: i32, requant: Requant, residual: Option<(i8, Requant)>, relu: bool) -> i8 {
+    let mut v = i128::from(requant.apply(i64::from(acc)));
+    if let Some((res, rq)) = residual {
+        v += i128::from(rq.apply(i64::from(res)));
+    }
+    if relu && v < 0 {
+        v = 0;
+    }
+    i8::try_from(v.clamp(-128, 127)).expect("clamped into i8")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `sdp_postprocess` (branch-free i64) equals the i128 reference for any
+    /// accumulator, requantizer, optional residual with its add-requant and
+    /// ReLU flag. Raw parts over the whole valid range drive most outputs
+    /// into saturation at either end; `from_scale` with calibration-sized
+    /// scales keeps them in range. The engine, the exact oracle and the CPU
+    /// reference all share `sdp_postprocess`, so this test (not the
+    /// engine-equivalence suites) is what proves it.
+    #[test]
+    fn sdp_postprocess_matches_i128_reference(
+        acc in any::<i32>(),
+        (m, shift) in (0i32..i32::MAX, 0u8..(Requant::MAX_SHIFT + 1)),
+        scale in 1e-6f64..2.0,
+        res in any::<i8>(),
+        (add_m, add_shift) in (0i32..i32::MAX, 0u8..(Requant::MAX_SHIFT + 1)),
+        add_scale in 1e-3f64..4.0,
+        form in 0u8..4,
+        relu in any::<bool>(),
+    ) {
+        let raw = form & 1 == 0;
+        let rq = if raw { Requant::from_parts(m, shift) } else { Requant::from_scale(scale).unwrap() };
+        let add_rq = if raw {
+            Requant::from_parts(add_m, add_shift)
+        } else {
+            Requant::from_scale(add_scale).unwrap()
+        };
+        let residual = (form & 2 == 0).then_some((res, add_rq));
+        prop_assert_eq!(
+            sdp_postprocess(acc, rq, residual, relu),
+            sdp_reference(acc, rq, residual, relu),
+            "acc={} rq={} residual={:?} relu={}", acc, rq, residual, relu
+        );
+    }
+}
+
+/// Saturation at both ends and the ReLU floor, at the accumulator extremes.
+#[test]
+fn sdp_postprocess_saturates_at_both_ends() {
+    let unit = Requant::IDENTITY;
+    let big = Requant::from_parts(i32::MAX, 0);
+    for rq in [unit, big] {
+        for residual in [None, Some((i8::MIN, big)), Some((i8::MAX, big))] {
+            for relu in [false, true] {
+                for acc in [i32::MIN, -129, -128, -1, 0, 1, 127, 128, i32::MAX] {
+                    assert_eq!(
+                        sdp_postprocess(acc, rq, residual, relu),
+                        sdp_reference(acc, rq, residual, relu),
+                        "acc={acc} rq={rq} residual={residual:?} relu={relu}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(sdp_postprocess(i32::MAX, big, None, false), 127);
+    assert_eq!(sdp_postprocess(i32::MIN, big, None, false), -128);
+    assert_eq!(sdp_postprocess(i32::MIN, big, None, true), 0);
 }

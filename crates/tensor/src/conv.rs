@@ -174,30 +174,6 @@ pub fn conv2d_i8(
     out
 }
 
-/// Scratch-buffer int8 convolution for one image: `cols` is the reusable
-/// im2col buffer (resized as needed) and the accumulator is written into
-/// `acc` (`K * OH * OW`, overwritten). Bit-identical to [`conv2d_i8`].
-///
-/// # Panics
-///
-/// Panics if shapes disagree with `geom` or `acc` has the wrong length.
-pub fn conv2d_i8_into(
-    image: &[i8],
-    weights: &[i8],
-    geom: &ConvGeom,
-    cols: &mut Vec<i8>,
-    acc: &mut [i32],
-    threads: usize,
-) {
-    let (m, k, n_cols) = (geom.k, geom.input.c * geom.r * geom.s, geom.oh * geom.ow);
-    assert_eq!(weights.len(), m * k, "weights do not match {geom}");
-    assert_eq!(acc.len(), m * n_cols, "accumulator does not match {geom}");
-    cols.resize(k * n_cols, 0);
-    im2col::im2col_into(image, geom, cols);
-    acc.fill(0);
-    gemm::gemm_i8_i32_threaded_into(weights, cols, acc, m, k, n_cols, threads);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
