@@ -8,11 +8,23 @@
 //! * **exhaustive single** (Fig. 3): every one of the 64 multipliers is
 //!   faulted alone, once per injected value.
 //!
-//! Campaigns use **two-level scheduling** over a fleet of device instances
-//! (mirroring how independent FPGA boards would split a campaign):
+//! Every campaign — in process or on the `nvfi-dist` fabric — runs one
+//! pipeline, built from three pieces of this module and the pool:
 //!
-//! 1. an outer lock-free cursor hands out `(targets, kind)` work items to
-//!    worker groups, exactly one fault configuration in flight per group;
+//! 1. [`CampaignPlan::prepare`] validates the fault kinds, expands the work
+//!    list (item 0 is the fault-free baseline), quantizes the evaluation
+//!    set once, assembles and verifies the prototype device, prunes
+//!    provably masked items and builds the golden-prefix cache;
+//! 2. [`CampaignPlan::execute`] runs one work item over an image range
+//!    through [`DevicePool::run_item`];
+//! 3. [`CampaignPlan::fold`] turns per-item predictions into records.
+//!
+//! [`Campaign::run`] executes the items with **two-level scheduling** over
+//! a fleet of device instances (mirroring how independent FPGA boards
+//! would split a campaign):
+//!
+//! 1. an outer lock-free cursor hands out work items to worker groups,
+//!    exactly one fault configuration in flight per group;
 //! 2. each group owns a [`DevicePool`] and shards the evaluation batch
 //!    across its members, so when the work list is narrower than the thread
 //!    budget (one configuration, many images) the spare threads still pull
@@ -21,10 +33,12 @@
 //! With `threads` ≤ work items every pool has one device and the scheduler
 //! degenerates to the classic one-device-per-worker loop; with a single
 //! work item it degenerates to pure batch sharding. Either way, records are
-//! bit-identical to the single-threaded, single-device run.
+//! bit-identical to the single-threaded, single-device run — and to the
+//! distributed run, which executes the same plan shard by shard.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use nvfi_accel::{FaultConfig, FaultKind, IdleLanePolicy};
@@ -165,14 +179,8 @@ impl Default for CampaignSpec {
 /// Runs the plan verifier according to `mode`: [`VerifyMode::Off`] skips,
 /// [`VerifyMode::Warn`] prints every diagnostic to stderr,
 /// [`VerifyMode::Strict`] turns any diagnostic into
-/// [`PlatformError::Verify`]. Shared by [`Campaign::run`] and the
-/// `nvfi-dist` coordinator so both entry points enforce the same policy.
-///
-/// # Errors
-///
-/// Returns [`PlatformError::Verify`] in strict mode when the plan has any
-/// diagnostic.
-pub fn run_plan_verifier(plan: &ExecutionPlan, mode: VerifyMode) -> Result<(), PlatformError> {
+/// [`PlatformError::Verify`].
+fn run_plan_verifier(plan: &ExecutionPlan, mode: VerifyMode) -> Result<(), PlatformError> {
     if mode == VerifyMode::Off {
         return Ok(());
     }
@@ -197,37 +205,31 @@ pub fn run_plan_verifier(plan: &ExecutionPlan, mode: VerifyMode) -> Result<(), P
     Ok(())
 }
 
-/// Rejects campaign fault kinds that are provable no-ops (see
-/// [`FaultKind::validate`]) — shared by [`Campaign::run`] and the
-/// `nvfi-dist` coordinator.
-///
-/// # Errors
-///
-/// Returns [`PlatformError::Verify`] naming the offending kind.
-pub fn validate_fault_kinds(kinds: &[FaultKind]) -> Result<(), PlatformError> {
-    for k in kinds {
-        k.validate().map_err(PlatformError::Verify)?;
-    }
-    Ok(())
-}
-
-/// Whether `(targets, kind)` under `window` is provably masked on `plan`:
-/// a thin adapter from campaign-level types onto
+/// Whether `fault` under `window` is provably masked on `plan`: a thin
+/// adapter from campaign-level types onto
 /// [`nvfi_compiler::verify::fault_reachability`]. `gated` is the platform's
 /// idle-lane policy. `ProvablyMasked` is sound — the exact engine cannot
 /// produce anything but the fault-free predictions — which is what lets
 /// campaigns skip these items bit-identically.
-#[must_use]
-pub fn fault_provably_masked(
+fn fault_provably_masked(
     plan: &ExecutionPlan,
-    targets: &[MultId],
-    kind: FaultKind,
+    fault: &FaultConfig,
     gated: bool,
     window: Option<&Range<u64>>,
 ) -> bool {
-    let lanes: Vec<usize> = targets.iter().map(|t| t.lane()).collect();
-    let (fsel, fdata, xor) = kind.registers();
+    let lanes: Vec<usize> = fault.targets.iter().map(|t| t.lane()).collect();
+    let (fsel, fdata, xor) = fault.kind.registers();
     fault_reachability(plan, &lanes, fsel, fdata, xor, gated, window).is_provably_masked()
+}
+
+/// Fraction of `preds` equal to `labels` — the one accuracy fold of the
+/// campaign stack (baseline and every record).
+fn prediction_accuracy(preds: &[u8], labels: &[u8]) -> f64 {
+    assert_eq!(preds.len(), labels.len(), "one prediction per label");
+    if preds.is_empty() {
+        return 0.0;
+    }
+    preds.iter().zip(labels).filter(|(p, y)| p == y).count() as f64 / preds.len() as f64
 }
 
 /// Per-image outcome taxonomy of one fault injection, following the usual
@@ -271,39 +273,18 @@ pub struct FiRecord {
     pub outcomes: OutcomeCounts,
 }
 
-/// Fraction of `preds` equal to `labels` — the one accuracy fold of the
-/// campaign stack, shared by [`Campaign::run`] (baseline and, via
-/// [`FiRecord::from_preds`], every record) and the `nvfi-dist` coordinator.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[must_use]
-pub fn prediction_accuracy(preds: &[u8], labels: &[u8]) -> f64 {
-    assert_eq!(preds.len(), labels.len(), "one prediction per label");
-    if preds.is_empty() {
-        return 0.0;
-    }
-    preds.iter().zip(labels).filter(|(p, y)| p == y).count() as f64 / preds.len() as f64
-}
-
 impl FiRecord {
     /// Folds one fault configuration's predictions into a record: accuracy
     /// against `labels`, masked/SDC classification against the fault-free
     /// `clean_preds`, drop against `baseline_accuracy` (a fraction, not a
-    /// percentage). This is **the** record fold — the in-process
-    /// [`Campaign::run`] and the `nvfi-dist` coordinator both call it, so
-    /// their advertised bit-identity is structural rather than two copies
-    /// of the same arithmetic.
+    /// percentage).
     ///
     /// # Panics
     ///
     /// Panics if `preds`, `clean_preds` and `labels` do not all have the
     /// same length.
-    #[must_use]
-    pub fn from_preds(
-        targets: Vec<MultId>,
-        kind: FaultKind,
+    fn from_preds(
+        fault: &FaultConfig,
         preds: &[u8],
         clean_preds: &[u8],
         labels: &[u8],
@@ -320,8 +301,8 @@ impl FiRecord {
             }
         }
         FiRecord {
-            targets,
-            kind,
+            targets: fault.targets.clone(),
+            kind: fault.kind,
             accuracy,
             drop_pct: (accuracy - baseline_accuracy) * 100.0,
             outcomes,
@@ -374,6 +355,253 @@ impl CampaignResult {
             .map(|r| r.outcomes.sdc_rate())
             .sum::<f64>()
             / self.records.len() as f64
+    }
+}
+
+/// A prepared campaign: the work list, the once-quantized evaluation set,
+/// the static-pruning verdicts and the golden-prefix cache — everything
+/// needed to execute any work item on any pool programmed with the
+/// campaign's plan, and to fold the predictions into a [`CampaignResult`].
+///
+/// Work item 0 is the fault-free baseline; items `1..` are the
+/// `(targets × kinds)` fault configurations in deterministic order. The
+/// in-process [`Campaign::run`] and the `nvfi-dist` server both start from
+/// [`CampaignPlan::prepare`] and end in [`CampaignPlan::fold`]; the server
+/// only adds the artifact export, hashing and task layout of the fabric.
+#[derive(Debug)]
+pub struct CampaignPlan {
+    work: Vec<Option<FaultConfig>>,
+    masked: Vec<bool>,
+    masked_static: usize,
+    window: Option<Range<u64>>,
+    qset: QuantizedEvalSet,
+    golden: Option<GoldenActivationCache>,
+    labels: Vec<u8>,
+    started: Instant,
+}
+
+impl CampaignPlan {
+    /// Prepares `spec` on `eval`: rejects provable no-op fault kinds,
+    /// expands the work list, quantizes the evaluation split exactly once
+    /// (the software equivalent of the paper's flow, which quantizes the
+    /// evaluation set when the bitstream is programmed), assembles the
+    /// prototype device, validates the transient window against its plan,
+    /// runs the plan verifier, prunes provably masked items and — when a
+    /// windowed item remains to execute — captures the golden-prefix cache
+    /// on the still fault-free prototype.
+    ///
+    /// Returns the plan and the programmed prototype, which callers clone
+    /// into their device pool.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::Verify`] for a no-op fault kind or (strict mode) a
+    /// plan diagnostic; compile, device and window errors as their
+    /// [`PlatformError`] variants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has no kinds, zero evaluation images, or a target
+    /// selection that expands to an empty work list
+    /// (`TargetSelection::Fixed(vec![])` or `RandomSubsets { trials: 0, .. }`).
+    pub fn prepare(
+        model: &QuantModel,
+        config: PlatformConfig,
+        spec: &CampaignSpec,
+        eval: &Dataset,
+    ) -> Result<(Self, EmulationPlatform), PlatformError> {
+        assert!(
+            !spec.kinds.is_empty(),
+            "campaign needs at least one fault kind"
+        );
+        assert!(spec.eval_images > 0, "campaign needs evaluation images");
+        for k in &spec.kinds {
+            k.validate().map_err(PlatformError::Verify)?;
+        }
+        let targets = Campaign::expand_targets(&spec.selection);
+        assert!(
+            !targets.is_empty(),
+            "campaign target selection expands to no target sets \
+             (Fixed(vec![]) or RandomSubsets {{ trials: 0, .. }}): the result \
+             would have no records, which downstream statistics \
+             (FiveNum::from_sample) reject"
+        );
+        let mut work = vec![None];
+        for t in &targets {
+            for k in &spec.kinds {
+                work.push(Some(FaultConfig::new(t.clone(), *k)));
+            }
+        }
+        let eval = eval.take(spec.eval_images);
+        let started = Instant::now();
+        // Every work item and device shard classifies borrowed sub-views of
+        // this set (asserted by the `quantization_passes` probe in
+        // tests/quantize_once.rs).
+        let qset = {
+            let _s = trace::span("campaign.quantize");
+            QuantizedEvalSet::build(model, &eval.images)
+        };
+        // The prototype validates the window before any work is scheduled
+        // (a window that cannot overlap any MAC cycle would otherwise run a
+        // silent fault-free campaign).
+        let mut proto = EmulationPlatform::assemble(model, config)?;
+        if let Some(w) = &spec.fault_window {
+            proto.accel().validate_fault_window(w)?;
+        }
+        // Static verification at plan load, then fault reachability: items
+        // the analysis proves masked never reach a device — `fold` gives
+        // them the baseline's predictions, which is bit-identical by the
+        // analysis' soundness.
+        run_plan_verifier(proto.plan(), spec.verify)?;
+        let gated = config.accel.idle_lanes == IdleLanePolicy::Gated;
+        let masked: Vec<bool> = work
+            .iter()
+            .map(|item| match item {
+                Some(f) if spec.verify != VerifyMode::Off => {
+                    fault_provably_masked(proto.plan(), f, gated, spec.fault_window.as_ref())
+                }
+                _ => false,
+            })
+            .collect();
+        let masked_static = masked.iter().filter(|&&m| m).count();
+        if spec.verbose && masked_static > 0 {
+            progress::note(format!(
+                "  {masked_static}/{} work item(s) provably masked; skipping emulation",
+                work.len() - 1
+            ));
+        }
+        let golden = match &spec.fault_window {
+            Some(w) if masked_static < work.len() - 1 => {
+                let _s = trace::span("campaign.golden_build");
+                GoldenActivationCache::build(&mut proto, &qset, w, spec.golden_cache_bytes)?
+            }
+            _ => None,
+        };
+        let plan = CampaignPlan {
+            work,
+            masked,
+            masked_static,
+            window: spec.fault_window.clone(),
+            qset,
+            golden,
+            labels: eval.labels,
+            started,
+        };
+        Ok((plan, proto))
+    }
+
+    /// The work list: item 0 is the baseline (`None`), items `1..` the
+    /// fault configurations.
+    #[must_use]
+    pub fn work(&self) -> &[Option<FaultConfig>] {
+        &self.work
+    }
+
+    /// Per work item, whether static analysis proved it masked (the
+    /// baseline never is).
+    #[must_use]
+    pub fn masked(&self) -> &[bool] {
+        &self.masked
+    }
+
+    /// Whether every fault item is provably masked: the campaign is its
+    /// baseline pass.
+    #[must_use]
+    pub fn all_masked(&self) -> bool {
+        self.masked_static == self.work.len() - 1
+    }
+
+    /// Work item `work_id`'s fault and transient window. The baseline runs
+    /// fault- and window-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `work_id` is out of range.
+    #[must_use]
+    pub fn item(&self, work_id: usize) -> (Option<&FaultConfig>, Option<Range<u64>>) {
+        match &self.work[work_id] {
+            Some(f) => (Some(f), self.window.clone()),
+            None => (None, None),
+        }
+    }
+
+    /// The evaluation set, quantized once.
+    #[must_use]
+    pub fn qset(&self) -> &QuantizedEvalSet {
+        &self.qset
+    }
+
+    /// The golden-prefix cache of a windowed campaign, if one was built.
+    #[must_use]
+    pub fn golden(&self) -> Option<&GoldenActivationCache> {
+        self.golden.as_ref()
+    }
+
+    /// The evaluation labels.
+    #[must_use]
+    pub fn labels(&self) -> &[u8] {
+        &self.labels
+    }
+
+    /// When preparation started — the campaign's wall-clock origin.
+    #[must_use]
+    pub fn started(&self) -> Instant {
+        self.started
+    }
+
+    /// Runs work item `work_id` over the evaluation images `range` on
+    /// `pool`, which must be programmed with this campaign's plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DevicePool::run_item`] errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `work_id` or `range` is out of range.
+    pub fn execute(
+        &self,
+        pool: &mut DevicePool,
+        work_id: usize,
+        range: Range<usize>,
+    ) -> Result<Vec<u8>, PlatformError> {
+        let (fault, window) = self.item(work_id);
+        pool.run_item(fault, window, &self.qset, range, self.golden.as_ref())
+    }
+
+    /// Folds per-item predictions (`per_item[0]` the baseline's, one entry
+    /// per work item; entries of masked items are ignored) into the
+    /// campaign result. Masked items fold the baseline's predictions, and
+    /// only executed items count toward `total_inferences`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_item` does not have one entry per work item or an
+    /// executed item's predictions do not cover the evaluation set.
+    #[must_use]
+    pub fn fold(&self, per_item: Vec<Vec<u8>>) -> CampaignResult {
+        assert_eq!(per_item.len(), self.work.len(), "one entry per work item");
+        let mut per_item = per_item.into_iter();
+        let clean = per_item.next().unwrap_or_default();
+        let baseline_accuracy = prediction_accuracy(&clean, &self.labels);
+        let records = self.work[1..]
+            .iter()
+            .flatten()
+            .zip(&self.masked[1..])
+            .zip(per_item)
+            .map(|((fault, &masked), preds)| {
+                let preds = if masked { &clean } else { &preds };
+                FiRecord::from_preds(fault, preds, &clean, &self.labels, baseline_accuracy)
+            })
+            .collect();
+        let executed = self.work.len() - self.masked_static;
+        CampaignResult {
+            baseline_accuracy,
+            records,
+            masked_static: self.masked_static,
+            total_inferences: executed as u64 * self.qset.len() as u64,
+            wall_seconds: self.started.elapsed().as_secs_f64(),
+        }
     }
 }
 
@@ -437,275 +665,149 @@ impl Campaign {
         (0..outer).map(|i| base + usize::from(i < rem)).collect()
     }
 
-    /// Runs the campaign on `eval` data.
+    /// Runs the campaign on `eval` data: [`CampaignPlan::prepare`], the
+    /// baseline, every unpruned work item, [`CampaignPlan::fold`].
     ///
-    /// The evaluation split is quantized to i8 exactly **once**, up front
-    /// (a campaign-lifetime [`QuantizedEvalSet`], mirroring the paper's
-    /// quantize-at-bitstream-programming flow); every fault configuration
-    /// and every device shard then classifies borrowed sub-views of that
-    /// set with zero per-work-item quantization or pixel copies.
-    ///
-    /// Scheduling is two-level: an outer lock-free cursor over the expanded
-    /// `(targets, kind)` work list, and — whenever the work list is narrower
-    /// than `spec.threads` — inner sharding of each configuration's
-    /// evaluation batch across the worker group's [`DevicePool`]. The
-    /// baseline pass runs through the full fleet the same way. Records,
-    /// `total_inferences` and record order are bit-identical to the
-    /// single-device, single-threaded path for every `threads`,
-    /// `pool_devices` and shard granularity.
+    /// Scheduling is two-level: an outer lock-free cursor over the work
+    /// items, and — whenever the work list is narrower than `spec.threads`
+    /// — inner sharding of each item's evaluation batch across the worker
+    /// group's [`DevicePool`]. The baseline pass runs through the full
+    /// fleet the same way. Records, `total_inferences` and record order are
+    /// bit-identical to the single-device, single-threaded path for every
+    /// `threads`, `pool_devices` and shard granularity.
     ///
     /// # Errors
     ///
-    /// Propagates platform/device errors.
+    /// Propagates preparation and device errors.
     ///
     /// # Panics
     ///
-    /// Panics if the spec has no kinds, zero evaluation images, or a target
-    /// selection that expands to an empty work list
-    /// (`TargetSelection::Fixed(vec![])` or `RandomSubsets { trials: 0, .. }`).
+    /// Panics on the spec violations [`CampaignPlan::prepare`] rejects.
     pub fn run(
         &self,
         spec: &CampaignSpec,
         eval: &Dataset,
     ) -> Result<CampaignResult, PlatformError> {
-        assert!(
-            !spec.kinds.is_empty(),
-            "campaign needs at least one fault kind"
-        );
-        assert!(spec.eval_images > 0, "campaign needs evaluation images");
-        validate_fault_kinds(&spec.kinds)?;
-        // The work list: (index, targets, kind).
-        let targets = Self::expand_targets(&spec.selection);
-        assert!(
-            !targets.is_empty(),
-            "campaign target selection expands to no target sets \
-             (Fixed(vec![]) or RandomSubsets {{ trials: 0, .. }}): the result \
-             would have no records, which downstream statistics \
-             (FiveNum::from_sample) reject"
-        );
-        let mut work: Vec<(usize, Vec<MultId>, FaultKind)> = Vec::new();
-        for t in &targets {
-            for k in &spec.kinds {
-                work.push((work.len(), t.clone(), *k));
-            }
-        }
-        let eval = eval.take(spec.eval_images);
-        let start = Instant::now();
         let _run_span = trace::span("campaign.run");
+        let (plan, proto) = CampaignPlan::prepare(&self.model, self.config, spec, eval)?;
+        let images = plan.qset().len();
+        let items = plan.work().len();
 
-        // Quantize the evaluation split to i8 exactly once per campaign —
-        // the software equivalent of the paper's flow, which quantizes the
-        // evaluation set when the bitstream is programmed. Every work item
-        // and every device shard below classifies borrowed sub-views of
-        // this set; no per-work-item or per-shard re-quantization (asserted
-        // by the `nvfi_quant::batch::quantization_passes` probe in
-        // tests/quantize_once.rs).
-        let qset = {
-            let _s = trace::span("campaign.quantize");
-            QuantizedEvalSet::build(&self.model, &eval.images)
-        };
-
-        // The device fleet: compile the plan once, clone it per member, one
-        // pool of devices per outer worker group. Groups are capped at the
-        // number of shards the evaluation batch can actually produce, so a
-        // huge thread budget over a tiny eval set does not clone devices
-        // that could never receive a shard.
-        let max_shards = eval
-            .len()
+        // The device fleet: the prototype cloned per member, one pool of
+        // devices per outer worker group. Groups are capped at the number of
+        // shards the evaluation batch can actually produce, so a huge thread
+        // budget over a tiny eval set does not clone devices that could
+        // never receive a shard.
+        let max_shards = images
             .div_ceil(DevicePool::granularity(&self.config))
             .max(1);
-        let mut layout = Self::pool_layout(spec.threads, work.len(), spec.pool_devices);
+        let mut layout = Self::pool_layout(spec.threads, items - 1, spec.pool_devices);
         for size in &mut layout {
             *size = (*size).min(max_shards);
         }
-        let fleet_size: usize = layout.iter().sum();
-        // One prototype device first: it validates the transient window
-        // against the compiled plan and the execution mode *before* any
-        // work is scheduled (a window that cannot overlap any MAC cycle
-        // used to run a silent fault-free campaign at exact-engine cost),
-        // and — still fault-free — captures the golden-prefix activation
-        // cache windowed work items restore from.
-        let mut proto = EmulationPlatform::assemble(&self.model, self.config)?;
-        // Static verification at plan load, then fault reachability: work
-        // items the analysis proves masked never reach a device — their
-        // records are synthesized from the fault-free predictions after the
-        // fleet runs, which is bit-identical by the analysis' soundness.
-        run_plan_verifier(proto.plan(), spec.verify)?;
-        let gated = self.config.accel.idle_lanes == IdleLanePolicy::Gated;
-        let masked: Vec<bool> = if spec.verify == VerifyMode::Off {
-            vec![false; work.len()]
-        } else {
-            work.iter()
-                .map(|(_, targets, kind)| {
-                    fault_provably_masked(
-                        proto.plan(),
-                        targets,
-                        *kind,
-                        gated,
-                        spec.fault_window.as_ref(),
-                    )
-                })
-                .collect()
-        };
-        let masked_static = masked.iter().filter(|&&m| m).count();
-        if spec.verbose && masked_static > 0 {
-            progress::note(format!(
-                "  {masked_static}/{} work item(s) provably masked; skipping emulation",
-                work.len()
-            ));
-        }
-        let golden = match &spec.fault_window {
-            Some(w) => {
-                proto.accel().validate_fault_window(w)?;
-                let _s = trace::span("campaign.golden_build");
-                GoldenActivationCache::build(&mut proto, &qset, w, spec.golden_cache_bytes)?
-            }
-            None => None,
-        };
-        let mut fleet = DevicePool::from_device(proto, fleet_size);
+        let mut fleet = DevicePool::from_device(proto, layout.iter().sum());
 
-        // Baseline through the same pool, sharded across the whole fleet:
-        // accuracy plus the fault-free predictions used for masked/SDC
-        // classification.
-        let clean_preds = {
+        let clean = {
             let _s = trace::span("campaign.baseline");
-            fleet.classify_i8(&qset)?
+            plan.execute(&mut fleet, 0, 0..images)?
         };
-        let baseline_accuracy = prediction_accuracy(&clean_preds, &eval.labels);
+        let baseline_accuracy = prediction_accuracy(&clean, plan.labels());
 
-        let pools = fleet.split(&layout);
-        // Lock-free work distribution: a fetch-add cursor hands out indices
-        // and every worker group accumulates `(idx, record)` pairs
-        // privately; the buffers are merged (and re-ordered by index) after
-        // join, so the steady-state campaign loop takes no lock at all.
-        let next = AtomicUsize::new(0);
+        // Every executed item's predictions are copied into a buffer
+        // allocated here, on the calling thread. Handing back a buffer a
+        // worker thread allocated would keep a live allocation above the
+        // worker's freed device memory, pinning that memory resident
+        // (about +4 MB peak RSS on a Fig. 2 sweep).
+        let per_item: Vec<Mutex<Vec<u8>>> = plan
+            .masked()
+            .iter()
+            .enumerate()
+            .map(|(idx, &masked)| {
+                let executed_here = idx > 0 && !masked;
+                Mutex::new(Vec::with_capacity(if executed_here { images } else { 0 }))
+            })
+            .collect();
+        // Lock-free work distribution: a fetch-add cursor hands out item
+        // indices; each item's buffer is touched by exactly one worker.
+        let next = AtomicUsize::new(1);
         // Completion counter behind the progress lines: one monotonically
         // increasing `done/total` line per finished work item, regardless of
         // which group finished which index.
         let done = AtomicUsize::new(0);
-
-        let mut worker_results: Vec<Vec<(usize, FiRecord)>> = Vec::with_capacity(pools.len());
         std::thread::scope(|scope| -> Result<(), PlatformError> {
             let mut handles = Vec::new();
-            for (worker_id, mut pool) in pools.into_iter().enumerate() {
-                let eval = &eval;
-                let qset = &qset;
-                let work = &work;
-                let next = &next;
-                let done = &done;
-                let clean_preds = &clean_preds;
-                let golden = &golden;
-                let masked = &masked;
-                handles.push(scope.spawn(
-                    move || -> Result<Vec<(usize, FiRecord)>, PlatformError> {
-                        let _ctx = trace::with_ids(trace::Ids {
-                            worker: worker_id as u64,
-                            ..Default::default()
-                        });
-                        let mut local: Vec<(usize, FiRecord)> = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= work.len() {
-                                break;
-                            }
-                            if masked[idx] {
-                                // Provably masked: the record is synthesized
-                                // from the fault-free predictions after join.
-                                continue;
-                            }
-                            let _item_span = trace::span("campaign.item");
-                            let (_, targets, kind) = &work[idx];
-                            pool.inject(&FaultConfig::new(targets.clone(), *kind));
-                            let preds = if spec.fault_window.is_some() {
-                                pool.set_fault_window(spec.fault_window.clone())?;
-                                // Windowed items run op-scoped per image,
-                                // restoring the golden prefix when cached.
-                                pool.classify_i8_golden(qset, golden.as_ref())?
-                            } else {
-                                pool.classify_i8(qset)?
-                            };
-                            pool.clear_faults();
-                            let record = FiRecord::from_preds(
-                                targets.clone(),
-                                *kind,
-                                &preds,
-                                clean_preds,
-                                &eval.labels,
-                                baseline_accuracy,
-                            );
-                            if spec.verbose {
-                                // `emit_tick` holds the renderer lock across
-                                // the increment and the write, so the printed
-                                // `done/total` is strictly monotonic; the
-                                // `[worker k]` suffix attributes each item to
-                                // its worker group, mirroring the per-worker
-                                // attribution of distributed (`nvfi-dist`)
-                                // progress lines.
+            for (worker_id, mut pool) in fleet.split(&layout).into_iter().enumerate() {
+                let (plan, next, done, per_item, clean) = (&plan, &next, &done, &per_item, &clean);
+                handles.push(scope.spawn(move || -> Result<(), PlatformError> {
+                    let _ctx = trace::with_ids(trace::Ids {
+                        worker: worker_id as u64,
+                        ..Default::default()
+                    });
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= items {
+                            break;
+                        }
+                        if plan.masked()[idx] {
+                            continue; // `fold` gives it the baseline's predictions
+                        }
+                        let _item_span = trace::span("campaign.item");
+                        let preds = plan.execute(&mut pool, idx, 0..images)?;
+                        match plan.item(idx) {
+                            // `emit_tick` holds the renderer lock across
+                            // the increment and the write, so the printed
+                            // `done/total` is strictly monotonic; the
+                            // `[worker k]` suffix attributes each item to
+                            // its worker group, as distributed
+                            // (`nvfi-dist`) progress lines attribute
+                            // shards to workers.
+                            (Some(fault), _) if spec.verbose => {
+                                let record = FiRecord::from_preds(
+                                    fault,
+                                    &preds,
+                                    clean,
+                                    plan.labels(),
+                                    baseline_accuracy,
+                                );
                                 progress::emit_tick(done, |finished| progress::Event::ItemDone {
                                     done: finished,
-                                    total: work.len(),
+                                    total: items - 1,
                                     worker: worker_id,
                                     detail: format!(
                                         "{:?} on {} mult(s) -> {:.1}% (sdc {:.0}%)",
-                                        kind,
-                                        targets.len(),
+                                        fault.kind,
+                                        fault.targets.len(),
                                         record.accuracy * 100.0,
                                         record.outcomes.sdc_rate() * 100.0
                                     ),
                                 });
                             }
-                            local.push((idx, record));
+                            _ => {}
                         }
-                        Ok(local)
-                    },
-                ));
+                        per_item[idx]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .extend_from_slice(&preds);
+                    }
+                    Ok(())
+                }));
             }
             for h in handles {
-                worker_results.push(h.join().expect("campaign worker panicked")?);
+                h.join().expect("campaign worker panicked")?;
             }
             Ok(())
         })?;
-
-        let mut slots: Vec<Option<FiRecord>> = vec![None; work.len()];
-        for (idx, rec) in worker_results.into_iter().flatten() {
-            debug_assert!(slots[idx].is_none(), "duplicate record for work item {idx}");
-            slots[idx] = Some(rec);
-        }
-        // Provably-masked items produce exactly the fault-free predictions,
-        // so their records fold the clean predictions against themselves —
-        // the same record the device would have produced, without running it.
-        for (idx, is_masked) in masked.iter().enumerate() {
-            if *is_masked {
-                let (_, targets, kind) = &work[idx];
-                debug_assert!(slots[idx].is_none(), "masked item {idx} was executed");
-                slots[idx] = Some(FiRecord::from_preds(
-                    targets.clone(),
-                    *kind,
-                    &clean_preds,
-                    &clean_preds,
-                    &eval.labels,
-                    baseline_accuracy,
-                ));
-            }
-        }
-        let records: Vec<FiRecord> = slots
+        let mut per_item: Vec<Vec<u8>> = per_item
             .into_iter()
-            .map(|r| r.expect("record missing"))
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect();
-        let executed = records.len() - masked_static;
-        let total_inferences = (executed as u64 + 1) * eval.len() as u64;
+        per_item[0] = clean;
         // Close the campaign span before exporting so it lands in the ring;
         // the export is cumulative, so running under a `CampaignServer`
         // (which exports again at `stop()`) loses nothing.
         drop(_run_span);
         trace::maybe_export();
-        Ok(CampaignResult {
-            baseline_accuracy,
-            records,
-            masked_static,
-            total_inferences,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+        Ok(plan.fold(per_item))
     }
 }
 

@@ -23,6 +23,11 @@
 //! per-classification cost is zero pixel copies and zero quantization. The
 //! f32 [`DevicePool::classify`] remains as a thin quantize-once-then-delegate
 //! wrapper.
+//!
+//! Work items: [`DevicePool::run_item`] is the one place a campaign item
+//! runs — clear, inject, arm the window, classify an image range, clear —
+//! for the in-process campaign loop, distributed workers and the server's
+//! audit arbiter alike.
 
 use std::ops::Range;
 
@@ -493,44 +498,81 @@ impl DevicePool {
     /// [`PlatformError::Accel`] if `set`'s image shape does not match the
     /// compiled plan's input shape.
     pub fn classify_i8(&mut self, set: &QuantizedEvalSet) -> Result<Vec<u8>, PlatformError> {
-        self.classify_i8_range(set, 0..set.len())
+        self.classify_range(set, 0..set.len(), None)
     }
 
-    /// Classifies the contiguous sub-range `range` of a pre-quantized
-    /// evaluation set, sharding those images across the pool members exactly
-    /// as [`DevicePool::classify_i8`] shards the whole set. This is the
-    /// entry point a distributed worker drives: the coordinator assigns it
-    /// an image range of a work item, and the worker fans that range out
-    /// over its local devices — predictions for `range` are bit-identical
-    /// to the corresponding slice of a full-set classification.
+    /// Classifies a pre-quantized evaluation set under an armed transient
+    /// fault window, restoring each image's golden prefix from `cache`
+    /// instead of recomputing it. Images outside the cache's byte budget —
+    /// or all of them, when `cache` is `None` — run the full op-scoped
+    /// inference (clean prefix, lane-delta on the window's ops, clean
+    /// suffix). Predictions are bit-identical to [`DevicePool::classify_i8`]
+    /// for every cache budget (asserted by `tests/campaign_determinism.rs`).
     ///
     /// # Errors
     ///
-    /// Propagates the first device error (by shard order). Returns
-    /// [`PlatformError::Accel`] on an evaluation-set shape mismatch.
+    /// As [`DevicePool::classify_i8`].
+    pub fn classify_i8_golden(
+        &mut self,
+        set: &QuantizedEvalSet,
+        cache: Option<&GoldenActivationCache>,
+    ) -> Result<Vec<u8>, PlatformError> {
+        self.classify_range(set, 0..set.len(), cache)
+    }
+
+    /// Runs one campaign work item over the images `range` of `set`: clears
+    /// the pool, programs `fault` (none for the fault-free baseline), arms
+    /// `window`, classifies, and clears again, so no fault or window ever
+    /// leaks into the next item. Under an armed window each image's golden
+    /// prefix is restored from `golden` when cached; without a window the
+    /// cache is ignored.
+    ///
+    /// This is the one executor of the campaign stack: the in-process
+    /// [`crate::campaign::Campaign::run`], a distributed worker (once per
+    /// heartbeat wave of a shard) and the server's audit arbiter all run
+    /// their items through it. Predictions for `range` are bit-identical to
+    /// the same slice of a whole-set run, however the range is cut.
+    ///
+    /// # Errors
+    ///
+    /// Window validation errors ([`DevicePool::set_fault_window`]), the
+    /// first device error by shard order, and [`PlatformError::Accel`] on an
+    /// evaluation-set shape mismatch. The pool is cleared either way.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds of `set`.
-    pub fn classify_i8_range(
+    pub fn run_item(
+        &mut self,
+        fault: Option<&FaultConfig>,
+        window: Option<Range<u64>>,
+        set: &QuantizedEvalSet,
+        range: Range<usize>,
+        golden: Option<&GoldenActivationCache>,
+    ) -> Result<Vec<u8>, PlatformError> {
+        self.clear_faults();
+        if let Some(f) = fault {
+            self.inject(f);
+        }
+        let golden = golden.filter(|_| window.is_some());
+        let preds = self
+            .set_fault_window(window)
+            .and_then(|()| self.classify_range(set, range, golden));
+        self.clear_faults();
+        preds
+    }
+
+    /// The one ranged classify behind every entry point: shards the images
+    /// `range` of `set` across the pool per [`DevicePool::shard_plan`] and
+    /// merges in image order. With a golden cache, each image restores its
+    /// cached prefix (looked up by **absolute** index, so a shard of images
+    /// `64..96` hits entries `64..96`) or recomputes it when uncached.
+    fn classify_range(
         &mut self,
         set: &QuantizedEvalSet,
         range: Range<usize>,
+        golden: Option<&GoldenActivationCache>,
     ) -> Result<Vec<u8>, PlatformError> {
-        self.check_set_shape(set)?;
-        assert!(
-            range.start <= range.end && range.end <= set.len(),
-            "image range {range:?} outside the {}-image set",
-            set.len()
-        );
-        let offset = range.start;
-        self.classify_sharded(range.len(), &move |device, r| {
-            device.classify_i8(set.view(offset + r.start..offset + r.end))
-        })
-    }
-
-    /// Validates `set` against the compiled plan's input shape.
-    fn check_set_shape(&self, set: &QuantizedEvalSet) -> Result<(), PlatformError> {
         let s = set.shape();
         let plan_input = self.devices[0].plan().input_shape;
         if s.n > 0 && s.with_n(1) != plan_input.with_n(1) {
@@ -538,15 +580,39 @@ impl DevicePool {
                 "evaluation set {s} does not match plan input {plan_input}"
             ))));
         }
-        Ok(())
+        assert!(
+            range.start <= range.end && range.end <= set.len(),
+            "image range {range:?} outside the {}-image set",
+            set.len()
+        );
+        let offset = range.start;
+        let Some(cache) = golden else {
+            return self.classify_sharded(range.len(), &move |device, r| {
+                device.classify_i8(set.view(offset + r.start..offset + r.end))
+            });
+        };
+        self.classify_sharded(range.len(), &move |device, r| {
+            let mut preds = Vec::with_capacity(r.len());
+            for i in offset + r.start..offset + r.end {
+                let accel = device.accel_mut();
+                let out = match cache.entry(i) {
+                    Some((surfaces, data)) => {
+                        accel.run_suffix_i8_view(cache.boundary(), surfaces, data)?
+                    }
+                    None => accel.run_inference_i8_view(set.view(i..i + 1))?,
+                };
+                preds.push(out.class);
+            }
+            Ok(preds)
+        })
     }
 
-    /// The shared shard/merge protocol of every classify entry point:
-    /// splits `images` per [`DevicePool::shard_plan`], runs `run_shard`
-    /// once per `(device, image range)` — on the calling thread for a
-    /// single shard, on scoped threads otherwise — and merges the per-shard
-    /// predictions in shard (= image) order, propagating the first error by
-    /// shard order.
+    /// The shard/merge protocol of [`DevicePool::classify_range`]: splits
+    /// `images` per [`DevicePool::shard_plan`], runs `run_shard` once per
+    /// `(device, image range)` — on the calling thread for a single shard,
+    /// on scoped threads otherwise — and merges the per-shard predictions
+    /// in shard (= image) order, propagating the first error by shard
+    /// order.
     fn classify_sharded(
         &mut self,
         images: usize,
@@ -588,85 +654,6 @@ impl DevicePool {
             preds.extend(r?);
         }
         Ok(preds)
-    }
-
-    /// Classifies a pre-quantized evaluation set under an armed transient
-    /// fault window, restoring each image's golden prefix from `cache`
-    /// instead of recomputing it. Sharding mirrors
-    /// [`DevicePool::classify_i8`] (contiguous image ranges, one scoped
-    /// thread per device, merged in image order); the cache is shared
-    /// read-only across the shard threads. Images outside the cache's byte
-    /// budget — or all of them, when `cache` is `None` — run the full
-    /// op-scoped inference (clean prefix, lane-delta on the window's ops,
-    /// clean suffix).
-    /// Predictions are bit-identical to [`DevicePool::classify_i8`] for
-    /// every cache budget (asserted by `tests/campaign_determinism.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error (by shard order). Returns
-    /// [`PlatformError::Accel`] on an evaluation-set shape mismatch.
-    pub fn classify_i8_golden(
-        &mut self,
-        set: &QuantizedEvalSet,
-        cache: Option<&GoldenActivationCache>,
-    ) -> Result<Vec<u8>, PlatformError> {
-        self.classify_i8_golden_range(set, 0..set.len(), cache)
-    }
-
-    /// Classifies the contiguous sub-range `range` of a pre-quantized
-    /// evaluation set under an armed transient fault window — the
-    /// golden-cache analogue of [`DevicePool::classify_i8_range`], and the
-    /// entry point a distributed worker drives for windowed shards. Cache
-    /// entries are looked up by **absolute** image index, so a shard of
-    /// images `64..96` hits entries `64..96` of the shared cache exactly as
-    /// the coordinator's full-set run would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error (by shard order). Returns
-    /// [`PlatformError::Accel`] on an evaluation-set shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds of `set`.
-    pub fn classify_i8_golden_range(
-        &mut self,
-        set: &QuantizedEvalSet,
-        range: Range<usize>,
-        cache: Option<&GoldenActivationCache>,
-    ) -> Result<Vec<u8>, PlatformError> {
-        let Some(cache) = cache else {
-            return self.classify_i8_range(set, range);
-        };
-        self.check_set_shape(set)?;
-        assert!(
-            range.start <= range.end && range.end <= set.len(),
-            "image range {range:?} outside the {}-image set",
-            set.len()
-        );
-        let offset = range.start;
-        self.classify_sharded(range.len(), &move |device, r| {
-            let mut preds = Vec::with_capacity(r.len());
-            for i in offset + r.start..offset + r.end {
-                let class = match cache.entry(i) {
-                    Some((surfaces, data)) => {
-                        device
-                            .accel_mut()
-                            .run_suffix_i8_view(cache.boundary(), surfaces, data)?
-                            .class
-                    }
-                    None => {
-                        device
-                            .accel_mut()
-                            .run_inference_i8_view(set.view(i..i + 1))?
-                            .class
-                    }
-                };
-                preds.push(class);
-            }
-            Ok(preds)
-        })
     }
 }
 
@@ -855,6 +842,79 @@ mod tests {
         assert_eq!(
             parts.iter().map(DevicePool::size).collect::<Vec<_>>(),
             vec![2, 2, 1]
+        );
+    }
+
+    /// [`DevicePool::run_item`] over heartbeat-wave sub-ranges — how a
+    /// distributed worker executes a shard — concatenates to the
+    /// whole-range run: waves of 1, 3 and the shard granularity (ragged
+    /// tails included), over the whole set and over a shard starting
+    /// mid-set, for the baseline, a permanent fault, and a windowed fault
+    /// with and without a golden cache.
+    #[test]
+    fn waved_run_item_equals_whole_range() {
+        // A model whose predictions vary across these images, so a wave
+        // that read the wrong images (or golden entries) would show.
+        let q = crate::experiments::untrained_quant_model(2, 4);
+        let (_, eval) = setup();
+        let set = QuantizedEvalSet::build(&q, &eval.images);
+        let n = set.len();
+        let mut proto = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+        let total = proto.plan().total_mac_cycles();
+        let window = total / 2..total / 2 + total / 8;
+        let golden = GoldenActivationCache::build(&mut proto, &set, &window, usize::MAX).unwrap();
+        assert!(golden.is_some(), "a mid-inference window has a prefix");
+        let mut pool = DevicePool::from_device(proto, 2);
+        let g = DevicePool::granularity(&pool.config());
+        assert!(
+            g > 3 && !n.is_multiple_of(g) && !n.is_multiple_of(3),
+            "ragged tails"
+        );
+        let fault = FaultConfig::new(
+            vec![MultId::new(1, 2), MultId::new(3, 4)],
+            FaultKind::Constant(-1),
+        );
+        let cases = [
+            (None, None, None),
+            (Some(&fault), None, None),
+            (Some(&fault), Some(window.clone()), golden.as_ref()),
+            (Some(&fault), Some(window), None),
+        ];
+        let mut baseline = None;
+        for (fault, window, golden) in cases {
+            let whole = pool
+                .run_item(fault, window.clone(), &set, 0..n, golden)
+                .unwrap();
+            baseline.get_or_insert_with(|| whole.clone());
+            assert_eq!(whole.len(), n);
+            assert!(whole.iter().any(|&c| c != whole[0]), "predictions vary");
+            for start in [0, 2] {
+                for wave in [1, 3, g] {
+                    let mut waved = Vec::new();
+                    let mut at = start;
+                    while at < n {
+                        let stop = (at + wave).min(n);
+                        waved.extend(
+                            pool.run_item(fault, window.clone(), &set, at..stop, golden)
+                                .unwrap(),
+                        );
+                        at = stop;
+                    }
+                    assert_eq!(
+                        waved,
+                        whole[start..],
+                        "waves of {wave} from image {start} (fault {fault:?}, \
+                         window {window:?}, golden {})",
+                        golden.is_some()
+                    );
+                }
+            }
+        }
+        // Nothing leaks out of an item: the baseline is unchanged after the
+        // faulted and windowed runs.
+        assert_eq!(
+            Some(pool.run_item(None, None, &set, 0..n, None).unwrap()),
+            baseline
         );
     }
 

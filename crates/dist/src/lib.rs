@@ -75,12 +75,15 @@
 //! # Determinism
 //!
 //! A distributed run is **bit-identical** to the in-process
-//! [`nvfi::campaign::Campaign::run`]: the coordinator quantizes the
-//! evaluation split once (same [`nvfi::QuantizedEvalSet`]), workers classify
-//! borrowed sub-ranges of it on identical plan-programmed devices
-//! (per-image inference is independent and transient windows gate on
-//! per-inference cycle numbering), and predictions are merged by `(work
-//! item, shard range)` — never by arrival order. Which worker ran which
+//! [`nvfi::campaign::Campaign::run`] because it is the same pipeline: the
+//! coordinator prepares the campaign with
+//! [`nvfi::campaign::CampaignPlan::prepare`] (one quantization pass, same
+//! pruning, same golden cache), workers run borrowed sub-ranges of it on
+//! identical plan-programmed devices through the same
+//! [`nvfi::DevicePool::run_item`] (per-image inference is independent and
+//! transient windows gate on per-inference cycle numbering), and
+//! predictions are merged by `(work item, shard range)` — never by arrival
+//! order — into [`nvfi::campaign::CampaignPlan::fold`]. Which worker ran which
 //! shard, how many workers there are, and worker deaths mid-shard (the
 //! shard is requeued on a surviving worker) all leave the records
 //! unchanged; `tests/dist_parity.rs` asserts each of these.

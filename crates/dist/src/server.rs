@@ -22,7 +22,7 @@
 //! is a [`Msg::ArtifactDelta`] naming the four hashes plus **only the
 //! frames the worker is missing**. A repeat campaign over unchanged
 //! artifacts re-ships zero artifact bytes
-//! ([`wire::artifact_bytes_shipped`] proves it), and an [`FaultKind`]
+//! ([`wire::artifact_bytes_shipped`] proves it), and an [`nvfi_accel::FaultKind`]
 //! sweep over one model is a stream of few-byte deltas instead of repeated
 //! weight images.
 //!
@@ -94,15 +94,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nvfi::campaign::{
-    fault_provably_masked, prediction_accuracy, run_plan_verifier, validate_fault_kinds, Campaign,
-    CampaignResult, CampaignSpec, FiRecord, VerifyMode,
-};
-use nvfi::{
-    DevicePool, EmulationPlatform, GoldenActivationCache, PlatformConfig, QuantizedEvalSet,
-};
-use nvfi_accel::{FaultConfig, FaultKind, IdleLanePolicy};
-use nvfi_compiler::regmap::MultId;
+use nvfi::campaign::{Campaign, CampaignPlan, CampaignResult, CampaignSpec, VerifyMode};
+use nvfi::{DevicePool, GoldenActivationCache, PlatformConfig, QuantizedEvalSet};
 use nvfi_dataset::Dataset;
 use nvfi_obs::{progress, trace};
 use nvfi_quant::QuantModel;
@@ -121,10 +114,6 @@ use crate::worker;
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// The expanded campaign work list: item 0 is the fault-free baseline,
-/// items 1.. carry `(targets, kind)` fault programs.
-type WorkList = Vec<Option<(Vec<MultId>, FaultKind)>>;
 
 /// One schedulable unit: an image shard of one work item.
 #[derive(Clone, Debug)]
@@ -288,6 +277,22 @@ fn hash_golden(golden: &GoldenActivationCache) -> u64 {
     finish_nonzero(&h)
 }
 
+/// The [`Msg::Work`] frame of one shard of work item `work_id`. Hashing
+/// the `0..0` frame of every item is how the result key and the checkpoint
+/// fingerprint cover each item's full fault program; `Msg::Work` encoding
+/// bumps no serialize-once probe, so that is free and stays in sync with
+/// the protocol.
+fn work_msg(plan: &CampaignPlan, work_id: usize, start: u32, end: u32) -> Msg {
+    let (fault, window) = plan.item(work_id);
+    Msg::Work {
+        work_id: work_id as u32,
+        start,
+        end,
+        fault: fault.map(|f| WireFault::from_targets(&f.targets, f.kind)),
+        window,
+    }
+}
+
 /// The result-cache key: hashes everything that determines the merged
 /// records — the four artifact hashes, the evaluation labels, the verifier
 /// mode (it decides which items are pruned as provably masked) and every
@@ -295,46 +300,25 @@ fn hash_golden(golden: &GoldenActivationCache) -> u64 {
 /// share a key iff their [`CampaignResult`]s are interchangeable.
 fn result_cache_key(
     artifact_hashes: (u64, u64, u64, u64),
-    work: &WorkList,
-    spec: &CampaignSpec,
-    eval_len: usize,
-    labels: &[u8],
+    plan: &CampaignPlan,
+    verify: VerifyMode,
 ) -> u64 {
-    let (plan, weights, eval, golden) = artifact_hashes;
+    let (plan_hash, weights, eval, golden) = artifact_hashes;
     let mut h = Fnv64::new();
     h.write(&[5]);
-    h.write_u64(plan);
+    h.write_u64(plan_hash);
     h.write_u64(weights);
     h.write_u64(eval);
     h.write_u64(golden);
-    h.write_u64(eval_len as u64);
-    h.write(labels);
-    h.write(&[match spec.verify {
+    h.write_u64(plan.labels().len() as u64);
+    h.write(plan.labels());
+    h.write(&[match verify {
         VerifyMode::Off => 0,
         VerifyMode::Warn => 1,
         VerifyMode::Strict => 2,
     }]);
-    for (work_id, item) in work.iter().enumerate() {
-        let fault = item
-            .as_ref()
-            .map(|(targets, kind)| WireFault::from_targets(targets, *kind));
-        let window = if fault.is_some() {
-            spec.fault_window.clone()
-        } else {
-            None
-        };
-        // Msg::Work encoding bumps no serialize-once probes, so hashing the
-        // canonical wire bytes is free and stays in sync with the protocol.
-        h.write(
-            &Msg::Work {
-                work_id: work_id as u32,
-                start: 0,
-                end: 0,
-                fault,
-                window,
-            }
-            .encode(),
-        );
+    for work_id in 0..plan.work().len() {
+        h.write(&work_msg(plan, work_id, 0, 0).encode());
     }
     finish_nonzero(&h)
 }
@@ -346,12 +330,7 @@ fn result_cache_key(
 /// included), the task list, and each work item's full fault program as it
 /// would go on the wire. Two campaigns share a fingerprint iff their
 /// checkpointed shards are interchangeable.
-fn campaign_fingerprint(
-    frames: [&[u8]; 3],
-    tasks: &[Task],
-    work: &WorkList,
-    fault_window: &Option<Range<u64>>,
-) -> u64 {
+fn campaign_fingerprint(frames: [&[u8]; 3], tasks: &[Task], plan: &CampaignPlan) -> u64 {
     let mut h = Fnv64::campaign_seed();
     for frame in frames {
         h.write_u64(u64::from(crc32(frame)));
@@ -362,25 +341,8 @@ fn campaign_fingerprint(
         h.write_u64(t.range.start as u64);
         h.write_u64(t.range.end as u64);
     }
-    for (work_id, item) in work.iter().enumerate() {
-        let fault = item
-            .as_ref()
-            .map(|(targets, kind)| WireFault::from_targets(targets, *kind));
-        let window = if fault.is_some() {
-            fault_window.clone()
-        } else {
-            None
-        };
-        h.write(
-            &Msg::Work {
-                work_id: work_id as u32,
-                start: 0,
-                end: 0,
-                fault,
-                window,
-            }
-            .encode(),
-        );
+    for work_id in 0..plan.work().len() {
+        h.write(&work_msg(plan, work_id, 0, 0).encode());
     }
     h.finish()
 }
@@ -398,40 +360,30 @@ pub(crate) enum Prepared {
     Scheduled(Box<PreparedCampaign>),
 }
 
-/// A campaign compiled, hashed and sharded — everything a
-/// [`CampaignServer`] needs to schedule it, nothing borrowed from the
-/// caller.
+/// A [`CampaignPlan`] plus what only the fabric needs: the exported plan
+/// words and weight image, their content hashes, the task layout and the
+/// result key — nothing borrowed from the caller, and no programmed device.
 pub(crate) struct PreparedCampaign {
+    plan: Arc<CampaignPlan>,
     config: PlatformConfig,
     local_devices: usize,
-    plan_hash: u64,
-    weights_hash: u64,
-    eval_hash: u64,
-    /// `0` when the campaign ships no golden cache.
-    golden_hash: u64,
+    /// `(plan, weights, eval, golden)` artifact hashes; `golden` is `0`
+    /// when the campaign ships no golden cache.
+    session: (u64, u64, u64, u64),
     plan_words: Vec<u32>,
     weight_image: Vec<(u64, Vec<i8>)>,
-    qset: QuantizedEvalSet,
-    golden: Option<GoldenActivationCache>,
-    work: WorkList,
-    masked: Vec<bool>,
-    masked_static: usize,
     tasks: Vec<Task>,
-    window: Option<Range<u64>>,
     verbose: bool,
     checkpoint_path: Option<PathBuf>,
-    labels: Vec<u8>,
-    eval_len: usize,
     result_key: u64,
-    started: Instant,
 }
 
-/// Compiles, verifies, hashes and shards one campaign — the fleet-free
-/// front half shared by [`CampaignServer::submit`] and
-/// [`crate::run_campaign`]. Mirrors the in-process [`Campaign::run`]
-/// exactly: one quantization pass, plan verification, fault-reachability
-/// pruning (an all-masked campaign never engages the fleet), and the
-/// golden activation cache build for windowed campaigns.
+/// Prepares one campaign for the fabric — the fleet-free front half shared
+/// by [`CampaignServer::submit`] and [`crate::run_campaign`]:
+/// [`CampaignPlan::prepare`] (the same preparation as the in-process
+/// [`Campaign::run`]), then the artifact export, content hashes, task
+/// layout and result key. An all-masked campaign is folded from its
+/// baseline on the prototype right here and never engages the fleet.
 pub(crate) fn prepare(
     model: &QuantModel,
     config: PlatformConfig,
@@ -440,137 +392,62 @@ pub(crate) fn prepare(
     total_workers: usize,
     local_devices: usize,
 ) -> Result<Prepared, DistError> {
-    assert!(
-        !spec.kinds.is_empty(),
-        "campaign needs at least one fault kind"
-    );
-    assert!(spec.eval_images > 0, "campaign needs evaluation images");
-    validate_fault_kinds(&spec.kinds).map_err(DistError::Platform)?;
-    let targets = Campaign::expand_targets(&spec.selection);
-    assert!(
-        !targets.is_empty(),
-        "campaign target selection expands to no target sets"
-    );
-    // Work item 0 is the fault-free baseline; 1.. are the fault programs in
-    // the same deterministic order as the in-process work list.
-    let mut work: WorkList = vec![None];
-    for t in &targets {
-        for k in &spec.kinds {
-            work.push(Some((t.clone(), *k)));
-        }
-    }
-    let eval = eval.take(spec.eval_images);
-    let started = Instant::now();
-
-    // One quantization pass per campaign, exactly like the in-process path;
-    // the bytes ship to every worker, no worker re-quantizes.
-    let qset = QuantizedEvalSet::build(model, &eval.images);
-
-    // The prototype compiles the plan once, validates the window before any
-    // work is scheduled, and donates the DRAM weight image.
-    let mut proto = EmulationPlatform::assemble(model, config)?;
-    if let Some(w) = &spec.fault_window {
-        proto.accel().validate_fault_window(w)?;
-    }
-    // Static verification at plan load, then fault reachability over the
-    // work list: provably-masked items are never scheduled on the fleet —
-    // their records fold the fault-free predictions against themselves
-    // after the merge (bit-identical to running them, by soundness of the
-    // analysis). The baseline (item 0) is always executed.
-    run_plan_verifier(proto.plan(), spec.verify).map_err(DistError::Platform)?;
-    let gated = config.accel.idle_lanes == IdleLanePolicy::Gated;
-    let masked: Vec<bool> = work
-        .iter()
-        .map(|item| match item {
-            Some((targets, kind)) if spec.verify != VerifyMode::Off => fault_provably_masked(
-                proto.plan(),
-                targets,
-                *kind,
-                gated,
-                spec.fault_window.as_ref(),
-            ),
-            _ => false,
-        })
-        .collect();
-    let masked_static = masked.iter().filter(|&&m| m).count();
-    if masked_static == work.len() - 1 {
-        // Every fault item is provably masked: the whole campaign is the
-        // baseline pass, so run in-process (which prunes identically) and
-        // never touch the fleet.
+    let (plan, mut proto) = CampaignPlan::prepare(model, config, spec, eval)?;
+    let images = plan.qset().len();
+    if plan.all_masked() {
         if spec.verbose {
-            progress::note(format!(
-                "  all {masked_static} work item(s) provably masked; fleet not engaged"
-            ));
+            progress::note("  every work item provably masked; fleet not engaged");
         }
-        let result = Campaign::new(model, config).run(spec, &eval)?;
+        let baseline = plan.execute(&mut DevicePool::from_device(proto, 1), 0, 0..images)?;
+        let mut per_item = vec![baseline];
+        per_item.resize(plan.work().len(), Vec::new());
         if let Some(path) = &spec.checkpoint_path {
             Checkpoint::remove(path);
         }
-        return Ok(Prepared::Immediate(result));
+        return Ok(Prepared::Immediate(plan.fold(per_item)));
     }
-    // Windowed campaigns build the golden activation cache once, on the
-    // coordinator's prototype — exactly like the in-process path — and ship
-    // it as a fourth content-addressed artifact so remote workers restore
-    // golden prefixes instead of recomputing them.
-    let golden = match &spec.fault_window {
-        Some(w) => GoldenActivationCache::build(&mut proto, &qset, w, spec.golden_cache_bytes)?,
-        None => None,
-    };
     let plan_words = nvfi_compiler::plan::encode_words(proto.plan());
     let weight_image = proto.accel_mut().export_weight_image()?;
+    drop(proto);
 
     let wire_config: WireConfig = config.into();
-    let plan_hash = hash_plan(&wire_config, local_devices as u32, &plan_words);
-    let weights_hash = hash_weights(&weight_image);
-    let eval_hash = hash_eval(&qset);
-    let golden_hash = golden.as_ref().map_or(0, hash_golden);
+    let session = (
+        hash_plan(&wire_config, local_devices as u32, &plan_words),
+        hash_weights(&weight_image),
+        hash_eval(plan.qset()),
+        plan.golden().map_or(0, hash_golden),
+    );
 
     // The task list: each work item cut into as many contiguous shards as
     // the two-level layout gives its scheduling slot — all 1s when the work
     // list is at least as wide as the fleet (pure item-level parallelism),
-    // wider shard fan-out when the fleet outnumbers the items.
-    let layout = Campaign::pool_layout(total_workers, work.len(), 0);
+    // wider shard fan-out when the fleet outnumbers the items. Provably
+    // masked items get no shards.
+    let layout = Campaign::pool_layout(total_workers, plan.work().len(), 0);
     let granularity = DevicePool::granularity(&config);
     let mut tasks: Vec<Task> = Vec::new();
-    for (i, is_masked) in masked.iter().enumerate() {
+    for (i, is_masked) in plan.masked().iter().enumerate() {
         if *is_masked {
-            continue; // provably masked: no shards, no fleet time
+            continue;
         }
         let shards = layout.get(i % layout.len().max(1)).copied().unwrap_or(1);
-        for range in DevicePool::shard_plan(eval.len(), shards, granularity) {
+        for range in DevicePool::shard_plan(images, shards, granularity) {
             tasks.push(Task { work_id: i, range });
         }
     }
 
-    let result_key = result_cache_key(
-        (plan_hash, weights_hash, eval_hash, golden_hash),
-        &work,
-        spec,
-        eval.len(),
-        &eval.labels,
-    );
+    let result_key = result_cache_key(session, &plan, spec.verify);
     Ok(Prepared::Scheduled(Box::new(PreparedCampaign {
+        plan: Arc::new(plan),
         config,
         local_devices,
-        plan_hash,
-        weights_hash,
-        eval_hash,
-        golden_hash,
+        session,
         plan_words,
         weight_image,
-        qset,
-        golden,
-        work,
-        masked,
-        masked_static,
         tasks,
-        window: spec.fault_window.clone(),
         verbose: spec.verbose,
         checkpoint_path: spec.checkpoint_path.clone(),
-        labels: eval.labels.clone(),
-        eval_len: eval.len(),
         result_key,
-        started,
     })))
 }
 
@@ -671,8 +548,7 @@ struct ClientState {
     /// The `(plan, weights, eval, golden)` artifact hashes — the worker
     /// session key. `golden` is 0 when the campaign ships none.
     session: (u64, u64, u64, u64),
-    work: Arc<WorkList>,
-    window: Option<Range<u64>>,
+    plan: Arc<CampaignPlan>,
     tasks: Arc<Vec<Task>>,
     /// Pending work (popped by workers, pushed back on loss).
     queue: Vec<QueueEntry>,
@@ -739,20 +615,17 @@ struct ServerInner {
 }
 
 /// The in-process authoritative re-executor behind audit arbitration: the
-/// campaign's artifacts kept decoded-side, plus a lazily built one-device
-/// pool. Mirrors the worker's shard execution exactly (same plan decode,
-/// same weight import, same classify entry points), so its predictions are
-/// bit-identical to an honest worker's — per-image inference is independent
-/// of device count and shard cuts, which is the same property the
-/// distributed/in-process parity tests pin down.
+/// campaign's plan and shipped artifacts, plus a lazily built one-device
+/// pool programmed by [`worker::device_from_artifacts`] and driven by
+/// [`CampaignPlan::execute`] — the same device and the same executor an
+/// honest worker uses, so its predictions are bit-identical to that
+/// worker's (per-image inference is independent of device count and shard
+/// cuts, which the distributed/in-process parity tests pin down).
 struct Arbiter {
     config: PlatformConfig,
+    plan: Arc<CampaignPlan>,
     plan_words: Arc<Vec<u32>>,
     weight_image: Arc<Vec<(u64, Vec<i8>)>>,
-    qset: Arc<QuantizedEvalSet>,
-    golden: Arc<Option<GoldenActivationCache>>,
-    work: Arc<WorkList>,
-    window: Option<Range<u64>>,
     /// Built on first use; an audit-free campaign never pays for it.
     pool: Mutex<Option<DevicePool>>,
 }
@@ -761,47 +634,14 @@ impl Arbiter {
     /// Re-executes one task authoritatively, returning its predictions.
     fn run(&self, task: &Task) -> Result<Vec<u8>, DistError> {
         let mut guard = lock(&self.pool);
-        if guard.is_none() {
-            let decoded = nvfi_compiler::plan::decode_words(&self.plan_words)
-                .map_err(|_| DistError::Protocol("arbiter plan words do not decode"))?;
-            let mut device = EmulationPlatform::from_plan(decoded, self.config)?;
-            device
-                .accel_mut()
-                .import_weight_image(&self.weight_image)
-                .map_err(|e| DistError::Platform(e.into()))?;
-            *guard = Some(DevicePool::from_device(device, 1));
-        }
-        let Some(pool) = guard.as_mut() else {
-            return Err(DistError::Protocol("arbiter pool vanished"));
+        let pool = match &mut *guard {
+            Some(pool) => pool,
+            empty => empty.insert(DevicePool::from_device(
+                worker::device_from_artifacts(self.config, &self.plan_words, &self.weight_image)?,
+                1,
+            )),
         };
-        pool.clear_faults();
-        let fault = self
-            .work
-            .get(task.work_id)
-            .and_then(|item| item.as_ref())
-            .map(|(targets, kind)| FaultConfig::new(targets.clone(), *kind));
-        if let Some(f) = &fault {
-            pool.inject(f);
-        }
-        // The baseline stays window-free, exactly like the dispatch path.
-        let window = if fault.is_some() {
-            self.window.clone()
-        } else {
-            None
-        };
-        pool.set_fault_window(window.clone())?;
-        let preds = if window.is_some() {
-            pool.classify_i8_golden_range(
-                &self.qset,
-                task.range.clone(),
-                self.golden.as_ref().as_ref(),
-            )?
-        } else {
-            pool.classify_i8_range(&self.qset, task.range.clone())?
-        };
-        pool.clear_faults();
-        pool.set_fault_window(None)?;
-        Ok(preds)
+        Ok(self.plan.execute(pool, task.work_id, task.range.clone())?)
     }
 }
 
@@ -852,13 +692,26 @@ fn fail_client(inner: &ServerInner, id: u64, e: DistError) {
     }
 }
 
-/// One task a quarantine sweep must re-verify in-process.
+/// One task to re-verify in-process (see [`arbitrate`]).
 struct SweepItem {
     client: u64,
     task_idx: usize,
     arbiter: Arc<Arbiter>,
     tasks: Arc<Vec<Task>>,
     ckpt: Option<Arc<CkptState>>,
+}
+
+impl ClientState {
+    /// Task `task_idx` of client `client`, ready for [`arbitrate`].
+    fn sweep_item(&self, client: u64, task_idx: usize) -> SweepItem {
+        SweepItem {
+            client,
+            task_idx,
+            arbiter: Arc::clone(&self.arbiter),
+            tasks: Arc::clone(&self.tasks),
+            ckpt: self.ckpt.clone(),
+        }
+    }
 }
 
 /// Punishes a worker identity: a `strike` (attestation failure) walks
@@ -910,18 +763,21 @@ fn punish_worker(inner: &ServerInner, ident: u64, conviction: bool) {
                             c.audits_pending += 1;
                         }
                     }
-                    sweep.push(SweepItem {
-                        client: id,
-                        task_idx: i,
-                        arbiter: Arc::clone(&c.arbiter),
-                        tasks: Arc::clone(&c.tasks),
-                        ckpt: c.ckpt.clone(),
-                    });
+                    sweep.push(c.sweep_item(id, i));
                 }
             }
         }
     }
-    for item in sweep {
+    arbitrate(inner, sweep);
+}
+
+/// Resolves open audits in-process: the arbiter's authoritative
+/// re-execution replaces any differing stored result (and is the
+/// completion of a task whose result was discarded), the audit closes, and
+/// a repaired result is re-checkpointed. Audits resolved concurrently are
+/// skipped; an arbiter error fails only its client.
+fn arbitrate(inner: &ServerInner, items: Vec<SweepItem>) {
+    for item in items {
         let Some(task) = item.tasks.get(item.task_idx) else {
             continue;
         };
@@ -1071,29 +927,12 @@ fn pick_assignment(inner: &ServerInner, has: &mut HashSet<u64>, ident: u64) -> O
         }
     };
     let task = c.tasks.get(task_idx)?;
-    let fault = c
-        .work
-        .get(task.work_id)
-        .and_then(|item| item.as_ref())
-        .map(|(targets, kind)| WireFault::from_targets(targets, *kind));
-    // The baseline stays window-free, exactly like the in-process path.
-    let window = if fault.is_some() {
-        c.window.clone()
-    } else {
-        None
-    };
     let key = (
         task.work_id as u32,
         task.range.start as u32,
         task.range.end as u32,
     );
-    let work_msg = Msg::Work {
-        work_id: key.0,
-        start: key.1,
-        end: key.2,
-        fault,
-        window,
-    };
+    let work_msg = work_msg(&c.plan, task.work_id, key.1, key.2);
     let session = c.session;
     let (mut ship, mut frames) = (0u8, Vec::new());
     // An in-process audit touches no socket: nothing to ship.
@@ -1921,60 +1760,12 @@ fn rescue_open_audits(inner: &ServerInner) {
             }
             for i in 0..c.tasks.len() {
                 if c.audit_open.get(i).copied().unwrap_or(false) {
-                    rescue.push(SweepItem {
-                        client: id,
-                        task_idx: i,
-                        arbiter: Arc::clone(&c.arbiter),
-                        tasks: Arc::clone(&c.tasks),
-                        ckpt: c.ckpt.clone(),
-                    });
+                    rescue.push(c.sweep_item(id, i));
                 }
             }
         }
     }
-    for item in rescue {
-        let Some(task) = item.tasks.get(item.task_idx) else {
-            continue;
-        };
-        let auth = match item.arbiter.run(task) {
-            Ok(v) => v,
-            Err(e) => {
-                fail_client(inner, item.client, e);
-                continue;
-            }
-        };
-        let mut rerecord = false;
-        {
-            let mut guard = lock(&inner.state);
-            let st = &mut *guard;
-            let Some(c) = st.clients.get_mut(&item.client) else {
-                continue;
-            };
-            if c.finished || !c.audit_open.get(item.task_idx).copied().unwrap_or(false) {
-                continue;
-            }
-            if let Some(slot) = c.results.get_mut(item.task_idx) {
-                if slot.as_deref() != Some(auth.as_slice()) {
-                    if slot.is_some() {
-                        st.stats.audit_mismatches += 1;
-                    } else {
-                        // The audited task was discarded and requeued (its
-                        // producer got convicted): the arbitration *is* its
-                        // completion.
-                        c.done += 1;
-                    }
-                    *slot = Some(auth.clone());
-                    rerecord = true;
-                }
-            }
-            close_audit(c, item.task_idx, &inner.completion);
-        }
-        if rerecord {
-            if let Some(ck) = &item.ckpt {
-                ck.record(task, &auth);
-            }
-        }
-    }
+    arbitrate(inner, rescue);
 }
 
 /// Accepts and handshakes `n` workers within `timeout` (the initial fleet
@@ -2245,7 +2036,7 @@ impl CampaignServer {
             let mut result = cached.clone();
             st.stats.cache_hits += 1;
             drop(st);
-            result.wall_seconds = p.started.elapsed().as_secs_f64();
+            result.wall_seconds = p.plan.started().elapsed().as_secs_f64();
             if let Some(path) = &p.checkpoint_path {
                 // The cached answer completes this campaign; a stale
                 // checkpoint must not donate shards to a later run.
@@ -2258,13 +2049,11 @@ impl CampaignServer {
         // worker would be shipped.
         let plan_words = Arc::new(p.plan_words);
         let weight_image = Arc::new(p.weight_image);
-        let qset = Arc::new(p.qset);
-        let golden = Arc::new(p.golden);
-        let work = Arc::new(p.work);
+        let (plan_hash, weights_hash, eval_hash, golden_hash) = p.session;
         // Register the artifact frames. Encoding happens at most once per
         // distinct content hash for the server's whole life — the
         // serialize-once probes count these.
-        let plan_frame = ensure_artifact(&mut st, p.plan_hash, || {
+        let plan_frame = ensure_artifact(&mut st, plan_hash, || {
             Msg::Plan {
                 config: p.config.into(),
                 local_devices: p.local_devices as u32,
@@ -2272,14 +2061,15 @@ impl CampaignServer {
             }
             .encode()
         });
-        let weights_frame = ensure_artifact(&mut st, p.weights_hash, || {
+        let weights_frame = ensure_artifact(&mut st, weights_hash, || {
             Msg::Weights {
                 regions: weight_image.as_ref().clone(),
             }
             .encode()
         });
+        let qset = p.plan.qset();
         let shape = qset.shape();
-        let eval_frame = ensure_artifact(&mut st, p.eval_hash, || {
+        let eval_frame = ensure_artifact(&mut st, eval_hash, || {
             // Encoded straight from the borrowed pixel slice: no owned copy
             // of the (large) evaluation set just to build a `Msg`.
             wire::encode_eval_set(
@@ -2290,8 +2080,8 @@ impl CampaignServer {
                 qset.images().as_slice(),
             )
         });
-        if let Some(g) = golden.as_ref() {
-            ensure_artifact(&mut st, p.golden_hash, || {
+        if let Some(g) = p.plan.golden() {
+            ensure_artifact(&mut st, golden_hash, || {
                 Msg::Golden {
                     boundary: g.boundary() as u64,
                     surfaces: g.surfaces().to_vec(),
@@ -2312,8 +2102,7 @@ impl CampaignServer {
             let fingerprint = campaign_fingerprint(
                 [&plan_frame, &weights_frame, &eval_frame],
                 &p.tasks,
-                &work,
-                &p.window,
+                &p.plan,
             );
             let mut cp = Checkpoint::new(fingerprint);
             if let Some(prev) = Checkpoint::load(path) {
@@ -2372,34 +2161,19 @@ impl CampaignServer {
         let verified: Vec<bool> = results.iter().map(Option::is_some).collect();
         let arbiter = Arc::new(Arbiter {
             config: p.config,
+            plan: Arc::clone(&p.plan),
             plan_words,
             weight_image,
-            qset,
-            golden,
-            work: Arc::clone(&work),
-            window: p.window.clone(),
             pool: Mutex::new(None),
         });
-        let ctx = MergeCtx {
-            work: Arc::clone(&work),
-            tasks: Arc::clone(&tasks),
-            masked: p.masked,
-            masked_static: p.masked_static,
-            labels: p.labels,
-            eval_len: p.eval_len,
-            result_key: p.result_key,
-            checkpoint_path: p.checkpoint_path,
-            started: p.started,
-        };
         let mut st = lock(&self.inner.state);
         let id = st.next_client;
         st.next_client += 1;
         st.clients.insert(
             id,
             ClientState {
-                session: (p.plan_hash, p.weights_hash, p.eval_hash, p.golden_hash),
-                work,
-                window: p.window,
+                session: p.session,
+                plan: Arc::clone(&p.plan),
                 tasks: Arc::clone(&tasks),
                 queue,
                 producer: vec![None; tasks.len()],
@@ -2425,7 +2199,10 @@ impl CampaignServer {
             inner: HandleInner::Pending {
                 server: Arc::clone(&self.inner),
                 id,
-                ctx,
+                plan: p.plan,
+                tasks,
+                result_key: p.result_key,
+                checkpoint_path: p.checkpoint_path,
             },
             progress: progress_rx,
         }
@@ -2527,26 +2304,17 @@ fn ensure_artifact(
 // Client handles
 // ---------------------------------------------------------------------------
 
-/// Everything [`ClientHandle::wait`] needs to merge landed shards into a
-/// [`CampaignResult`] without touching the server's shared state.
-struct MergeCtx {
-    work: Arc<WorkList>,
-    tasks: Arc<Vec<Task>>,
-    masked: Vec<bool>,
-    masked_static: usize,
-    labels: Vec<u8>,
-    eval_len: usize,
-    result_key: u64,
-    checkpoint_path: Option<PathBuf>,
-    started: Instant,
-}
-
 enum HandleInner {
     Ready(CampaignResult),
+    /// Everything [`ClientHandle::wait`] needs to merge landed shards
+    /// without touching the server's shared state.
     Pending {
         server: Arc<ServerInner>,
         id: u64,
-        ctx: MergeCtx,
+        plan: Arc<CampaignPlan>,
+        tasks: Arc<Vec<Task>>,
+        result_key: u64,
+        checkpoint_path: Option<PathBuf>,
     },
 }
 
@@ -2578,12 +2346,11 @@ impl ClientHandle {
         &self.progress
     }
 
-    /// Blocks until the campaign finishes and merges its shards into a
-    /// [`CampaignResult`] **bit-identical** to the in-process
-    /// [`Campaign::run`] — predictions concatenated by `(work item, shard
-    /// range)`, never by arrival order, then folded through the shared
-    /// [`FiRecord::from_preds`]. The finished result is stored in the
-    /// server's result cache.
+    /// Blocks until the campaign finishes, concatenates each work item's
+    /// shards by range — never by arrival order — and folds them with
+    /// [`CampaignPlan::fold`], the same fold as the in-process
+    /// [`Campaign::run`], so the result is bit-identical to it. The
+    /// finished result is stored in the server's result cache.
     ///
     /// # Errors
     ///
@@ -2593,9 +2360,16 @@ impl ClientHandle {
     /// failures; [`DistError::Protocol`] when the server was shut down
     /// with this campaign unfinished.
     pub fn wait(self) -> Result<CampaignResult, DistError> {
-        let (server, id, ctx) = match self.inner {
+        let (server, id, plan, tasks, result_key, checkpoint_path) = match self.inner {
             HandleInner::Ready(result) => return Ok(result),
-            HandleInner::Pending { server, id, ctx } => (server, id, ctx),
+            HandleInner::Pending {
+                server,
+                id,
+                plan,
+                tasks,
+                result_key,
+                checkpoint_path,
+            } => (server, id, plan, tasks, result_key, checkpoint_path),
         };
         let mut st = lock(&server.state);
         loop {
@@ -2617,11 +2391,10 @@ impl ClientHandle {
         if let Some(e) = client.fatal {
             return Err(e);
         }
-        // Merge: concatenate each work item's shards in range order (the
-        // task list is already ordered that way), then fold into records
-        // exactly as the in-process loop does.
-        let mut per_item: Vec<Vec<u8>> = vec![Vec::new(); ctx.work.len()];
-        for (task, slot) in ctx.tasks.iter().zip(client.results) {
+        // The task list is ordered by (work item, range), so extending in
+        // task order concatenates each item's shards in image order.
+        let mut per_item: Vec<Vec<u8>> = vec![Vec::new(); plan.work().len()];
+        for (task, slot) in tasks.iter().zip(client.results) {
             let Some(preds) = slot else {
                 return Err(DistError::Protocol("finished campaign left a shard hole"));
             };
@@ -2630,50 +2403,14 @@ impl ClientHandle {
             };
             item.extend(preds);
         }
-        // Provably-masked items produce exactly the fault-free predictions:
-        // give them the baseline's, and the shared record fold below does
-        // the rest.
-        let clean_preds: Vec<u8> = per_item.first().cloned().unwrap_or_default();
-        for (item, is_masked) in per_item.iter_mut().zip(&ctx.masked) {
-            if *is_masked {
-                item.clone_from(&clean_preds);
-            }
-        }
-        let baseline_accuracy = prediction_accuracy(&clean_preds, &ctx.labels);
-        let mut records = Vec::with_capacity(ctx.work.len() - 1);
-        for (item, preds) in ctx.work.iter().zip(&per_item).skip(1) {
-            let Some((targets, kind)) = item.as_ref() else {
-                return Err(DistError::Protocol(
-                    "non-baseline work item carries no fault",
-                ));
-            };
-            // The shared fold of nvfi::campaign — bit-identity with the
-            // in-process path is structural, not a re-implementation.
-            records.push(FiRecord::from_preds(
-                targets.clone(),
-                *kind,
-                preds,
-                &clean_preds,
-                &ctx.labels,
-                baseline_accuracy,
-            ));
-        }
-        let executed = records.len() - ctx.masked_static;
-        let total_inferences = (executed as u64 + 1) * ctx.eval_len as u64;
-        let result = CampaignResult {
-            baseline_accuracy,
-            records,
-            masked_static: ctx.masked_static,
-            total_inferences,
-            wall_seconds: ctx.started.elapsed().as_secs_f64(),
-        };
+        let result = plan.fold(per_item);
         // The campaign is complete: cache the answer for repeat queries and
         // retire the checkpoint — a finished run must not donate shards to
         // an unrelated later campaign at the same path.
         lock(&server.state)
             .results_cache
-            .insert(ctx.result_key, result.clone());
-        if let Some(path) = &ctx.checkpoint_path {
+            .insert(result_key, result.clone());
+        if let Some(path) = &checkpoint_path {
             Checkpoint::remove(path);
         }
         Ok(result)

@@ -614,8 +614,7 @@ fn apply_delta<S: Read + Write>(
         }
     }
     let (config, local_devices, words) = cache_get(&cache.plans, plan)
-        .ok_or(DistError::Protocol("delta references an uncached plan"))?
-        .clone();
+        .ok_or(DistError::Protocol("delta references an uncached plan"))?;
     let regions = cache_get(&cache.weights, weights).ok_or(DistError::Protocol(
         "delta references an uncached weight image",
     ))?;
@@ -627,38 +626,49 @@ fn apply_delta<S: Read + Write>(
             "delta references an uncached golden cache",
         ));
     }
-    let platform_config: nvfi::PlatformConfig = config.into();
-    match &mut cache.built {
-        // Same programmed device: re-arm it instead of rebuilding.
-        Some((key, pool)) if *key == (plan, weights) => {
-            pool.clear_faults();
-            pool.set_fault_window(None)?;
-        }
-        built => {
-            let decoded = nvfi_compiler::plan::decode_words(&words)
-                .map_err(|_| DistError::Protocol("plan words do not decode"))?;
-            let mut device = EmulationPlatform::from_plan(decoded, platform_config)?;
-            device
-                .accel_mut()
-                .import_weight_image(regions)
-                .map_err(|e| DistError::Platform(e.into()))?;
-            let pool = DevicePool::from_device(device, (local_devices as usize).max(1));
-            *built = Some(((plan, weights), pool));
-        }
+    let platform_config: nvfi::PlatformConfig = (*config).into();
+    let local_devices = (*local_devices as usize).max(1);
+    // The same programmed device is reused as is: every shard clears and
+    // re-arms it (`DevicePool::run_item`).
+    if !matches!(&cache.built, Some((key, _)) if *key == (plan, weights)) {
+        let device = device_from_artifacts(platform_config, words, regions)?;
+        cache.built = Some((
+            (plan, weights),
+            DevicePool::from_device(device, local_devices),
+        ));
     }
     session.plan = plan;
     session.weights = weights;
     session.eval = eval;
     session.golden = golden;
-    session.wave = (local_devices as usize).max(1) * DevicePool::granularity(&platform_config);
+    session.wave = local_devices * DevicePool::granularity(&platform_config);
     Ok(())
 }
 
-/// Computes one shard in heartbeat waves (see [`serve_with_cache`]),
-/// returning the [`Msg::ShardDone`] reply. Windowed shards restore each
-/// image's golden prefix from the session's shipped
-/// [`GoldenActivationCache`] when one exists — bit-identical to the
-/// recompute path, just cheaper.
+/// Programs a device from shipped artifacts: decodes the plan words, loads
+/// the plan, imports the DRAM weight image. Shared by a worker's session
+/// activation and the server's audit arbiter, so both run on exactly the
+/// device an honest worker would build.
+pub(crate) fn device_from_artifacts(
+    config: nvfi::PlatformConfig,
+    words: &[u32],
+    regions: &[(u64, Vec<i8>)],
+) -> Result<EmulationPlatform, DistError> {
+    let decoded = nvfi_compiler::plan::decode_words(words)
+        .map_err(|_| DistError::Protocol("plan words do not decode"))?;
+    let mut device = EmulationPlatform::from_plan(decoded, config)?;
+    device
+        .accel_mut()
+        .import_weight_image(regions)
+        .map_err(|e| DistError::Platform(e.into()))?;
+    Ok(device)
+}
+
+/// Computes one shard in heartbeat waves (see [`serve_with_cache`]), each
+/// wave one [`DevicePool::run_item`] over its image sub-range, returning the
+/// [`Msg::ShardDone`] reply. Windowed shards restore each image's golden
+/// prefix from the session's shipped [`GoldenActivationCache`] when one
+/// exists — bit-identical to the recompute path, just cheaper.
 ///
 /// The reply is **attested**: [`wire::shard_attestation`] over the artifact
 /// hashes of the session this shard actually ran under, the shard key, and
@@ -683,14 +693,7 @@ fn run_shard<S: Read + Write>(
     if end > qset.len() {
         return Err(DistError::Protocol("shard range outside the eval set"));
     }
-    pool.clear_faults();
-    if let Some(f) = &fault {
-        pool.inject(&FaultConfig::new(f.targets(), f.kind));
-    }
-    // Always (re)set the window: a windowed shard must not leak its window
-    // into the next, window-free shard of a multiplexed session.
-    pool.set_fault_window(window.clone())?;
-    let windowed = window.is_some();
+    let fault = fault.map(|f| FaultConfig::new(f.targets(), f.kind));
     let wave = session.wave.max(1);
     let mut preds = Vec::with_capacity(end - start);
     let mut at = start;
@@ -701,11 +704,7 @@ fn run_shard<S: Read + Write>(
     while at < end {
         let stop = (at + wave).min(end);
         let wave_off = shard_t0.elapsed().as_micros() as u64;
-        preds.extend(if windowed {
-            pool.classify_i8_golden_range(qset, at..stop, golden)?
-        } else {
-            pool.classify_i8_range(qset, at..stop)?
-        });
+        preds.extend(pool.run_item(fault.as_ref(), window.clone(), qset, at..stop, golden)?);
         if spans.len() + 1 < wire::MAX_SHARD_SPANS {
             spans.push(WireSpan {
                 name: "worker.wave".into(),
@@ -720,8 +719,6 @@ fn run_shard<S: Read + Write>(
             wire::send(stream, &Msg::Pong).map_err(DistError::Io)?;
         }
     }
-    pool.clear_faults();
-    pool.set_fault_window(None)?;
     spans.push(WireSpan {
         name: "worker.execute".into(),
         start_us: 0,
