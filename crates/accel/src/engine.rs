@@ -70,11 +70,11 @@
 //!
 //! While `nvfi_obs` tracing is on, every conv and linear op (per-image and
 //! batched) records the nanoseconds of each phase it runs into the
-//! histograms `engine_phase_{im2col,gemm,lane_delta,sdp,surface}_ns`:
-//! im2col (the batched head's operand transpose too), the GEMM (the
-//! per-product oracle under [`ExecMode::Exact`]), lane-delta, the SDP (the
-//! linear head's bias add), and DRAM surface unpack/pack. Off, an op pays
-//! one trace-gate load and no clock read.
+//! histograms `engine_phase_{im2col,gemm,lane_delta,sdp,surface,exact}_ns`:
+//! im2col (the batched head's operand transpose too), the GEMM,
+//! lane-delta, the SDP (the linear head's bias add), DRAM surface
+//! unpack/pack, and the per-product oracle under [`ExecMode::Exact`]. Off,
+//! an op pays one trace-gate load and no clock read.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -173,13 +173,14 @@ enum Phase {
     LaneDelta,
     Sdp,
     Surface,
+    Exact,
 }
 
 /// The `engine_phase_*_ns` histograms, indexed by [`Phase`].
 fn phase_histogram(phase: Phase) -> &'static Histogram {
-    static H: OnceLock<[Histogram; 5]> = OnceLock::new();
+    static H: OnceLock<[Histogram; 6]> = OnceLock::new();
     let all = H.get_or_init(|| {
-        ["im2col", "gemm", "lane_delta", "sdp", "surface"]
+        ["im2col", "gemm", "lane_delta", "sdp", "surface", "exact"]
             .map(|p| metrics::histogram(&format!("engine_phase_{p}_ns")))
     });
     &all[phase as usize]
@@ -1209,7 +1210,7 @@ impl Accelerator {
                 &g,
                 &mut scratch.acc,
             );
-            timer.lap(Phase::Gemm);
+            timer.lap(Phase::Exact);
         } else {
             im2col_gemm(
                 &scratch.input,
@@ -1442,7 +1443,7 @@ impl Accelerator {
                 &g,
                 &mut scratch.acc,
             );
-            timer.lap(Phase::Gemm);
+            timer.lap(Phase::Exact);
         } else {
             im2col_gemm(
                 &scratch.input,

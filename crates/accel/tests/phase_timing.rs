@@ -1,8 +1,9 @@
 //! Engine phase histograms: recorded only while tracing is on, and never
-//! change results. Its own test binary, because the trace gate and the
-//! metrics registry are process-wide.
+//! change results; the exact oracle records into a phase of its own. Its
+//! own test binary, because the trace gate and the metrics registry are
+//! process-wide.
 
-use nvfi_accel::{AccelConfig, Accelerator, FaultConfig, FaultKind, InferenceResult};
+use nvfi_accel::{AccelConfig, Accelerator, ExecMode, FaultConfig, FaultKind, InferenceResult};
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
 use nvfi_nn::fold::fold_resnet;
@@ -10,7 +11,9 @@ use nvfi_nn::resnet::ResNet;
 use nvfi_obs::{metrics, trace};
 use nvfi_quant::{quantize, QuantConfig};
 
-const PHASES: [&str; 5] = ["im2col", "gemm", "lane_delta", "sdp", "surface"];
+const PHASES: [&str; 6] = ["im2col", "gemm", "lane_delta", "sdp", "surface", "exact"];
+const GEMM: usize = 1;
+const EXACT: usize = 5;
 
 fn phase_counts() -> Vec<u64> {
     PHASES
@@ -48,12 +51,20 @@ fn phase_histograms_record_only_when_traced_and_change_nothing() {
     )
     .unwrap();
     let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
-    let mut accel = Accelerator::new(AccelConfig::default());
-    accel.load_plan(&plan).unwrap();
-    accel.inject(&FaultConfig::new(
+    let fault = FaultConfig::new(
         vec![MultId::new(0, 0), MultId::new(3, 5)],
         FaultKind::Constant(1),
-    ));
+    );
+    let accel_in = |mode| {
+        let mut accel = Accelerator::new(AccelConfig {
+            mode,
+            ..AccelConfig::default()
+        });
+        accel.load_plan(&plan).unwrap();
+        accel.inject(&fault);
+        accel
+    };
+    let mut accel = accel_in(ExecMode::Auto);
     let images = q.quantize_input(&data.test.images);
 
     trace::set_enabled(false);
@@ -67,11 +78,39 @@ fn phase_histograms_record_only_when_traced_and_change_nothing() {
     trace::set_enabled(true);
     let traced = run_all(&mut accel, images.as_slice());
     trace::set_enabled(false);
-    for (phase, count) in PHASES.iter().zip(phase_counts()) {
+    let after_auto = phase_counts();
+    for (phase, &count) in PHASES[..EXACT].iter().zip(&after_auto) {
         assert!(count > 0, "phase {phase} recorded no sample while traced");
     }
+    assert_eq!(after_auto[EXACT], 0, "the oracle never runs under Auto");
     let logits = |rs: &[InferenceResult]| rs.iter().map(|r| r.logits.clone()).collect::<Vec<_>>();
     assert_eq!(logits(&traced.0), logits(&untraced.0), "per-image logits");
     assert_eq!(logits(&traced.1), logits(&untraced.1), "batched logits");
     assert_eq!(logits(&traced.0), logits(&traced.1), "per-image vs batched");
+
+    // The per-product oracle is its own phase: under Exact it records into
+    // `exact`, never into `gemm`, and the logits are those of Auto.
+    let mut oracle = accel_in(ExecMode::Exact);
+    trace::set_enabled(true);
+    let exact = run_all(&mut oracle, images.as_slice());
+    trace::set_enabled(false);
+    let after_exact = phase_counts();
+    assert!(
+        after_exact[EXACT] > 0,
+        "phase exact recorded no sample under Exact"
+    );
+    assert_eq!(
+        after_exact[GEMM], after_auto[GEMM],
+        "phase gemm recorded samples under Exact"
+    );
+    assert_eq!(
+        logits(&exact.0),
+        logits(&untraced.0),
+        "Exact per-image logits"
+    );
+    assert_eq!(
+        logits(&exact.1),
+        logits(&untraced.1),
+        "Exact batched logits"
+    );
 }

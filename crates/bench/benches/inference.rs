@@ -118,11 +118,41 @@ fn bench_sdp(c: &mut Criterion) {
     g.finish();
 }
 
+/// The int8 GEMM kernel alone, one row per distinct conv GEMM of the medium
+/// fixture at the batch-8 width campaigns run (`m x k x n` = output
+/// channels x reduction x batch pixels). A row's GMAC/s is `m * k * n`
+/// over its mean time.
+fn bench_gemm_shapes(c: &mut Criterion) {
+    let shapes = [
+        (16, 27, 8192),
+        (16, 144, 8192),
+        (32, 288, 2048),
+        (32, 16, 2048),
+        (64, 576, 512),
+        (128, 1152, 128),
+    ];
+    let mut g = c.benchmark_group("gemm_shapes");
+    g.sample_size(50);
+    for (m, k, n) in shapes {
+        let a: Vec<i8> = (0..m * k).map(|i| (i * 37 % 251) as u8 as i8).collect();
+        let b: Vec<i8> = (0..k * n).map(|i| (i * 91 % 253) as u8 as i8).collect();
+        let mut out = vec![0i32; m * n];
+        g.bench_function(&format!("{m}x{k}x{n}"), |bch| {
+            bch.iter(|| {
+                nvfi_tensor::gemm::gemm_i8_i32_into(&a, &b, &mut out, m, k, n);
+                let _ = black_box(&out);
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cpu_reference,
     bench_accelerator_emulation,
     bench_accelerator_medium,
-    bench_sdp
+    bench_sdp,
+    bench_gemm_shapes
 );
 criterion_main!(benches);

@@ -8,12 +8,14 @@
 //!
 //! The hot kernel is [`gemm_i8_i32_into`]: a register-blocked microkernel on
 //! raw slices. Output rows are processed four at a time and columns in
-//! fixed-width tiles (32, then 16, then a scalar tail) whose `[i32; T]`
-//! accumulators stay in vector registers across the whole `k` loop — each
-//! output element is loaded and stored once per GEMM, and each `b` element
-//! serves four output rows. Leftover rows (`m % 4`) fall back to a
-//! single-row kernel that walks `COL_BLOCK`-wide panels with four fused
-//! `k`-steps.
+//! fixed-width tiles (64, then 32, then 16, then a scalar tail) whose
+//! `[i32; T]` accumulators stay in vector registers across the whole `k`
+//! loop — each output element is loaded and stored once per GEMM, and each
+//! `b` element serves four output rows. A 64-wide tile is four 512-bit
+//! registers per row, so its 4 x 64 block holds 16 of AVX-512's 32 vector
+//! registers and leaves the rest for the broadcast `a` values and the `b`
+//! row. Leftover rows (`m % 4`) fall back to a single-row kernel that walks
+//! `COL_BLOCK`-wide panels with four fused `k`-steps.
 
 use crate::Mat;
 
@@ -107,10 +109,11 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
 /// Four output rows of the blocked microkernel: `orow4 (+)= arow4 * b`,
 /// where `arow4` holds four consecutive rows of `a` and `orow4` the four
 /// matching output rows. Columns are walked in fixed-width register tiles
-/// (32-wide, then 16-wide, then a scalar tail): one tile is four `[i32; T]`
-/// accumulators that live in vector registers across the whole `k` loop, so
-/// every output element is loaded and stored exactly once per GEMM, and
-/// each `b` element loaded serves four rows.
+/// (64-wide, then at most one 32- and one 16-wide tile for the remainder,
+/// then a scalar tail): one tile is four `[i32; T]` accumulators that live
+/// in vector registers across the whole `k` loop, so every output element
+/// is loaded and stored exactly once per GEMM, and each `b` element loaded
+/// serves four rows.
 #[inline]
 fn gemm_quad_blocked(arow4: &[i8], b: &[i8], orow4: &mut [i32], k: usize, n: usize) {
     let (a0, arest) = arow4.split_at(k);
@@ -122,11 +125,15 @@ fn gemm_quad_blocked(arow4: &[i8], b: &[i8], orow4: &mut [i32], k: usize, n: usi
     let (o2, o3) = orest.split_at_mut(n);
     let mut o4 = [o0, o1, o2, o3];
     let mut j = 0;
-    while j + 32 <= n {
+    while j + 64 <= n {
+        gemm_quad_tile::<64>(&a4, b, &mut o4, k, n, j);
+        j += 64;
+    }
+    if j + 32 <= n {
         gemm_quad_tile::<32>(&a4, b, &mut o4, k, n, j);
         j += 32;
     }
-    while j + 16 <= n {
+    if j + 16 <= n {
         gemm_quad_tile::<16>(&a4, b, &mut o4, k, n, j);
         j += 16;
     }
@@ -391,7 +398,16 @@ mod tests {
     fn blocked_kernel_matches_naive_across_shapes() {
         // Exercise the k-tail (k % 4 != 0), the column-panel boundary
         // (n > COL_BLOCK) and saturating products.
-        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (5, 9, 900), (2, 4, 769), (8, 6, 768)] {
+        let mut shapes = vec![(1, 1, 1), (3, 7, 5), (5, 9, 900), (2, 4, 769), (8, 6, 768)];
+        // Every 64/32/16-wide column tile boundary and the scalar tail, for
+        // whole quads, leftover rows and both together, including k == 0.
+        let ns = [15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 112, 127, 128, 129];
+        for m in [1, 3, 4, 5, 8, 9] {
+            for k in [0, 1, 7, 144] {
+                shapes.extend(ns.iter().map(|&n| (m, k, n)));
+            }
+        }
+        for (m, k, n) in shapes {
             let a = Mat::from_vec(m, k, (0..m * k).map(|v| (v * 37 % 251) as i8).collect());
             let b = Mat::from_vec(k, n, (0..k * n).map(|v| (v * 91 % 253) as i8).collect());
             assert_eq!(
@@ -406,13 +422,29 @@ mod tests {
     fn wrapping_overflow_matches_naive() {
         // All -128 * -128 products: k large enough to overflow i32 is not
         // reachable with these sizes, but wrapping is still exercised via
-        // accumulation into a pre-wrapped output.
-        let a = Mat::from_vec(1, 8, vec![-128i8; 8]);
-        let b = Mat::from_vec(8, 3, vec![-128i8; 24]);
-        let mut out = Mat::from_vec(1, 3, vec![i32::MAX; 3]);
-        gemm_i8_i32_acc(&a, &b, &mut out);
-        let want = (i32::MAX).wrapping_add(8 * 128 * 128);
-        assert_eq!(out.as_slice(), &[want; 3]);
+        // accumulation into pre-wrapped outputs near i32::MAX — at each
+        // tile width (64, 32, 16, scalar tail) and their sum, for a quad
+        // plus a leftover row, and for a lone row.
+        let k = 8;
+        for (m, n) in [
+            (5, 64),
+            (5, 32),
+            (5, 16),
+            (5, 5),
+            (5, 64 + 32 + 16 + 5),
+            (1, 3),
+        ] {
+            let a = Mat::from_vec(m, k, vec![-128i8; m * k]);
+            let b = Mat::from_vec(k, n, vec![-128i8; k * n]);
+            let init: Vec<i32> = (0..m * n).map(|v| i32::MAX - v as i32).collect();
+            let mut out = Mat::from_vec(m, n, init.clone());
+            gemm_i8_i32_acc(&a, &b, &mut out);
+            let want: Vec<i32> = init
+                .iter()
+                .map(|v| v.wrapping_add(k as i32 * 128 * 128))
+                .collect();
+            assert_eq!(out.as_slice(), want.as_slice(), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property-based tests: the im2col + GEMM convolution path is bit-identical
-//! to the naive reference, for both f32 and int8.
+//! Property-based tests: the im2col + GEMM convolution path and the int8
+//! GEMM kernel are bit-identical to the naive reference.
 
 use nvfi_tensor::{conv, gemm, ConvGeom, Mat, Shape4, Tensor};
 use proptest::prelude::*;
@@ -36,8 +36,40 @@ fn small_conv_case() -> impl Strategy<Value = (Tensor<i8>, Tensor<i8>, ConvGeom)
         })
 }
 
+/// An `m x k` by `k x n` int8 GEMM (m <= 9, k <= 300, n <= 200) plus a
+/// random initial output: every row and column tile of the blocked kernel.
+fn gemm_case() -> impl Strategy<Value = (usize, usize, usize, Vec<i8>, Vec<i8>, Vec<i32>)> {
+    (1usize..10, 0usize..301, 0usize..201).prop_flat_map(|(m, k, n)| {
+        (
+            Just((m, k, n)),
+            proptest::collection::vec(any::<i8>(), m * k),
+            proptest::collection::vec(any::<i8>(), k * n),
+            proptest::collection::vec(any::<i32>(), m * n),
+        )
+            .prop_map(|((m, k, n), a, b, out)| (m, k, n, a, b, out))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The blocked int8 kernel accumulates exactly like the naive wrapping
+    /// triple loop.
+    #[test]
+    fn gemm_i8_into_equals_naive((m, k, n, a, b, init) in gemm_case()) {
+        let mut want = init.clone();
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    let prod = i32::from(a[i * k + p]) * i32::from(b[p * n + j]);
+                    want[i * n + j] = want[i * n + j].wrapping_add(prod);
+                }
+            }
+        }
+        let mut got = init;
+        gemm::gemm_i8_i32_into(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(got, want);
+    }
 
     #[test]
     fn conv_i8_gemm_equals_naive((input, weights, geom) in small_conv_case()) {
