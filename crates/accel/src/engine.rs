@@ -14,17 +14,31 @@
 //!   overlaps a cached weight region marks the entry dirty, and the next use
 //!   re-unpacks from DRAM — so weight-memory SEU experiments observe exactly
 //!   the same data a cold device would;
-//! * the **scratch arena** ([`Scratch`]) owns every intermediate buffer the
-//!   op executors need (DMA staging, unpacked activations, im2col columns,
-//!   i32 accumulators, SDP output, packed surfaces). Buffers are resized per
-//!   op but their capacity only grows, so steady-state inference performs
-//!   zero heap allocation;
-//! * [`Accelerator::run_batch_i8`] executes the fast path over an image
-//!   mini-batch: one im2col + GEMM per layer with the mini-batch's columns
-//!   side by side. Per-column independence of GEMM makes the batched result
-//!   bit-identical to the per-image path; intermediate surfaces live in the
-//!   scratch arena rather than DRAM, which the batched path touches only for
-//!   weight-arena refills and the final logits write.
+//! * the **scratch arena** ([`Scratch`]) owns every intermediate buffer of
+//!   the op executor (DMA staging, im2col columns, i32 accumulators, SDP
+//!   output, packed surfaces) and the **surface map**, which holds every
+//!   activation surface of a launch densely, by DRAM address. Buffers are
+//!   resized per op but their capacity only grows, so steady-state
+//!   inference performs zero heap allocation.
+//!
+//! # One executor
+//!
+//! Every launch — one image ([`Accelerator::run_inference_i8_view`], the
+//! golden prefix and suffix) or a mini-batch
+//! ([`Accelerator::run_batch_i8_view`]) — runs one executor per op kind
+//! over the launch's `b_n` images. A conv or linear op is one im2col + GEMM
+//! with the images' columns side by side; per-column independence of the
+//! GEMM makes a mini-batch bit-identical to its images run alone. Op inputs
+//! come from the surface map, and each launch starts with every entry
+//! stale. The image count selects the DRAM contract:
+//!
+//! * a **one-image launch** writes every surface it produces to DRAM,
+//!   packed, and reads a surface it has not produced (the golden suffix's
+//!   live-ins) from DRAM, so `dma_read` and golden captures see exactly the
+//!   per-inference traffic;
+//! * a **mini-batch launch** keeps its surfaces off DRAM and writes only
+//!   the last image's logits. An op reading a surface the launch has not
+//!   written fails with [`AccelError::BadPlan`].
 //!
 //! # Lane-delta fault execution
 //!
@@ -47,34 +61,34 @@
 //! * **permanent** (the window covers the whole op): for lane `(m, j)`,
 //!   every kernel row `k ≡ m (mod 8)` with `k < K` and every reduction row
 //!   `(c, r, s)` with `c ≡ j (mod 8)` and `c < C`, add `f(w·x) − w·x` over
-//!   every column — in the batched path the columns of the whole
-//!   mini-batch. The inner loop is branch-free over contiguous columns, so
-//!   it vectorizes; a lane costs 1/64 of the op's MACs. Zero-fed idle
-//!   channels (`c ≥ C`) multiply zeros, so each adds the constant
-//!   `(cb_n − real_blocks)·R·S·f(0)` per output element; gated ones add
-//!   nothing;
+//!   every column, the columns of every image of the launch. The inner
+//!   loop is branch-free over contiguous columns, so it vectorizes; a lane
+//!   costs 1/64 of the op's MACs. Zero-fed idle channels (`c ≥ C`)
+//!   multiply zeros, so each adds the constant `(cb_n − real_blocks)·R·S·f(0)`
+//!   per output element; gated ones add nothing;
 //! * **windowed**: MAC cycles are numbered lexicographically in
 //!   `(kg, oy, ox, cb, r, s)` from the op's schedule-table span start, so a
 //!   window is one contiguous cycle range per op and only the selected
 //!   lanes' products inside it are visited — O(window × lanes). The base
-//!   comes from the span table, not the running counter, so the per-image,
-//!   batched and golden-suffix paths agree.
+//!   comes from the span table, not the running counter, so one-image,
+//!   mini-batch and golden-suffix launches agree.
 //!
 //! The per-product `conv_exact_into` survives only as the
-//! [`ExecMode::Exact`] oracle. The `engine_path_*` counters of the
-//! per-image path say which executor ran per op: `engine_path_fast` when no
-//! selected lane observes the op, `engine_path_fast_corrected` when
-//! lane-delta ran, and `engine_path_exact` for the oracle.
+//! [`ExecMode::Exact`] arm of the accumulation, which runs one-image
+//! launches. The `engine_path_*` counters of one-image launches say which
+//! arm ran per op: `engine_path_fast` when no selected lane observes the
+//! op, `engine_path_fast_corrected` when lane-delta ran, and
+//! `engine_path_exact` for the oracle.
 //!
 //! # Phase timing
 //!
-//! While `nvfi_obs` tracing is on, every conv and linear op (per-image and
-//! batched) records the nanoseconds of each phase it runs into the
-//! histograms `engine_phase_{im2col,gemm,lane_delta,sdp,surface,exact}_ns`:
-//! im2col (the batched head's operand transpose too), the GEMM,
-//! lane-delta, the SDP (the linear head's bias add), DRAM surface
-//! unpack/pack, and the per-product oracle under [`ExecMode::Exact`]. Off,
-//! an op pays one trace-gate load and no clock read.
+//! While `nvfi_obs` tracing is on, every conv and linear op records the
+//! nanoseconds of each phase it runs into the histograms
+//! `engine_phase_{im2col,gemm,lane_delta,sdp,surface,exact}_ns`: im2col,
+//! the GEMM, lane-delta, the SDP (the linear head's bias add), surface
+//! staging and commit (DRAM unpack/pack in one-image launches), and the
+//! per-product oracle under [`ExecMode::Exact`]. Off, an op pays one
+//! trace-gate load and no clock read.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -148,10 +162,11 @@ fn golden_restore_counter() -> &'static Counter {
     C.get_or_init(|| metrics::counter("golden_restores"))
 }
 
-/// Per-op path-decision counters of the per-image path: how often the
-/// engine took each [`OpPath`] — `engine_path_fast` (no selected lane
-/// observes the op), `engine_path_fast_corrected` (lane-delta ran) and
-/// `engine_path_exact` (the [`ExecMode::Exact`] oracle).
+/// Per-op path-decision counters: how often the engine took each
+/// [`OpPath`] — `engine_path_fast` (no selected lane observes the op),
+/// `engine_path_fast_corrected` (lane-delta ran) and `engine_path_exact`
+/// (the [`ExecMode::Exact`] oracle). They count the ops of one-image
+/// launches only; a mini-batch launch leaves them untouched.
 fn path_counter(path: OpPath) -> &'static Counter {
     static FAST: OnceLock<Counter> = OnceLock::new();
     static CORRECTED: OnceLock<Counter> = OnceLock::new();
@@ -278,33 +293,45 @@ impl WeightArena {
     }
 }
 
-/// Reusable intermediate buffers of the op executors. Every field is
+/// One entry of the surface map: a surface of the current launch (or a
+/// stale one of an earlier launch, kept for its capacity).
+#[derive(Clone, Debug, Default)]
+struct Surface {
+    /// The launch's images as dense CHW, back to back.
+    data: Vec<i8>,
+    /// Shape of one image.
+    shape: Shape4,
+    /// Written, or staged from DRAM, during the current launch.
+    live: bool,
+}
+
+/// Reusable intermediate buffers of the op executor. Every field is
 /// resized per use; capacities persist, so the steady state allocates
 /// nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Scratch {
     /// DMA staging for surface reads and arena refills.
     dma: Vec<i8>,
-    /// Unpacked (dense CHW) input of the current op.
-    input: Vec<i8>,
-    /// im2col column matrix.
+    /// im2col column matrix of the launch's images side by side.
     cols: Vec<i8>,
     /// i32 accumulators of the current op.
     acc: Vec<i32>,
-    /// Dense CHW output of the current op (pre-packing).
+    /// Dense output of the current op, copied into the surface map.
     out: Vec<i8>,
-    /// DMA staging for the residual surface.
-    res_raw: Vec<i8>,
-    /// Unpacked residual input.
-    res: Vec<i8>,
-    /// Packed output surface to write back.
+    /// Packed output surface of a one-image launch's DRAM write-through.
     packed: Vec<i8>,
-    /// Logit staging for the linear head.
+    /// Logits of the launch's linear head, image-major.
     logits: Vec<i32>,
-    /// Quantized-input staging of the f32 convenience wrappers.
-    qinput: Vec<i8>,
-    /// Batched intermediate surfaces (dense CHW, batch-major), by address.
-    batch_surfaces: HashMap<u64, Vec<i8>>,
+    /// The surface map: every dense surface of the launch, by address.
+    surfaces: HashMap<u64, Surface>,
+}
+
+/// A clone starts empty: nothing in the scratch arena outlives a launch,
+/// so copying it would only copy capacity.
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
 }
 
 /// The emulated accelerator device.
@@ -702,57 +729,15 @@ impl Accelerator {
     }
 
     /// The functional MAC-array cycle counter: atomic ops retired by the
-    /// most recent inference launch ([`Accelerator::run_inference_i8`] run,
-    /// or one [`Accelerator::run_batch_i8`] fast-path batch). The counter
-    /// restarts at each launch so transient fault windows are
-    /// per-inference-deterministic.
+    /// most recent launch — one image's [`Accelerator::run_inference_i8_view`],
+    /// [`Accelerator::run_prefix_i8_view`] or [`Accelerator::run_suffix_i8_view`],
+    /// or one mini-batch of [`Accelerator::run_batch_i8_view`], which retires
+    /// the cycles of all its images. The counter restarts at each launch (a
+    /// golden suffix re-seeds it with its prefix's count), so transient fault
+    /// windows are per-inference-deterministic.
     #[must_use]
     pub fn mac_cycles_retired(&self) -> u64 {
         self.cycle
-    }
-
-    /// Quantizes, runs and classifies one f32 image (shape `(1, C, H, W)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::NoPlan`] without a loaded plan,
-    /// [`AccelError::BadPlan`] if `image` is not exactly one plan-shaped
-    /// image, or any engine error.
-    pub fn run_inference(&mut self, image: &Tensor<f32>) -> Result<InferenceResult, AccelError> {
-        let plan = self.plan.as_ref().ok_or(AccelError::NoPlan)?;
-        let s = image.shape();
-        if s.n != 1 || s != plan.input_shape.with_n(1) {
-            return Err(AccelError::BadPlan(format!(
-                "input {s} does not match plan input {} (single image)",
-                plan.input_shape
-            )));
-        }
-        let scale = plan.input_scale;
-        let mut qimg = std::mem::take(&mut self.scratch.qinput);
-        nvfi_quant::batch::quantize_slice_into(image.as_slice(), scale, &mut qimg);
-        let result = self.run_inference_i8_view(&qimg);
-        self.scratch.qinput = qimg;
-        result
-    }
-
-    /// Runs one pre-quantized i8 image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::NoPlan`] without a loaded plan,
-    /// [`AccelError::BadPlan`] if `image` is not exactly one plan-shaped
-    /// image (multi-image batches go through
-    /// [`Accelerator::run_batch_i8`]), or any engine error.
-    pub fn run_inference_i8(&mut self, image: &Tensor<i8>) -> Result<InferenceResult, AccelError> {
-        let plan = self.plan.as_ref().ok_or(AccelError::NoPlan)?;
-        let s = image.shape();
-        if s.n != 1 || s != plan.input_shape.with_n(1) {
-            return Err(AccelError::BadPlan(format!(
-                "input {s} does not match plan input {} (single image)",
-                plan.input_shape
-            )));
-        }
-        self.run_inference_i8_view(image.image(0))
     }
 
     /// Runs one pre-quantized i8 image borrowed as a dense CHW slice — the
@@ -766,11 +751,7 @@ impl Accelerator {
     /// input image, or any engine error.
     pub fn run_inference_i8_view(&mut self, image: &[i8]) -> Result<InferenceResult, AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
-        // Per-inference cycle numbering: transient windows gate on cycles
-        // since *this* launch, not since plan load.
-        self.cycle = 0;
-        self.write_input_surface(&plan, image)?;
-        self.exec_ops(&plan, 0, plan.ops.len())?;
+        self.launch(&plan, Some(image), 1, 0..plan.ops.len(), 0)?;
         self.read_result(&plan)
     }
 
@@ -796,9 +777,7 @@ impl Accelerator {
                 plan.ops.len()
             )));
         }
-        self.cycle = 0;
-        self.write_input_surface(&plan, image)?;
-        self.exec_ops(&plan, 0, boundary)?;
+        self.launch(&plan, Some(image), 1, 0..boundary, 0)?;
         golden_prefix_counter().inc();
         Ok(())
     }
@@ -848,48 +827,10 @@ impl Accelerator {
             self.arena.invalidate_overlap(addr, bytes as u64);
             off += bytes;
         }
-        self.cycle = self.prefix_mac_cycles(boundary);
-        self.exec_ops(&plan, boundary, plan.ops.len())?;
+        let cycle = self.prefix_mac_cycles(boundary);
+        self.launch(&plan, None, 1, boundary..plan.ops.len(), cycle)?;
         golden_restore_counter().inc();
         self.read_result(&plan)
-    }
-
-    /// Packs one dense-CHW i8 image into the plan's input surface.
-    fn write_input_surface(
-        &mut self,
-        plan: &ExecutionPlan,
-        image: &[i8],
-    ) -> Result<(), AccelError> {
-        let in_shape = plan.input_shape.with_n(1);
-        if image.len() != in_shape.image_len() {
-            return Err(AccelError::BadPlan(format!(
-                "input of {} pixels does not match plan input {} ({} pixels)",
-                image.len(),
-                plan.input_shape,
-                in_shape.image_len()
-            )));
-        }
-        self.scratch.packed.resize(
-            surface::surface_bytes(in_shape.c, in_shape.h, in_shape.w),
-            0,
-        );
-        surface::pack_surface_into(image, in_shape, &mut self.scratch.packed);
-        let packed = std::mem::take(&mut self.scratch.packed);
-        self.dram.write_i8(plan.input_addr, &packed)?;
-        self.scratch.packed = packed;
-        Ok(())
-    }
-
-    /// Executes plan ops `[from, to)` on the per-image path.
-    fn exec_ops(&mut self, plan: &ExecutionPlan, from: usize, to: usize) -> Result<(), AccelError> {
-        for (i, op) in plan.ops.iter().enumerate().take(to).skip(from) {
-            match op {
-                PlanOp::Conv(c) => self.exec_conv(i, c)?,
-                PlanOp::Pool(p) => self.exec_pool(p)?,
-                PlanOp::Linear(l) => self.exec_linear(i, l)?,
-            }
-        }
-        Ok(())
     }
 
     /// Reads the logits back and assembles an [`InferenceResult`].
@@ -907,47 +848,25 @@ impl Accelerator {
         self.perf_template.clone().expect("plan loaded")
     }
 
-    /// Runs a mini-batch of pre-quantized i8 images.
-    ///
-    /// On the fast path this executes each layer once for the whole batch —
-    /// the images' im2col columns sit side by side in one GEMM — with
-    /// intermediate surfaces held in the scratch arena instead of DRAM. The
-    /// result is bit-identical to running [`Accelerator::run_inference_i8`]
-    /// per image (GEMM output columns are independent, and lane-delta
-    /// corrects every column of the mini-batch at once). Under
-    /// [`ExecMode::Exact`] or a transient window the batch transparently
-    /// runs image by image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::NoPlan`] without a loaded plan, or any engine
-    /// error.
-    pub fn run_batch_i8(
-        &mut self,
-        images: &Tensor<i8>,
-    ) -> Result<Vec<InferenceResult>, AccelError> {
-        let plan = self.plan.as_ref().ok_or(AccelError::NoPlan)?;
-        let bs = images.shape();
-        if bs.n > 0 && bs.with_n(1) != plan.input_shape.with_n(1) {
-            return Err(AccelError::BadPlan(format!(
-                "input {bs} does not match plan input {}",
-                plan.input_shape
-            )));
-        }
-        self.run_batch_i8_view(images.as_slice())
-    }
-
     /// Runs a mini-batch of pre-quantized i8 images borrowed as dense,
-    /// back-to-back CHW slices — [`Accelerator::run_batch_i8`] without the
-    /// owning [`Tensor`]: device pools point this at sub-views of a
+    /// back-to-back CHW slices — device pools point this at sub-views of a
     /// campaign-lifetime quantized evaluation set, so the per-call cost is
     /// zero copies and zero quantization.
+    ///
+    /// The whole mini-batch is one launch: each layer runs once, with the
+    /// images' im2col columns side by side in one GEMM and the intermediate
+    /// surfaces kept off DRAM. The result is bit-identical to running
+    /// [`Accelerator::run_inference_i8_view`] per image (GEMM output columns
+    /// are independent, and lane-delta corrects every column of the
+    /// mini-batch at once). Under [`ExecMode::Exact`] or an armed transient
+    /// window the batch runs as one-image launches.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::NoPlan`] without a loaded plan,
     /// [`AccelError::BadPlan`] if `images.len()` is not a whole number of
-    /// plan input images, or any engine error.
+    /// plan input images or an op reads a surface the launch has not
+    /// written, or any engine error.
     pub fn run_batch_i8_view(&mut self, images: &[i8]) -> Result<Vec<InferenceResult>, AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
         let image_len = plan.input_shape.with_n(1).image_len();
@@ -964,76 +883,24 @@ impl Accelerator {
             return Ok(Vec::new());
         }
         if b_n == 1 || self.per_image_only()? {
-            let mut out = Vec::with_capacity(b_n);
-            for n in 0..b_n {
-                out.push(self.run_inference_i8_view(&images[n * image_len..(n + 1) * image_len])?);
-            }
-            return Ok(out);
+            return images
+                .chunks_exact(image_len)
+                .map(|img| self.run_inference_i8_view(img))
+                .collect();
         }
-        self.cycle = 0;
-        // Seed the surface map with the (already dense NCHW) input batch.
-        let input_buf = self
-            .scratch
-            .batch_surfaces
-            .entry(plan.input_addr)
-            .or_default();
-        input_buf.clear();
-        input_buf.extend_from_slice(images);
-        let mut logits_per_image: Vec<Vec<i32>> = Vec::new();
-        for (i, op) in plan.ops.iter().enumerate() {
-            match op {
-                PlanOp::Conv(c) => self.exec_conv_batch(i, c, b_n)?,
-                PlanOp::Pool(p) => self.exec_pool_batch(p, b_n),
-                PlanOp::Linear(l) => {
-                    logits_per_image = self.exec_linear_batch(i, l, b_n)?;
-                }
-            }
-        }
-        if logits_per_image.len() != b_n {
+        self.launch(&plan, Some(images), b_n, 0..plan.ops.len(), 0)?;
+        let logits = &self.scratch.logits;
+        if logits.is_empty() {
             return Err(AccelError::BadPlan("plan has no linear head".into()));
         }
-        // DRAM parity for the last image's logits (per-image runs leave the
-        // most recent inference's logits at the output address).
-        if let Some(last) = logits_per_image.last() {
-            self.dram.write_i32(plan.output_addr, last)?;
-        }
-        Ok(logits_per_image
-            .into_iter()
-            .map(|logits| {
-                let class = nvfi_quant::exec::argmax(&logits);
-                InferenceResult {
-                    logits,
-                    class,
-                    perf: self.perf_report(),
-                }
+        Ok(logits
+            .chunks_exact(logits.len() / b_n)
+            .map(|l| InferenceResult {
+                logits: l.to_vec(),
+                class: nvfi_quant::exec::argmax(l),
+                perf: self.perf_report(),
             })
             .collect())
-    }
-
-    /// Classifies a batch of f32 images: one quantization pass over the
-    /// whole batch, then [`Accelerator::classify_batch_i8`]. A thin
-    /// quantize-then-delegate wrapper — quantization is elementwise, so the
-    /// predictions are bit-identical to quantizing per mini-batch (or per
-    /// image).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine error.
-    pub fn classify_batch(&mut self, images: &Tensor<f32>) -> Result<Vec<u8>, AccelError> {
-        let plan = self.plan.as_ref().ok_or(AccelError::NoPlan)?;
-        let s = images.shape();
-        if s.n > 0 && s.with_n(1) != plan.input_shape.with_n(1) {
-            return Err(AccelError::BadPlan(format!(
-                "input {s} does not match plan input {}",
-                plan.input_shape
-            )));
-        }
-        let scale = plan.input_scale;
-        let mut qbatch = std::mem::take(&mut self.scratch.qinput);
-        nvfi_quant::batch::quantize_slice_into(images.as_slice(), scale, &mut qbatch);
-        let result = self.classify_batch_i8(&qbatch);
-        self.scratch.qinput = qbatch;
-        result
     }
 
     /// Classifies a batch of pre-quantized i8 images borrowed as dense,
@@ -1071,28 +938,9 @@ impl Accelerator {
         Ok(out)
     }
 
-    /// Top-1 accuracy over a labelled set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != images.shape().n`.
-    pub fn accuracy(&mut self, images: &Tensor<f32>, labels: &[u8]) -> Result<f64, AccelError> {
-        assert_eq!(images.shape().n, labels.len());
-        if labels.is_empty() {
-            return Ok(0.0);
-        }
-        let preds = self.classify_batch(images)?;
-        let correct = preds.iter().zip(labels).filter(|(p, y)| p == y).count();
-        Ok(correct as f64 / labels.len() as f64)
-    }
-
     // -- internal op execution ---------------------------------------------
 
-    /// Whether the next batch must run image by image: always under
+    /// Whether the next batch must run as one-image launches: always under
     /// [`ExecMode::Exact`] (the oracle is per-image), and under an armed
     /// transient window, whose golden-prefix restores are per image.
     fn per_image_only(&self) -> Result<bool, AccelError> {
@@ -1115,8 +963,9 @@ impl Accelerator {
     /// programming: [`OpPath::Exact`] under [`ExecMode::Exact`], otherwise
     /// [`OpPath::Fast`] when no selected lane observes any cycle of the op
     /// (no active fault, or a window missing its span) and
-    /// [`OpPath::LaneDelta`] when one does.
-    fn op_path(&self, op_idx: usize) -> Result<OpPath, AccelError> {
+    /// [`OpPath::LaneDelta`] when one does. Counted by [`path_counter`] in
+    /// one-image launches.
+    fn op_path(&self, op_idx: usize, b_n: usize) -> Result<OpPath, AccelError> {
         let path = if self.config.mode == ExecMode::Exact {
             OpPath::Exact
         } else {
@@ -1127,7 +976,9 @@ impl Accelerator {
                 OpPath::Fast
             }
         };
-        path_counter(path).inc();
+        if b_n == 1 {
+            path_counter(path).inc();
+        }
         Ok(path)
     }
 
@@ -1135,7 +986,7 @@ impl Accelerator {
     /// during which the injectors are armed: all of them for a permanent
     /// fault, the window's overlap with the op's schedule-table span
     /// otherwise. Computed from the span table rather than the running
-    /// counter, so batched and golden-suffix runs see the same range.
+    /// counter, so mini-batch and golden-suffix launches see the same range.
     fn faulted_cycles(&self, op_idx: usize) -> Range<u64> {
         let span = &self.spans[op_idx];
         match &self.csb.fi.window {
@@ -1160,243 +1011,211 @@ impl Accelerator {
         s.end - s.start
     }
 
-    fn exec_conv(&mut self, op_idx: usize, op: &ConvOp) -> Result<(), AccelError> {
-        let path = self.op_path(op_idx)?;
-        let op_cycles = self.op_mac_cycles(op_idx);
-        let faulted = self.faulted_cycles(op_idx);
-        self.refresh_weights(op_idx)?;
-        let mut timer = PhaseTimer::start();
-        let g = op.geom;
-        let in_shape = g.input.with_n(1);
-        let in_bytes = surface::surface_bytes(g.input.c, g.input.h, g.input.w) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, in_bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(in_shape.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, in_shape, &mut self.scratch.input);
-        // Residual surface, if fused.
-        let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
-        let residual = match op.fuse_add_addr {
-            Some(addr) => {
-                let bytes = surface::surface_bytes(g.k, g.oh, g.ow) as u64;
-                self.dram
-                    .read_i8_into(addr, bytes, &mut self.scratch.res_raw)?;
-                self.scratch.res.resize(out_shape.image_len(), 0);
-                surface::unpack_surface_into(
-                    &self.scratch.res_raw,
-                    out_shape,
-                    &mut self.scratch.res,
-                );
-                true
+    /// One launch: `b_n` images through plan ops `ops`, the cycle counter
+    /// starting at `cycle`. `images` seeds the plan input surface; the
+    /// golden suffix passes `None` and reads its live-ins from DRAM. Every
+    /// surface-map entry of an earlier launch goes stale first, so a launch
+    /// reads only surfaces it wrote itself or, with one image, DRAM.
+    fn launch(
+        &mut self,
+        plan: &ExecutionPlan,
+        images: Option<&[i8]>,
+        b_n: usize,
+        ops: Range<usize>,
+        cycle: u64,
+    ) -> Result<(), AccelError> {
+        self.cycle = cycle;
+        self.scratch.logits.clear();
+        for s in self.scratch.surfaces.values_mut() {
+            s.live = false;
+        }
+        if let Some(images) = images {
+            let shape = plan.input_shape.with_n(1);
+            if images.len() != b_n * shape.image_len() {
+                return Err(AccelError::BadPlan(format!(
+                    "input of {} pixels does not match {b_n} plan input image(s) {} \
+                     ({} pixels each)",
+                    images.len(),
+                    plan.input_shape,
+                    shape.image_len()
+                )));
             }
-            None => false,
-        };
-        timer.lap(Phase::Surface);
-        // Accumulate.
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("conv has weights")].weights;
-        let scratch = &mut this.scratch;
-        scratch.acc.resize(g.k * g.oh * g.ow, 0);
-        if path == OpPath::Exact {
-            scratch.acc.fill(0);
-            conv_exact_into(
-                fi,
-                gated,
-                &mut this.cycle,
-                &scratch.input,
-                weights,
-                &g,
-                &mut scratch.acc,
-            );
-            timer.lap(Phase::Exact);
-        } else {
-            im2col_gemm(
-                &scratch.input,
-                weights.as_slice(),
-                &g,
-                &mut scratch.cols,
-                &mut scratch.acc,
-                &mut timer,
-            );
-            this.cycle += op_cycles;
-            if path == OpPath::LaneDelta {
-                lane_delta_into(
-                    fi,
-                    gated,
-                    faulted,
-                    weights.as_slice(),
-                    &scratch.cols,
-                    &g,
-                    &mut scratch.acc,
-                    1,
-                );
-                timer.lap(Phase::LaneDelta);
+            self.scratch.out.clear();
+            self.scratch.out.extend_from_slice(images);
+            self.commit_surface(plan.input_addr, shape, b_n)?;
+        }
+        for i in ops {
+            match &plan.ops[i] {
+                PlanOp::Conv(c) => self.exec_conv(i, c, b_n)?,
+                PlanOp::Pool(p) => self.exec_pool(p, b_n)?,
+                PlanOp::Linear(l) => self.exec_linear(i, l, b_n)?,
             }
         }
-        // SDP: bias, requant, optional residual add, relu, saturate.
-        scratch.out.resize(out_shape.image_len(), 0);
-        sdp_into(
-            op,
-            &g,
-            &scratch.acc,
-            g.oh * g.ow,
-            0,
-            residual.then_some(&scratch.res[..]),
-            &mut scratch.out,
-        );
-        timer.lap(Phase::Sdp);
-        scratch
-            .packed
-            .resize(surface::surface_bytes(g.k, g.oh, g.ow), 0);
-        surface::pack_surface_into(&scratch.out, out_shape, &mut scratch.packed);
-        let packed = std::mem::take(&mut this.scratch.packed);
-        this.dram.write_i8(op.output_addr, &packed)?;
-        this.scratch.packed = packed;
-        timer.lap(Phase::Surface);
         Ok(())
     }
 
-    /// Batched convolution: surfaces come from and go to the scratch
-    /// surface map; one GEMM, and one lane-delta pass under a fault, cover
-    /// the whole mini-batch.
-    fn exec_conv_batch(
+    /// Makes the surface at `addr` live in the surface map as `b_n` images
+    /// of `shape`. A one-image launch reads a surface it has not written
+    /// (the golden suffix's live-ins) from DRAM; a mini-batch launch keeps
+    /// its surfaces off DRAM, so for it a missing surface is a plan error.
+    fn stage_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
+        let scratch = &mut self.scratch;
+        if scratch
+            .surfaces
+            .get(&addr)
+            .is_some_and(|s| s.live && s.shape == shape)
+        {
+            return Ok(());
+        }
+        if b_n != 1 {
+            return Err(AccelError::BadPlan(format!(
+                "an op reads the surface at {addr:#x} as {shape}, which this \
+                 {b_n}-image launch has not written"
+            )));
+        }
+        let bytes = surface::surface_bytes(shape.c, shape.h, shape.w) as u64;
+        self.dram.read_i8_into(addr, bytes, &mut scratch.dma)?;
+        let s = scratch.surfaces.entry(addr).or_default();
+        s.data.resize(shape.image_len(), 0);
+        surface::unpack_surface_into(&scratch.dma, shape, &mut s.data);
+        s.shape = shape;
+        s.live = true;
+        Ok(())
+    }
+
+    /// Publishes `scratch.out`, `b_n` dense images of `shape`, as the
+    /// surface at `addr`. A one-image launch also writes it to DRAM, packed:
+    /// the DRAM contract of per-image runs and golden captures.
+    fn commit_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
+        let bytes = surface::surface_bytes(shape.c, shape.h, shape.w);
+        let scratch = &mut self.scratch;
+        if b_n == 1 {
+            scratch.packed.resize(bytes, 0);
+            surface::pack_surface_into(&scratch.out, shape, &mut scratch.packed);
+            self.dram.write_i8(addr, &scratch.packed)?;
+        }
+        self.overwritten(addr, bytes as u64);
+        // Copied, not swapped: each address keeps a buffer of its own size.
+        let s = self.scratch.surfaces.entry(addr).or_default();
+        s.data.clear();
+        s.data.extend_from_slice(&self.scratch.out);
+        s.shape = shape;
+        s.live = true;
+        Ok(())
+    }
+
+    /// Marks stale every surface-map entry whose packed DRAM footprint
+    /// overlaps `[addr, addr + len)`, which the launch just wrote. Compiled
+    /// plans never overlap surfaces, but a plan committed through the
+    /// command FIFO is not verified; this keeps a one-image launch reading
+    /// exactly what DRAM holds.
+    fn overwritten(&mut self, addr: u64, len: u64) {
+        for (&a, s) in &mut self.scratch.surfaces {
+            let s_len = surface::surface_bytes(s.shape.c, s.shape.h, s.shape.w) as u64;
+            if addr < a.saturating_add(s_len) && a < addr.saturating_add(len) {
+                s.live = false;
+            }
+        }
+    }
+
+    /// The accumulation of a conv or linear op, lowered to one GEMM: the
+    /// launch's images' im2col columns side by side, then lane-delta when a
+    /// selected lane observes the op — or, under [`ExecMode::Exact`], the
+    /// per-product oracle instead. Leaves the `K x (b_n·OH·OW)` accumulators
+    /// in `scratch.acc`, image `b`'s columns at `b·OH·OW`.
+    fn accumulate(
         &mut self,
         op_idx: usize,
-        op: &ConvOp,
+        g: &ConvGeom,
+        input_addr: u64,
         b_n: usize,
+        timer: &mut PhaseTimer,
     ) -> Result<(), AccelError> {
+        let path = self.op_path(op_idx, b_n)?;
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
-        let mut timer = PhaseTimer::start();
-        let g = op.geom;
-        let in_len = g.input.image_len();
-        let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
-        let out_len = out_shape.image_len();
-        let n_cols = g.oh * g.ow;
-        let wide_n = b_n * n_cols;
-        let crs = g.input.c * g.r * g.s;
-
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
+        self.stage_surface(input_addr, g.input.with_n(1), b_n)?;
+        timer.lap(Phase::Surface);
+        let fi = &self.csb.fi;
+        let gated = self.config.idle_lanes == IdleLanePolicy::Gated;
         let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("conv has weights")].weights;
-        let scratch = &mut this.scratch;
-        let input = scratch
-            .batch_surfaces
-            .remove(&op.input_addr)
-            .expect("batched conv input surface computed");
-        assert_eq!(input.len(), b_n * in_len, "batched input length mismatch");
-        // im2col the whole batch side by side, then one GEMM.
-        scratch.cols.resize(crs * wide_n, 0);
+            &self.arena.entries[self.arena.by_op[op_idx].expect("MAC op has weights")].weights;
+        let Scratch {
+            surfaces,
+            cols,
+            acc,
+            ..
+        } = &mut self.scratch;
+        let input = &surfaces[&input_addr].data;
+        let (crs, n_cols, in_len) = (g.input.c * g.r * g.s, g.oh * g.ow, g.input.image_len());
+        let wide_n = b_n * n_cols;
+        acc.resize(g.k * wide_n, 0);
+        acc.fill(0);
+        if path == OpPath::Exact {
+            assert_eq!(b_n, 1, "the exact oracle runs one-image launches");
+            conv_exact_into(fi, gated, &mut self.cycle, input, weights, g, acc);
+            timer.lap(Phase::Exact);
+            return Ok(());
+        }
+        cols.resize(crs * wide_n, 0);
         for b in 0..b_n {
-            im2col::im2col_into_offset(
-                &input[b * in_len..(b + 1) * in_len],
-                &g,
-                &mut scratch.cols,
-                wide_n,
-                b * n_cols,
-            );
+            let image = &input[b * in_len..(b + 1) * in_len];
+            im2col::im2col_into_offset(image, g, cols, wide_n, b * n_cols);
         }
         timer.lap(Phase::Im2col);
-        scratch.acc.resize(g.k * wide_n, 0);
-        scratch.acc.fill(0);
-        gemm::gemm_i8_i32_into(
-            weights.as_slice(),
-            &scratch.cols,
-            &mut scratch.acc,
-            g.k,
-            crs,
-            wide_n,
-        );
+        gemm::gemm_i8_i32_into(weights.as_slice(), cols, acc, g.k, crs, wide_n);
         timer.lap(Phase::Gemm);
-        this.cycle += op_cycles * b_n as u64;
-        if fi.any_active() {
-            lane_delta_into(
-                fi,
-                gated,
-                faulted,
-                weights.as_slice(),
-                &scratch.cols,
-                &g,
-                &mut scratch.acc,
-                b_n,
-            );
+        self.cycle += op_cycles * b_n as u64;
+        if path == OpPath::LaneDelta {
+            lane_delta_into(fi, gated, faulted, weights.as_slice(), cols, g, acc, b_n);
             timer.lap(Phase::LaneDelta);
         }
-        // SDP per image into the batched output surface. The output buffer
-        // is owned (pulled out of the map), so the residual can stay a
-        // borrow of its map entry.
-        let mut out = scratch
-            .batch_surfaces
-            .remove(&op.output_addr)
-            .unwrap_or_default();
+        Ok(())
+    }
+
+    /// Convolution: the accumulation, then the SDP per image into the
+    /// op's output surface.
+    fn exec_conv(&mut self, op_idx: usize, op: &ConvOp, b_n: usize) -> Result<(), AccelError> {
+        let mut timer = PhaseTimer::start();
+        let g = op.geom;
+        self.accumulate(op_idx, &g, op.input_addr, b_n, &mut timer)?;
+        let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
+        // Staged after the accumulation, which is done with the input: in a
+        // one-image launch the residual may replace it in the surface map.
+        if let Some(addr) = op.fuse_add_addr {
+            self.stage_surface(addr, out_shape, b_n)?;
+            timer.lap(Phase::Surface);
+        }
+        let (n_cols, out_len) = (g.oh * g.ow, out_shape.image_len());
+        let Scratch {
+            surfaces, acc, out, ..
+        } = &mut self.scratch;
+        let residual = op.fuse_add_addr.map(|addr| &surfaces[&addr].data);
         out.resize(b_n * out_len, 0);
-        {
-            let residual = op.fuse_add_addr.map(|addr| {
-                scratch
-                    .batch_surfaces
-                    .get(&addr)
-                    .expect("batched residual surface computed")
-            });
-            for b in 0..b_n {
-                sdp_into(
-                    op,
-                    &g,
-                    &scratch.acc,
-                    wide_n,
-                    b * n_cols,
-                    residual.map(|r| &r[b * out_len..(b + 1) * out_len]),
-                    &mut out[b * out_len..(b + 1) * out_len],
-                );
-            }
+        for b in 0..b_n {
+            sdp_into(
+                op,
+                &g,
+                acc,
+                b_n * n_cols,
+                b * n_cols,
+                residual.map(|r| &r[b * out_len..(b + 1) * out_len]),
+                &mut out[b * out_len..(b + 1) * out_len],
+            );
         }
         timer.lap(Phase::Sdp);
-        // Re-insert the input first: if the allocator aliased the output
-        // onto the input region, DRAM semantics say the write wins.
-        scratch.batch_surfaces.insert(op.input_addr, input);
-        scratch.batch_surfaces.insert(op.output_addr, out);
+        self.commit_surface(op.output_addr, out_shape, b_n)?;
+        timer.lap(Phase::Surface);
         Ok(())
     }
 
-    fn exec_pool(&mut self, op: &PoolOp) -> Result<(), AccelError> {
-        let s = op.in_shape;
-        let bytes = surface::surface_bytes(s.c, s.h, s.w) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(s.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, s.with_n(1), &mut self.scratch.input);
-        let o = op.out_shape();
-        self.scratch.out.resize(o.image_len(), 0);
-        pool_into(op, &self.scratch.input, &mut self.scratch.out);
-        self.scratch
-            .packed
-            .resize(surface::surface_bytes(o.c, o.h, o.w), 0);
-        surface::pack_surface_into(&self.scratch.out, o, &mut self.scratch.packed);
-        let packed = std::mem::take(&mut self.scratch.packed);
-        self.dram.write_i8(op.output_addr, &packed)?;
-        self.scratch.packed = packed;
-        Ok(())
-    }
-
-    fn exec_pool_batch(&mut self, op: &PoolOp, b_n: usize) {
-        let s = op.in_shape;
-        let in_len = s.image_len();
-        let o = op.out_shape();
-        let out_len = o.image_len();
-        let input = self
-            .scratch
-            .batch_surfaces
-            .remove(&op.input_addr)
-            .expect("batched pool input surface computed");
-        let mut out = self
-            .scratch
-            .batch_surfaces
-            .remove(&op.output_addr)
-            .unwrap_or_default();
+    fn exec_pool(&mut self, op: &PoolOp, b_n: usize) -> Result<(), AccelError> {
+        let (s, o) = (op.in_shape.with_n(1), op.out_shape());
+        self.stage_surface(op.input_addr, s, b_n)?;
+        let (in_len, out_len) = (s.image_len(), o.image_len());
+        let Scratch { surfaces, out, .. } = &mut self.scratch;
+        let input = &surfaces[&op.input_addr].data;
         out.resize(b_n * out_len, 0);
         for b in 0..b_n {
             pool_into(
@@ -1405,151 +1224,30 @@ impl Accelerator {
                 &mut out[b * out_len..(b + 1) * out_len],
             );
         }
-        self.scratch.batch_surfaces.insert(op.input_addr, input);
-        self.scratch.batch_surfaces.insert(op.output_addr, out);
+        self.commit_surface(op.output_addr, o, b_n)
     }
 
-    fn exec_linear(&mut self, op_idx: usize, op: &LinearOp) -> Result<(), AccelError> {
-        let path = self.op_path(op_idx)?;
-        let op_cycles = self.op_mac_cycles(op_idx);
-        let faulted = self.faulted_cycles(op_idx);
-        self.refresh_weights(op_idx)?;
+    /// The linear head: the accumulation plus bias into `scratch.logits`.
+    /// DRAM receives the launch's last image's logits, as after a run of
+    /// that image alone.
+    fn exec_linear(&mut self, op_idx: usize, op: &LinearOp, b_n: usize) -> Result<(), AccelError> {
         let mut timer = PhaseTimer::start();
-        let in_shape = Shape4::new(1, op.in_f, 1, 1);
-        let bytes = surface::surface_bytes(op.in_f, 1, 1) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(in_shape.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, in_shape, &mut self.scratch.input);
-        timer.lap(Phase::Surface);
         // The head runs on the same MAC array as a 1x1 convolution over a
-        // 1x1 spatial extent — faults apply here too.
-        let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("linear has weights")].weights;
-        let scratch = &mut this.scratch;
-        scratch.acc.resize(op.out_f, 0);
-        if path == OpPath::Exact {
-            scratch.acc.fill(0);
-            conv_exact_into(
-                fi,
-                gated,
-                &mut this.cycle,
-                &scratch.input,
-                weights,
-                &g,
-                &mut scratch.acc,
-            );
-            timer.lap(Phase::Exact);
-        } else {
-            im2col_gemm(
-                &scratch.input,
-                weights.as_slice(),
-                &g,
-                &mut scratch.cols,
-                &mut scratch.acc,
-                &mut timer,
-            );
-            this.cycle += op_cycles;
-            if path == OpPath::LaneDelta {
-                lane_delta_into(
-                    fi,
-                    gated,
-                    faulted,
-                    weights.as_slice(),
-                    &scratch.cols,
-                    &g,
-                    &mut scratch.acc,
-                    1,
-                );
-                timer.lap(Phase::LaneDelta);
-            }
+        // 1x1 spatial extent — faults apply here too — and im2col of that
+        // geometry lays the images' input vectors out as the GEMM columns.
+        let g = ConvGeom::new(Shape4::new(1, op.in_f, 1, 1), op.out_f, 1, 1, 1, 0);
+        self.accumulate(op_idx, &g, op.input_addr, b_n, &mut timer)?;
+        let Scratch { acc, logits, .. } = &mut self.scratch;
+        logits.clear();
+        for b in 0..b_n {
+            logits.extend((0..op.out_f).map(|o| acc[o * b_n + b].wrapping_add(op.bias[o])));
         }
-        scratch.logits.clear();
-        scratch
-            .logits
-            .extend((0..op.out_f).map(|o| scratch.acc[o].wrapping_add(op.bias[o])));
         timer.lap(Phase::Sdp);
-        let logits = std::mem::take(&mut this.scratch.logits);
-        this.dram.write_i32(op.output_addr, &logits)?;
-        this.scratch.logits = logits;
+        self.dram
+            .write_i32(op.output_addr, &logits[(b_n - 1) * op.out_f..])?;
+        self.overwritten(op.output_addr, 4 * op.out_f as u64);
         timer.lap(Phase::Surface);
         Ok(())
-    }
-
-    fn exec_linear_batch(
-        &mut self,
-        op_idx: usize,
-        op: &LinearOp,
-        b_n: usize,
-    ) -> Result<Vec<Vec<i32>>, AccelError> {
-        let op_cycles = self.op_mac_cycles(op_idx);
-        let faulted = self.faulted_cycles(op_idx);
-        self.refresh_weights(op_idx)?;
-        let mut timer = PhaseTimer::start();
-        let in_shape = Shape4::new(1, op.in_f, 1, 1);
-        let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("linear has weights")].weights;
-        let scratch = &mut this.scratch;
-        let input = scratch
-            .batch_surfaces
-            .remove(&op.input_addr)
-            .expect("batched linear input surface computed");
-        assert_eq!(
-            input.len(),
-            b_n * op.in_f,
-            "batched linear input length mismatch"
-        );
-        // B operand: (in_f x b_n), i.e. the batch-major input transposed.
-        scratch.cols.resize(op.in_f * b_n, 0);
-        for b in 0..b_n {
-            for c in 0..op.in_f {
-                scratch.cols[c * b_n + b] = input[b * op.in_f + c];
-            }
-        }
-        timer.lap(Phase::Im2col);
-        scratch.acc.resize(op.out_f * b_n, 0);
-        scratch.acc.fill(0);
-        gemm::gemm_i8_i32_into(
-            weights.as_slice(),
-            &scratch.cols,
-            &mut scratch.acc,
-            op.out_f,
-            op.in_f,
-            b_n,
-        );
-        timer.lap(Phase::Gemm);
-        this.cycle += op_cycles * b_n as u64;
-        if fi.any_active() {
-            lane_delta_into(
-                fi,
-                gated,
-                faulted,
-                weights.as_slice(),
-                &scratch.cols,
-                &g,
-                &mut scratch.acc,
-                b_n,
-            );
-            timer.lap(Phase::LaneDelta);
-        }
-        let logits = (0..b_n)
-            .map(|b| {
-                (0..op.out_f)
-                    .map(|o| scratch.acc[o * b_n + b].wrapping_add(op.bias[o]))
-                    .collect()
-            })
-            .collect();
-        timer.lap(Phase::Sdp);
-        scratch.batch_surfaces.insert(op.input_addr, input);
-        Ok(logits)
     }
 }
 
@@ -1735,25 +1433,6 @@ fn lane_delta_into(
             }
         }
     }
-}
-
-/// The clean accumulation of one image: im2col into `cols` (resized as
-/// needed), then the GEMM into `acc` (overwritten), timed as two phases.
-fn im2col_gemm(
-    input: &[i8],
-    weights: &[i8],
-    g: &ConvGeom,
-    cols: &mut Vec<i8>,
-    acc: &mut [i32],
-    timer: &mut PhaseTimer,
-) {
-    let (crs, n_cols) = (g.input.c * g.r * g.s, g.oh * g.ow);
-    cols.resize(crs * n_cols, 0);
-    im2col::im2col_into(input, g, cols);
-    timer.lap(Phase::Im2col);
-    acc.fill(0);
-    gemm::gemm_i8_i32_into(weights, cols, acc, g.k, crs, n_cols);
-    timer.lap(Phase::Gemm);
 }
 
 /// SDP post-processing of one image: bias, per-channel requantization,

@@ -23,6 +23,9 @@
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
 //!   and weights ([`dram`]; see the memory model below).
 //!
+//! The device consumes pre-quantized i8 images borrowed as dense CHW
+//! slices; quantizing f32 inputs is the host's job (`nvfi_quant::batch`).
+//!
 //! # Execution modes and lane-delta fault execution
 //!
 //! * [`ExecMode::Auto`] (default) runs every op as the clean im2col + GEMM
@@ -39,10 +42,12 @@
 //!   lexicographically inside it, so a window is one contiguous cycle range
 //!   per op: ops it misses run the clean GEMM alone, and a pulse costs
 //!   O(window × lanes). A permanent fault costs 1/64 of an op's MACs per
-//!   selected lane, on the mini-batched path too.
+//!   selected lane, over every image of a mini-batch at once.
 //! * [`ExecMode::Exact`] pushes every single product through the injector
 //!   muxes in the CMAC's atomic-op schedule — the ground-truth oracle the
-//!   other modes are tested against.
+//!   other modes are tested against. It runs image by image: a mini-batch
+//!   under it (or under an armed transient window) runs as one-image
+//!   launches.
 //! * [`ExecMode::Fast`] is `Auto` restricted to permanent full-lane
 //!   overrides (the paper's 0 / +1 / -1 experiments); anything else
 //!   returns [`AccelError::FastPathUnsupported`] — a transient window
@@ -74,24 +79,39 @@
 //! re-unpacks it from DRAM. Weight-memory SEU experiments therefore observe
 //! exactly what a cold device would, which `tests/arena.rs` property-tests.
 //!
-//! # Scratch reuse invariants
+//! # One executor and its scratch reuse invariants
 //!
-//! All per-op intermediates (DMA staging, unpacked activations, im2col
-//! columns, i32 accumulators, SDP output, packed surfaces) live in a
-//! per-device scratch arena whose buffers are resized per op but never
-//! shrink, so steady-state inference allocates nothing on the heap. Two
-//! invariants keep that safe: (1) every buffer is fully overwritten (or
-//! explicitly zeroed) before use — nothing reads stale bytes from a
-//! previous op or inference; (2) scratch never aliases DRAM — op inputs are
-//! staged out of DRAM before any output is written back. The batched path
-//! ([`Accelerator::run_batch_i8`]) additionally keeps **all** surfaces —
-//! input, intermediates — in a per-address scratch map instead of DRAM;
-//! results are bit-identical to the per-image path, but DRAM is only
-//! touched for weight-arena refills and one final logits write per
-//! mini-batch (the last image's, for parity with per-image runs), so
-//! `dma_read` of surface addresses reflects per-image traffic only when
-//! `batch == 1`.
+//! Every launch runs the same executor: one image
+//! ([`Accelerator::run_inference_i8_view`], the golden prefix and suffix)
+//! or a mini-batch ([`Accelerator::run_batch_i8_view`], which
+//! [`Accelerator::classify_batch_i8`] drives per [`AccelConfig::batch`]
+//! images). A conv or linear op is one im2col + GEMM with the launch's
+//! images' columns side by side, then lane-delta or, under
+//! [`ExecMode::Exact`], the oracle; pool ops run per image. Results do not
+//! depend on how images are grouped into launches.
 //!
+//! All per-op intermediates (DMA staging, im2col columns, i32
+//! accumulators, SDP output, packed surfaces) live in a per-device scratch
+//! arena whose buffers are resized per op but never shrink, so steady-state
+//! inference allocates nothing on the heap; a cloned device starts with an
+//! empty one. Three invariants keep that safe:
+//!
+//! 1. every buffer is fully overwritten (or explicitly zeroed) before use,
+//!    so nothing reads stale bytes from a previous op or launch;
+//! 2. there is **one surface map**: every activation surface of a launch,
+//!    input included, is held densely under its DRAM address, and ops read
+//!    their inputs from it. Each launch starts with every entry stale, and
+//!    a write marks stale every entry whose DRAM footprint it overlaps, so
+//!    a launch never reads a surface left by an earlier one;
+//! 3. a **one-image launch writes through**: every surface it produces is
+//!    also packed into DRAM, and a surface it has not produced (the golden
+//!    suffix's restored live-ins) is read from DRAM. `dma_read` of any
+//!    surface address, and so the golden capture, sees exactly the
+//!    per-inference state. A mini-batch launch keeps its surfaces off DRAM,
+//!    writes only its last image's logits there (for parity with a
+//!    one-image run), and rejects a plan whose ops read a surface the
+//!    launch has not written with [`AccelError::BadPlan`].
+
 //! # DRAM memory model
 //!
 //! The device DRAM is a bounded address space `[0, dram_capacity)`: every
@@ -102,7 +122,9 @@
 //! [`Accelerator::load_plan`] reserves the plan's `dram_size` once, so
 //! steady-state inference never reallocates, and the resident backing
 //! ([`Accelerator::dram_resident_bytes`]) stays within the plan's footprint
-//! whatever the modelled capacity. Cloning a programmed device therefore
+//! whatever the modelled capacity. Plan load writes the weight regions;
+//! one-image launches write the input, every activation surface and the
+//! logits; a mini-batch launch writes only the logits. Cloning a programmed device therefore
 //! costs O(plan footprint), not O(`dram_capacity`).
 //!
 //! # Examples
@@ -117,7 +139,9 @@
 //! accel.load_plan(plan)?;
 //! // Stuck-at-0 on the last multiplier of MAC unit 1:
 //! accel.inject(&FaultConfig::new(vec![MultId::new(0, 7)], FaultKind::StuckAtZero));
-//! let result = accel.run_inference(image)?;
+//! // The host quantizes; the device runs i8.
+//! let qimage = nvfi_quant::batch::quantize_slice(image.as_slice(), plan.input_scale);
+//! let result = accel.run_inference_i8_view(&qimage)?;
 //! println!("class {} in {:.3} ms", result.class, result.perf.latency_ms());
 //! # Ok(())
 //! # }

@@ -44,9 +44,9 @@ pub struct AccelConfig {
     pub clock_hz: f64,
     /// Emulated DRAM capacity in bytes.
     pub dram_capacity: u64,
-    /// Host-side mini-batch for `classify_batch`: how many images share one
-    /// im2col + GEMM pass on the fast path. Purely a host-emulation
-    /// throughput knob — results are bit-identical for every value; the
+    /// Host-side mini-batch of [`crate::Accelerator::classify_batch_i8`]: how
+    /// many images share one launch, and so one im2col + GEMM pass on the
+    /// fast path. Purely a host-emulation throughput knob — results are bit-identical for every value; the
     /// modelled FPGA latency is per-image regardless.
     pub batch: usize,
 }

@@ -1,11 +1,11 @@
 //! Property tests for the campaign-lifetime caches added to the engine:
 //!
 //! 1. **weight-arena invalidation** — `dma_write` / `flip_dram_bit` into a
-//!    weight region followed by `run_inference_i8` matches a cold (freshly
+//!    weight region followed by `run_inference_i8_view` matches a cold (freshly
 //!    assembled, no warm arena) device bit-exactly;
 //! 2. **fast-path + corrections with a warm arena** still equals the exact
 //!    engine for full-override faults;
-//! 3. **batched execution** (`run_batch_i8` / `classify_batch`) is
+//! 3. **batched execution** (`run_batch_i8_view` / `classify_batch_i8`) is
 //!    bit-identical to the per-image path, with and without faults;
 //! 4. **DRAM footprint** — the device's resident DRAM backing never exceeds
 //!    the plan's `dram_size` on any execution path, and a clone of a
@@ -128,16 +128,16 @@ proptest! {
 
         let mut warm = device(&model, ExecMode::Auto);
         // Warm the arena (and scratch) with a few inferences first.
-        let _ = warm.run_inference_i8(&img).unwrap();
+        let _ = warm.run_inference_i8_view(img.as_slice()).unwrap();
         let flip_at = w_addr + seed % w_len;
         let bit = (seed % 8) as u8;
         warm.flip_dram_bit(flip_at, bit).unwrap();
-        let warm_logits = warm.run_inference_i8(&img).unwrap().logits;
+        let warm_logits = warm.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         // Cold device: same plan, same SEU, arena built after the flip.
         let mut cold = device(&model, ExecMode::Auto);
         cold.flip_dram_bit(flip_at, bit).unwrap();
-        let cold_logits = cold.run_inference_i8(&img).unwrap().logits;
+        let cold_logits = cold.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         prop_assert_eq!(warm_logits, cold_logits);
     }
@@ -155,13 +155,13 @@ proptest! {
         let patch: Vec<i8> = (0..len).map(|i| (seed as usize + i * 31) as i8).collect();
 
         let mut warm = device(&model, ExecMode::Auto);
-        let _ = warm.run_inference_i8(&img).unwrap();
+        let _ = warm.run_inference_i8_view(img.as_slice()).unwrap();
         warm.dma_write(w_addr + start, &patch).unwrap();
-        let warm_logits = warm.run_inference_i8(&img).unwrap().logits;
+        let warm_logits = warm.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         let mut cold = device(&model, ExecMode::Auto);
         cold.dma_write(w_addr + start, &patch).unwrap();
-        let cold_logits = cold.run_inference_i8(&img).unwrap().logits;
+        let cold_logits = cold.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         prop_assert_eq!(warm_logits, cold_logits);
     }
@@ -174,13 +174,13 @@ proptest! {
         let fault = FaultConfig::new(targets, FaultKind::Constant(value));
 
         let mut fast = device(&model, ExecMode::Fast);
-        let _ = fast.run_inference_i8(&img).unwrap(); // warm
+        let _ = fast.run_inference_i8_view(img.as_slice()).unwrap(); // warm
         fast.inject(&fault);
-        let fast_logits = fast.run_inference_i8(&img).unwrap().logits;
+        let fast_logits = fast.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         let mut exact = device(&model, ExecMode::Exact);
         exact.inject(&fault);
-        let exact_logits = exact.run_inference_i8(&img).unwrap().logits;
+        let exact_logits = exact.run_inference_i8_view(img.as_slice()).unwrap().logits;
 
         prop_assert_eq!(fast_logits, exact_logits);
     }
@@ -199,10 +199,10 @@ proptest! {
                 batched.inject(f);
             }
             let want: Vec<Vec<i32>> = (0..qimgs.shape().n)
-                .map(|n| per_image.run_inference_i8(&qimgs.slice_image(n)).unwrap().logits)
+                .map(|n| per_image.run_inference_i8_view(qimgs.image(n)).unwrap().logits)
                 .collect();
             let got: Vec<Vec<i32>> = batched
-                .run_batch_i8(&qimgs)
+                .run_batch_i8_view(qimgs.as_slice())
                 .unwrap()
                 .into_iter()
                 .map(|r| r.logits)
@@ -234,7 +234,7 @@ proptest! {
 
         let mut accel = device(&model, ExecMode::Auto);
         within(&accel, "load_plan");
-        let want = accel.run_inference_i8(&img).unwrap().logits;
+        let want = accel.run_inference_i8_view(img.as_slice()).unwrap().logits;
         within(&accel, "per-image inference");
         accel.classify_batch_i8(qimgs.as_slice()).unwrap();
         within(&accel, "classify_batch_i8");
@@ -260,27 +260,28 @@ proptest! {
         cold.import_weight_image(&accel.export_weight_image().unwrap()).unwrap();
         for n in 0..qimgs.shape().n {
             let one = qimgs.slice_image(n);
-            let original = accel.run_inference_i8(&one).unwrap().logits;
-            prop_assert_eq!(&clone.run_inference_i8(&one).unwrap().logits, &original);
-            prop_assert_eq!(&cold.run_inference_i8(&one).unwrap().logits, &original);
+            let original = accel.run_inference_i8_view(one.as_slice()).unwrap().logits;
+            prop_assert_eq!(&clone.run_inference_i8_view(one.as_slice()).unwrap().logits, &original);
+            prop_assert_eq!(&cold.run_inference_i8_view(one.as_slice()).unwrap().logits, &original);
         }
         within(&clone, "clone inference");
     }
 
-    /// `classify_batch` agrees with per-image classification for every
+    /// `classify_batch_i8` agrees with per-image classification for every
     /// mini-batch size.
     #[test]
     fn classify_batch_size_invariant((model, images, _, _, _) in case()) {
         let mut reference = device(&model, ExecMode::Auto);
+        let qimages = model.quantize_input(&images);
         let want: Vec<u8> = (0..images.shape().n)
-            .map(|n| reference.run_inference(&images.slice_image(n)).unwrap().class)
+            .map(|n| reference.run_inference_i8_view(qimages.image(n)).unwrap().class)
             .collect();
         for batch in [1, 2, 3, 8] {
             let plan = nvfi_compiler::compile(&model, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY)
                 .unwrap();
             let mut accel = Accelerator::new(AccelConfig { batch, ..Default::default() });
             accel.load_plan(&plan).unwrap();
-            let got = accel.classify_batch(&images).unwrap();
+            let got = accel.classify_batch_i8(qimages.as_slice()).unwrap();
             prop_assert_eq!(&got, &want, "batch={}", batch);
         }
     }

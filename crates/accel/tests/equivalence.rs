@@ -7,13 +7,56 @@
 //! 3. register-level fault programming is equivalent to the high-level API;
 //! 4. fault effects are confined to the mapped output channels.
 
-use nvfi_accel::{AccelConfig, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy};
+use nvfi_accel::{
+    AccelConfig, AccelError, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy,
+    InferenceResult,
+};
 use nvfi_compiler::regmap::{self, MultId};
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
 use nvfi_tensor::Tensor;
+
+/// A device plus its plan's input scale, for tests written with f32 and
+/// owned i8 images: they quantize on the host, then run the device's
+/// borrowed-i8 entry point.
+#[derive(Clone)]
+struct Device {
+    accel: Accelerator,
+    input_scale: f32,
+}
+
+impl Device {
+    fn of(accel: Accelerator, plan: &nvfi_compiler::ExecutionPlan) -> Self {
+        Device {
+            accel,
+            input_scale: plan.input_scale,
+        }
+    }
+
+    fn run_inference(&mut self, image: &Tensor<f32>) -> Result<InferenceResult, AccelError> {
+        let qimage = nvfi_quant::batch::quantize_slice(image.as_slice(), self.input_scale);
+        self.accel.run_inference_i8_view(&qimage)
+    }
+
+    fn run_inference_i8(&mut self, image: &Tensor<i8>) -> Result<InferenceResult, AccelError> {
+        self.accel.run_inference_i8_view(image.as_slice())
+    }
+}
+
+impl std::ops::Deref for Device {
+    type Target = Accelerator;
+    fn deref(&self) -> &Accelerator {
+        &self.accel
+    }
+}
+
+impl std::ops::DerefMut for Device {
+    fn deref_mut(&mut self) -> &mut Accelerator {
+        &mut self.accel
+    }
+}
 
 fn build_model(width: usize, seed: u64) -> (QuantModel, nvfi_dataset::TrainTest) {
     let data = SynthCifar::new(SynthCifarConfig {
@@ -28,7 +71,7 @@ fn build_model(width: usize, seed: u64) -> (QuantModel, nvfi_dataset::TrainTest)
     (q, data)
 }
 
-fn accel_with(q: &QuantModel, mode: ExecMode, idle: IdleLanePolicy) -> Accelerator {
+fn accel_with(q: &QuantModel, mode: ExecMode, idle: IdleLanePolicy) -> Device {
     let plan = nvfi_compiler::compile(q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
     let mut a = Accelerator::new(AccelConfig {
         mode,
@@ -36,7 +79,7 @@ fn accel_with(q: &QuantModel, mode: ExecMode, idle: IdleLanePolicy) -> Accelerat
         ..Default::default()
     });
     a.load_plan(&plan).unwrap();
-    a
+    Device::of(a, &plan)
 }
 
 #[test]
@@ -312,14 +355,14 @@ fn single_lane_fault_in_single_conv_touches_only_mapped_channels() {
     let surf_bytes = nvfi_compiler::surface::surface_bytes(k, 8, 8) as u64;
     let out_shape = Shape4::new(1, k, 8, 8);
 
-    let mut clean = Accelerator::new(AccelConfig::default());
+    let mut clean = Device::of(Accelerator::new(AccelConfig::default()), &plan);
     clean.load_plan(&plan).unwrap();
     clean.run_inference(&img).unwrap();
     let clean_surface = clean.dma_read(conv_out_addr, surf_bytes).unwrap();
     let clean_out = nvfi_compiler::surface::unpack_surface(&clean_surface, out_shape);
 
     let target_mac = 3u8;
-    let mut faulty = Accelerator::new(AccelConfig::default());
+    let mut faulty = Device::of(Accelerator::new(AccelConfig::default()), &plan);
     faulty.load_plan(&plan).unwrap();
     faulty.inject(&FaultConfig::new(
         vec![MultId::new(target_mac, 5)],
@@ -405,10 +448,11 @@ fn idle_lane_policy_matters_for_narrow_layers() {
     let cfg = FaultConfig::new(vec![MultId::new(0, 6)], FaultKind::Constant(1000));
 
     let run = |idle: IdleLanePolicy, faulted: bool| {
-        let mut a = Accelerator::new(AccelConfig {
+        let accel = Accelerator::new(AccelConfig {
             idle_lanes: idle,
             ..Default::default()
         });
+        let mut a = Device::of(accel, &plan);
         a.load_plan(&plan).unwrap();
         if faulted {
             a.inject(&cfg);
@@ -637,15 +681,75 @@ fn golden_prefix_restore_is_bit_identical() {
     }
 }
 
+/// A plan that decodes but whose second op reads a surface nothing writes:
+/// a one-image launch reads that surface from DRAM and runs, and a
+/// mini-batch launch, which keeps its surfaces off DRAM, returns
+/// `BadPlan` instead of panicking.
+#[test]
+fn batched_launch_rejects_a_plan_reading_an_unwritten_surface() {
+    use nvfi_compiler::PlanOp;
+
+    let (q, data) = build_model(4, 71);
+    let mut plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let unwritten = plan.dram_size.next_multiple_of(64);
+    match &mut plan.ops[1] {
+        PlanOp::Conv(c) => c.input_addr = unwritten,
+        PlanOp::Pool(p) => p.input_addr = unwritten,
+        PlanOp::Linear(l) => l.input_addr = unwritten,
+    }
+    let words = nvfi_compiler::plan::encode_words(&plan);
+    assert!(nvfi_compiler::plan::decode_words(&words).is_ok());
+
+    let mut accel = Accelerator::new(AccelConfig::default());
+    accel.load_plan(&plan).unwrap();
+    let images = q.quantize_input(&data.test.images);
+    accel.run_inference_i8_view(images.image(0)).unwrap();
+    let two = &images.as_slice()[..2 * images.shape().image_len()];
+    assert!(matches!(
+        accel.run_batch_i8_view(two),
+        Err(AccelError::BadPlan(_))
+    ));
+}
+
+/// A one-image launch never reads a surface-map entry an earlier launch
+/// left behind: after a mini-batch and image A's golden prefix, restoring
+/// image B's live-ins reproduces a cold device's full run of B.
+#[test]
+fn golden_restore_on_a_dirty_device_matches_a_cold_run() {
+    let (q, data) = build_model(4, 73);
+    let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let images = q.quantize_input(&data.test.images);
+    let (a, b) = (images.image(0), images.image(1));
+    let boundary = plan.ops.len() / 2;
+    let surfaces = plan.live_in_surfaces(boundary);
+
+    let mut capture = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    capture.run_prefix_i8_view(b, boundary).unwrap();
+    let mut live_in_b = Vec::new();
+    for &(addr, bytes) in &surfaces {
+        live_in_b.extend(capture.dma_read(addr, bytes).unwrap());
+    }
+
+    let mut dirty = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    dirty.run_batch_i8_view(images.as_slice()).unwrap();
+    dirty.run_prefix_i8_view(a, boundary).unwrap();
+    let got = dirty
+        .run_suffix_i8_view(boundary, &surfaces, &live_in_b)
+        .unwrap();
+
+    let mut cold = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    assert_eq!(got.logits, cold.run_inference_i8_view(b).unwrap().logits);
+}
+
 #[test]
 fn plan_via_command_fifo_matches_direct_load() {
     let (q, data) = build_model(4, 37);
     let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
 
-    let mut direct = Accelerator::new(AccelConfig::default());
+    let mut direct = Device::of(Accelerator::new(AccelConfig::default()), &plan);
     direct.load_plan(&plan).unwrap();
 
-    let mut streamed = Accelerator::new(AccelConfig::default());
+    let mut streamed = Device::of(Accelerator::new(AccelConfig::default()), &plan);
     streamed
         .apply_reg_stream(&nvfi_compiler::plan::encode_reg_stream(&plan))
         .unwrap();
@@ -666,7 +770,7 @@ fn plan_via_command_fifo_matches_direct_load() {
 fn weight_memory_seu_perturbs_and_double_flip_restores() {
     let (q, data) = build_model(4, 47);
     let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
-    let mut accel = Accelerator::new(AccelConfig::default());
+    let mut accel = Device::of(Accelerator::new(AccelConfig::default()), &plan);
     accel.load_plan(&plan).unwrap();
     let img = data.test.images.slice_image(0);
     let clean = accel.run_inference(&img).unwrap().logits;

@@ -115,7 +115,11 @@ fn run(
     if let Some(f) = fault {
         accel.inject(f);
     }
-    accel.run_inference(image).expect("runs").logits
+    let qimage = model.quantize_input(image);
+    accel
+        .run_inference_i8_view(qimage.as_slice())
+        .expect("runs")
+        .logits
 }
 
 /// Programs the injector bank through its CSB registers, unmasked values

@@ -67,6 +67,10 @@ impl From<AccelError> for PlatformError {
 }
 
 /// A ready-to-run emulation platform: compiled plan + programmed device.
+/// The device runs pre-quantized i8 images; the f32 calls
+/// ([`EmulationPlatform::run`], [`EmulationPlatform::classify`],
+/// [`EmulationPlatform::accuracy`]) quantize here, with the plan's input
+/// scale, before they reach it.
 #[derive(Clone, Debug)]
 pub struct EmulationPlatform {
     config: PlatformConfig,
@@ -147,23 +151,46 @@ impl EmulationPlatform {
         self.accel.clear_faults();
     }
 
-    /// Runs one f32 image.
+    /// Runs one f32 image: quantized here with the plan's input scale, then
+    /// run on the device's borrowed-i8 path.
     ///
     /// # Errors
     ///
-    /// Propagates device errors.
+    /// Returns a [`AccelError::BadPlan`] device error if `image` is not
+    /// exactly one plan-shaped image; propagates device errors.
     pub fn run(&mut self, image: &Tensor<f32>) -> Result<InferenceResult, PlatformError> {
-        Ok(self.accel.run_inference(image)?)
+        let s = image.shape();
+        if s.n != 1 || s != self.plan.input_shape.with_n(1) {
+            return Err(AccelError::BadPlan(format!(
+                "input {s} does not match plan input {} (single image)",
+                self.plan.input_shape
+            ))
+            .into());
+        }
+        let qimage = self.quantize(image);
+        Ok(self.accel.run_inference_i8_view(&qimage)?)
     }
 
-    /// Classifies a batch of f32 images (one quantization pass, then the
-    /// borrowed-i8 path — see [`EmulationPlatform::classify_i8`]).
+    /// Classifies a batch of f32 images: one quantization pass over the
+    /// whole batch, then [`EmulationPlatform::classify_i8`]. Quantization is
+    /// elementwise, so the predictions are bit-identical to quantizing per
+    /// mini-batch (or per image).
     ///
     /// # Errors
     ///
-    /// Propagates device errors.
+    /// Returns a [`AccelError::BadPlan`] device error if the images are not
+    /// plan-shaped; propagates device errors.
     pub fn classify(&mut self, images: &Tensor<f32>) -> Result<Vec<u8>, PlatformError> {
-        Ok(self.accel.classify_batch(images)?)
+        let s = images.shape();
+        if s.n > 0 && s.with_n(1) != self.plan.input_shape.with_n(1) {
+            return Err(AccelError::BadPlan(format!(
+                "input {s} does not match plan input {}",
+                self.plan.input_shape
+            ))
+            .into());
+        }
+        let qimages = self.quantize(images);
+        self.classify_i8(&qimages)
     }
 
     /// Classifies a batch of pre-quantized i8 images borrowed as dense,
@@ -179,7 +206,7 @@ impl EmulationPlatform {
         Ok(self.accel.classify_batch_i8(images)?)
     }
 
-    /// Top-1 accuracy on a labelled set.
+    /// Top-1 accuracy on a labelled set ([`EmulationPlatform::classify`]).
     ///
     /// # Errors
     ///
@@ -189,7 +216,18 @@ impl EmulationPlatform {
     ///
     /// Panics if `labels.len() != images.shape().n`.
     pub fn accuracy(&mut self, images: &Tensor<f32>, labels: &[u8]) -> Result<f64, PlatformError> {
-        Ok(self.accel.accuracy(images, labels)?)
+        assert_eq!(images.shape().n, labels.len());
+        if labels.is_empty() {
+            return Ok(0.0);
+        }
+        let preds = self.classify(images)?;
+        let correct = preds.iter().zip(labels).filter(|(p, y)| p == y).count();
+        Ok(correct as f64 / labels.len() as f64)
+    }
+
+    /// One quantization pass with the plan's input scale.
+    fn quantize(&self, images: &Tensor<f32>) -> Vec<i8> {
+        nvfi_quant::batch::quantize_slice(images.as_slice(), self.plan.input_scale)
     }
 
     /// Modelled single-inference latency in milliseconds (187.5 MHz cycle

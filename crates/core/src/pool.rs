@@ -332,9 +332,9 @@ impl DevicePool {
 
     /// Builds a pool of `devices` members by cloning one programmed device.
     /// A clone copies the device's resident DRAM (at most the plan's
-    /// `dram_size`, see `Accelerator::dram_resident_bytes`), its weight arena
-    /// and its scratch buffers, so the cost is O(plan footprint) per member,
-    /// independent of the modelled DRAM capacity.
+    /// `dram_size`, see `Accelerator::dram_resident_bytes`) and its weight
+    /// arena, but not its scratch buffers, so the cost is O(plan footprint)
+    /// per member, independent of the modelled DRAM capacity.
     ///
     /// # Panics
     ///

@@ -645,10 +645,14 @@ fn apply_delta<S: Read + Write>(
     Ok(())
 }
 
-/// Programs a device from shipped artifacts: decodes the plan words, loads
-/// the plan, imports the DRAM weight image. Shared by a worker's session
-/// activation and the server's audit arbiter, so both run on exactly the
-/// device an honest worker would build.
+/// Programs a device from shipped artifacts: decodes the plan words,
+/// checks the plan's shape chain, loads the plan, imports the DRAM weight
+/// image. Shared by a worker's session activation and the server's audit
+/// arbiter, so both run on exactly the device an honest worker would build.
+///
+/// Words that decode can still describe a plan whose op reads a surface
+/// nothing writes; such a plan is rejected here with
+/// [`nvfi::PlatformError::Verify`] rather than failing at run time.
 pub(crate) fn device_from_artifacts(
     config: nvfi::PlatformConfig,
     words: &[u32],
@@ -656,6 +660,14 @@ pub(crate) fn device_from_artifacts(
 ) -> Result<EmulationPlatform, DistError> {
     let decoded = nvfi_compiler::plan::decode_words(words)
         .map_err(|_| DistError::Protocol("plan words do not decode"))?;
+    let diags = nvfi_compiler::verify::verify_shapes(&decoded);
+    if !diags.is_empty() {
+        let msg = diags.iter().map(ToString::to_string).collect::<Vec<_>>();
+        return Err(DistError::Platform(nvfi::PlatformError::Verify(format!(
+            "shipped plan fails shape verification: {}",
+            msg.join("; ")
+        ))));
+    }
     let mut device = EmulationPlatform::from_plan(decoded, config)?;
     device
         .accel_mut()
@@ -746,4 +758,50 @@ fn run_shard<S: Read + Write>(
         preds,
         spans,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvfi_compiler::plan::{encode_words, PlanOp};
+    use nvfi_dataset::{SynthCifar, SynthCifarConfig};
+    use nvfi_nn::fold::fold_resnet;
+    use nvfi_nn::resnet::ResNet;
+    use nvfi_quant::{quantize, QuantConfig};
+
+    /// Plan words that decode but whose second op reads a surface nothing
+    /// writes must be refused before a device is built.
+    #[test]
+    fn device_from_artifacts_rejects_a_plan_reading_an_unwritten_surface() {
+        let data = SynthCifar::new(SynthCifarConfig {
+            train: 8,
+            test: 2,
+            ..Default::default()
+        })
+        .generate();
+        let net = ResNet::new(4, &[1, 1], 10, 5);
+        let q = quantize(
+            &fold_resnet(&net, 32),
+            &data.train.images,
+            &QuantConfig::default(),
+        )
+        .unwrap();
+        let config = nvfi::PlatformConfig::default();
+        let mut plan = nvfi_compiler::compile(&q, config.accel.dram_capacity).unwrap();
+        let regions = plan.weight_image.clone();
+        assert!(device_from_artifacts(config, &encode_words(&plan), &regions).is_ok());
+
+        let unwritten = plan.dram_size.next_multiple_of(64);
+        match &mut plan.ops[1] {
+            PlanOp::Conv(c) => c.input_addr = unwritten,
+            PlanOp::Pool(p) => p.input_addr = unwritten,
+            PlanOp::Linear(l) => l.input_addr = unwritten,
+        }
+        let words = encode_words(&plan);
+        assert!(nvfi_compiler::plan::decode_words(&words).is_ok());
+        assert!(matches!(
+            device_from_artifacts(config, &words, &regions),
+            Err(DistError::Platform(nvfi::PlatformError::Verify(_)))
+        ));
+    }
 }

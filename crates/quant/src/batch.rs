@@ -8,7 +8,7 @@
 //!
 //! Every pass through [`quantize_slice_into`] (and the helpers built on it:
 //! [`quantize_slice`], [`crate::QuantModel::quantize_input`], the f32
-//! wrappers in `nvfi-accel` and `nvfi`'s `DevicePool`) bumps a process-wide
+//! calls of `nvfi`'s `EmulationPlatform` and its `DevicePool`) bumps a process-wide
 //! counter, readable via [`quantization_passes`]. The counter is a test
 //! probe: `tests/quantize_once.rs` in the workspace root asserts that one
 //! campaign performs exactly **one** eval-set quantization, i.e. that no

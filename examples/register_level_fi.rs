@@ -59,9 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dev.csb_read(regmap::REG_FI_FDATA)?
     );
 
-    // 5. Run and read the logits straight out of DRAM.
-    let image = data.test.images.slice_image(0);
-    let result = dev.run_inference(&image)?;
+    // 5. Quantize on the host, run, and read the logits straight out of
+    //    DRAM.
+    let image = qmodel.quantize_input(&data.test.images.slice_image(0));
+    let result = dev.run_inference_i8_view(image.as_slice())?;
     println!(
         "faulted inference: class {} logits {:?}",
         result.class, result.logits
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. Disable FI and compare.
     dev.csb_write(regmap::REG_FI_CTRL, 0)?;
-    let clean = dev.run_inference(&image)?;
+    let clean = dev.run_inference_i8_view(image.as_slice())?;
     println!(
         "clean inference:   class {} logits {:?}",
         clean.class, clean.logits
