@@ -329,9 +329,12 @@ fn bench_dist_campaign(c: &mut Criterion) {
 /// [`CampaignServer`] submit/wait against an already-programmed fleet —
 /// only the few-byte artifact delta and the work frames travel). Each
 /// iteration uses fresh fault targets so the warm rows measure real fleet
-/// work, never a result-cache hit. The warm-vs-cold gap is the price of a
-/// fleet raise plus a full artifact ship — what the content-addressed
-/// session cache deletes from every campaign after the first.
+/// work, never a cache hit; after a warm server's first iteration the
+/// shared fault-free baseline shard comes from its shard store, so each
+/// warm iteration runs its two fault shards. The warm-vs-cold gap is the
+/// price of a fleet raise plus a full artifact ship — what the
+/// content-addressed session cache deletes from every campaign after the
+/// first.
 fn bench_session_cache(c: &mut Criterion) {
     let (q, _) = small_fixture();
     let eval = SynthCifar::new(SynthCifarConfig {

@@ -71,9 +71,9 @@ impl DistRunner {
         // NVFI_TASK_TIMEOUT (seconds; unset = wait forever) bounds shard
         // silence in both fleet shapes — heartbeating workers never trip it.
         let task_timeout = cfg.task_timeout.map(std::time::Duration::from_secs);
-        // NVFI_AUDIT_RATE / NVFI_QUARANTINE plumb the result-integrity
-        // layer: audit sampling of completed shards and draining of
-        // convicted workers (the baseline shard is always audited).
+        // NVFI_AUDIT_RATE plumbs the result-integrity layer's audit
+        // sampling of completed shards (every executed baseline shard is
+        // audited).
         match &cfg.dist_addr {
             Some(addr) => DistRunner {
                 fleet: nvfi_dist::FleetSpec {
@@ -81,7 +81,6 @@ impl DistRunner {
                     external_workers: cfg.workers,
                     task_timeout,
                     audit_rate: cfg.audit_rate,
-                    quarantine: cfg.quarantine,
                     ..nvfi_dist::FleetSpec::self_exec()
                 },
                 external: true,
@@ -90,7 +89,6 @@ impl DistRunner {
                 fleet: nvfi_dist::FleetSpec {
                     task_timeout,
                     audit_rate: cfg.audit_rate,
-                    quarantine: cfg.quarantine,
                     ..nvfi_dist::FleetSpec::self_exec()
                 },
                 external: false,

@@ -134,9 +134,11 @@ pub struct CampaignSpec {
     pub golden_cache_bytes: usize,
     /// Checkpoint file of a **distributed** campaign (`NVFI_CHECKPOINT` in
     /// the experiment drivers). When set, the `nvfi-dist` coordinator
-    /// persists completed shards there as they land and a restarted
-    /// coordinator resumes the campaign, redoing only unfinished shards —
-    /// with records bit-identical to an uninterrupted run. The file is
+    /// appends each shard there as it lands, as an append-only log of
+    /// `(shard key, predictions)` records, and a restarted coordinator
+    /// resumes the campaign, redoing only unfinished shards — with records
+    /// bit-identical to an uninterrupted run. Records another campaign left
+    /// at the path serve only the shards the two share. The file is
     /// removed once the campaign completes. Ignored by the in-process
     /// [`Campaign::run`], which has no coordinator process to lose.
     pub checkpoint_path: Option<std::path::PathBuf>,

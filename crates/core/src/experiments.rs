@@ -86,19 +86,15 @@ pub struct ExperimentConfig {
     /// Checkpoint file for distributed campaigns (`NVFI_CHECKPOINT`; see
     /// [`crate::campaign::CampaignSpec::checkpoint_path`]). Sequential
     /// campaigns of one experiment may share the path: each campaign
-    /// removes the file when it completes, and a leftover checkpoint from
-    /// a killed run only resumes the campaign whose fingerprint matches.
+    /// removes the file when it completes, and a leftover log from a
+    /// killed run resumes only the shards a later campaign shares with it.
     pub checkpoint: Option<PathBuf>,
     /// Fraction of completed distributed shards silently re-dispatched to
     /// a second worker and compared byte-for-byte (`NVFI_AUDIT_RATE`,
     /// `0.0..=1.0`; plumbed into the coordinator's `FleetSpec::audit_rate`).
-    /// The baseline shard is always audited whatever the rate. Default
+    /// Every executed baseline shard is audited whatever the rate. Default
     /// `0.0` (baseline-only).
     pub audit_rate: f64,
-    /// Whether convicted workers are quarantined and drained
-    /// (`NVFI_QUARANTINE`, `0` disables; plumbed into
-    /// `FleetSpec::quarantine`). Default `true`.
-    pub quarantine: bool,
     /// Where result files are written.
     pub out_dir: PathBuf,
     /// Progress on stderr.
@@ -122,7 +118,6 @@ impl Default for ExperimentConfig {
             task_timeout: None,
             checkpoint: None,
             audit_rate: 0.0,
-            quarantine: true,
             out_dir: PathBuf::from("results"),
             verbose: false,
         }
@@ -155,7 +150,6 @@ impl ExperimentConfig {
             task_timeout: None,
             checkpoint: None,
             audit_rate: 0.0,
-            quarantine: true,
             out_dir: std::env::temp_dir().join("nvfi_quick_results"),
             verbose: false,
         }
@@ -168,8 +162,7 @@ impl ExperimentConfig {
     /// `NVFI_WORKERS`, `NVFI_DIST_ADDR`, `NVFI_TASK_TIMEOUT` (seconds;
     /// unset = wait forever), `NVFI_CHECKPOINT` (checkpoint file path),
     /// `NVFI_AUDIT_RATE` (fraction of distributed shards silently
-    /// re-checked on a second worker), `NVFI_QUARANTINE` (`0` disables
-    /// draining convicted workers), `NVFI_OUT_DIR`, `NVFI_VERBOSE`.
+    /// re-checked on a second worker), `NVFI_OUT_DIR`, `NVFI_VERBOSE`.
     #[must_use]
     pub fn from_env() -> Self {
         fn get<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -212,7 +205,6 @@ impl ExperimentConfig {
             }
         }
         cfg.audit_rate = get("NVFI_AUDIT_RATE", cfg.audit_rate).clamp(0.0, 1.0);
-        cfg.quarantine = get("NVFI_QUARANTINE", 1u8) != 0;
         cfg.verbose = get("NVFI_VERBOSE", 1u8) != 0;
         if let Ok(dir) = std::env::var("NVFI_OUT_DIR") {
             cfg.out_dir = PathBuf::from(dir);

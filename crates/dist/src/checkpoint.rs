@@ -1,194 +1,205 @@
-//! Durable campaign progress: a versioned checkpoint file the coordinator
-//! rewrites as shards complete, so a killed-and-restarted coordinator
-//! resumes the campaign — re-shipping artifacts to a fresh fleet but
-//! **redoing only the shards that never finished** — and still merges
-//! records bit-identical to an uninterrupted run.
+//! Durable campaign progress: an append-only log of landed shards, so a
+//! killed-and-restarted coordinator resumes a campaign — re-shipping
+//! artifacts to a fresh fleet but **redoing only the shards that never
+//! finished** — and still merges records bit-identical to an
+//! uninterrupted run.
 //!
-//! Merging is by `(work item, shard range)`, never by arrival or recovery
-//! order, so replaying checkpointed predictions into the result slots is
-//! exactly as good as having computed them this run.
+//! Every record is keyed by the shard's **content key**: a hash of the
+//! session's artifact hashes, the work item's wire fault program and window,
+//! and the image range (the server's shard store uses the same key). A
+//! record therefore carries its own identity. A log left by another
+//! campaign at the same path needs no fingerprint check: its records
+//! simply never match a key of this campaign, except those of shards the
+//! two campaigns share, which are interchangeable.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! ```text
 //! magic    "NVFC"                      4 bytes
-//! version  u32 LE                      = 1
-//! fingerprint u64 LE                   campaign identity (see below)
-//! entries  u64 LE                      completed-shard count
-//!   per entry:
-//!     work_id u32, start u32, end u32  the (work item, shard range) key
-//!     preds   u64 length + bytes       predicted classes for start..end
-//! crc32    u32 LE                      over every preceding byte
+//! version  u32 LE                      = 2
+//! records, each:
+//!   key    u64 LE                      the shard's content key
+//!   preds  u64 length + bytes          predicted classes of the shard
+//!   crc32  u32 LE                      over this record's key and preds
 //! ```
 //!
-//! The **fingerprint** hashes everything that determines the schedule and
-//! its answers: the encoded session frames (plan + weights + evaluation
-//! set), the task list, and each work item's full fault program. A
-//! checkpoint whose fingerprint does not match the restarted campaign is
-//! ignored and overwritten — resuming someone else's shards would splice
-//! wrong predictions into the merge.
-//!
-//! Writes go to a `.tmp` sibling and are renamed into place, so a
-//! coordinator killed mid-write leaves either the old checkpoint or the
-//! new one, never a torn file; a torn or corrupt file (bad magic, version,
-//! or CRC) loads as "no checkpoint" rather than an error.
+//! A record is appended when a shard lands, and again when an audit
+//! repairs it; on load the **last record per key wins**. Loading stops at
+//! the first record that is torn or fails its CRC, so a coordinator killed
+//! mid-append, or a corrupt tail, loses only the records from there on —
+//! never a wrong merge. A header with another magic or version loads as an
+//! empty log.
 
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::collections::HashMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
+
+use nvfi_obs::progress;
 
 use crate::codec::{crc32, Dec, Enc};
 
 /// Checkpoint file magic: the bytes `NVFC`.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"NVFC";
 
-/// Checkpoint format version. Bump on any layout change; a mismatched
-/// version loads as "no checkpoint".
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Checkpoint format version. Bump on any change to the layout or to how
+/// shard keys are derived; a log with another version loads empty.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// One completed shard: the `(work item, image range)` key and its
-/// predictions.
+/// One landed shard: its content key and its predictions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointEntry {
-    /// Work-item index (0 = baseline).
-    pub work_id: u32,
-    /// First image of the shard.
-    pub start: u32,
-    /// One past the last image of the shard.
-    pub end: u32,
-    /// Predicted classes for `start..end`.
+    /// The shard's content key.
+    pub key: u64,
+    /// Predicted classes of the shard's image range.
     pub preds: Vec<u8>,
 }
 
-/// A campaign's durable progress: its identity fingerprint and every
-/// completed shard.
+/// The landed shards a checkpoint log holds: one entry per key (the last
+/// record of that key), in order of each key's first record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Campaign identity hash (see the module docs).
-    pub fingerprint: u64,
-    /// Completed shards, in completion order (order is irrelevant to the
-    /// merge, which keys on `(work_id, start, end)`).
+    /// Landed shards.
     pub entries: Vec<CheckpointEntry>,
 }
 
 impl Checkpoint {
-    /// An empty checkpoint for a campaign with identity `fingerprint`.
-    #[must_use]
-    pub fn new(fingerprint: u64) -> Self {
-        Checkpoint {
-            fingerprint,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Serializes the checkpoint (including the CRC trailer).
+    /// Serializes the checkpoint as a log: the header, then one record per
+    /// entry.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(u32::from_le_bytes(CHECKPOINT_MAGIC));
-        e.u32(CHECKPOINT_VERSION);
-        e.u64(self.fingerprint);
-        e.u64(self.entries.len() as u64);
+        let mut bytes = header();
         for entry in &self.entries {
-            e.u32(entry.work_id);
-            e.u32(entry.start);
-            e.u32(entry.end);
-            e.u8_slice(&entry.preds);
+            bytes.extend(record(entry.key, &entry.preds));
         }
-        let mut bytes = e.into_vec();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
         bytes
     }
 
-    /// Parses checkpoint bytes. `None` on any corruption — bad magic,
-    /// unknown version, failed CRC, truncation, trailing bytes. A damaged
-    /// checkpoint costs redone shards, never a wrong merge.
+    /// Parses log bytes: every record up to the first torn or corrupt one,
+    /// the last record per key winning. Never fails — a damaged log costs
+    /// redone shards, never a wrong merge.
     #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<Checkpoint> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().ok()?);
-        if stored != crc32(body) {
-            return None;
-        }
-        let mut d = Dec::new(body.to_vec());
-        if d.u32("magic").ok()? != u32::from_le_bytes(CHECKPOINT_MAGIC) {
-            return None;
-        }
-        if d.u32("version").ok()? != CHECKPOINT_VERSION {
-            return None;
-        }
-        let fingerprint = d.u64("fingerprint").ok()?;
-        let count = d.u64("entry count").ok()?;
-        // Each entry is at least its 20 fixed bytes; an absurd count must
-        // not drive a huge allocation.
-        if count.saturating_mul(20) > d.remaining() as u64 {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let work_id = d.u32("work id").ok()?;
-            let start = d.u32("start").ok()?;
-            let end = d.u32("end").ok()?;
-            if start > end {
-                return None;
-            }
-            let preds = d.u8_slice("preds").ok()?;
-            if preds.len() as u64 != u64::from(end - start) {
-                return None;
-            }
-            entries.push(CheckpointEntry {
-                work_id,
-                start,
-                end,
-                preds,
-            });
-        }
-        d.finish().ok()?;
-        Some(Checkpoint {
-            fingerprint,
-            entries,
-        })
+    pub fn decode(bytes: &[u8]) -> Checkpoint {
+        decode_prefix(bytes).0
     }
 
-    /// Atomically persists the checkpoint: written to `<path>.tmp`, then
-    /// renamed over `path`.
+    /// Loads the log at `path`. `None` when the file is missing or
+    /// unreadable; damaged content loads as its valid prefix (see
+    /// [`Checkpoint::decode`]).
+    #[must_use]
+    pub fn load(path: &Path) -> Option<Checkpoint> {
+        Some(Checkpoint::decode(&fs::read(path).ok()?))
+    }
+
+    /// Removes the log after a campaign completes: a finished campaign
+    /// leaves nothing behind at its path.
+    pub fn remove(path: &Path) {
+        let _ = fs::remove_file(path);
+    }
+}
+
+/// The log header: magic and version.
+fn header() -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u32(u32::from_le_bytes(CHECKPOINT_MAGIC));
+    e.u32(CHECKPOINT_VERSION);
+    e.into_vec()
+}
+
+/// One sealed record: key, length-prefixed predictions, CRC.
+fn record(key: u64, preds: &[u8]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(key);
+    e.u8_slice(preds);
+    let mut bytes = e.into_vec();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Decodes the valid prefix of a log, returning it and its length in
+/// bytes (`0` when even the header is wrong).
+fn decode_prefix(bytes: &[u8]) -> (Checkpoint, usize) {
+    let mut cp = Checkpoint::default();
+    let mut d = Dec::new(bytes.to_vec());
+    if d.u32("magic").ok() != Some(u32::from_le_bytes(CHECKPOINT_MAGIC))
+        || d.u32("version").ok() != Some(CHECKPOINT_VERSION)
+    {
+        return (cp, 0);
+    }
+    let mut index: HashMap<u64, usize> = HashMap::new();
+    let mut valid = bytes.len() - d.remaining();
+    // A short read of any field is a torn record: stop there.
+    while let (Ok(key), Ok(preds)) = (d.u64("key"), d.u8_slice("preds")) {
+        let sealed = bytes.get(valid..bytes.len() - d.remaining());
+        match (sealed, d.u32("crc")) {
+            (Some(sealed), Ok(crc)) if crc == crc32(sealed) => {}
+            _ => break,
+        }
+        valid = bytes.len() - d.remaining();
+        match index.get(&key).and_then(|&i| cp.entries.get_mut(i)) {
+            Some(entry) => entry.preds = preds,
+            None => {
+                index.insert(key, cp.entries.len());
+                cp.entries.push(CheckpointEntry { key, preds });
+            }
+        }
+    }
+    (cp, valid)
+}
+
+/// One campaign's open checkpoint log, appended to as its shards land.
+#[derive(Debug)]
+pub struct CheckpointLog {
+    path: PathBuf,
+    file: Mutex<File>,
+}
+
+impl CheckpointLog {
+    /// Opens the log at `path` for appending and returns it with the
+    /// records it already holds. A missing file, or one with another
+    /// header, starts a new log. A torn or corrupt tail is cut off first,
+    /// so new records never sit behind a bad one, where no load reaches
+    /// them.
     ///
     /// # Errors
     ///
-    /// Filesystem errors (unwritable directory, disk full).
-    pub fn store(&self, path: &Path) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        fs::write(&tmp, self.encode())?;
-        fs::rename(&tmp, path)
+    /// Filesystem errors (unreadable file, unwritable directory).
+    pub fn open(path: &Path) -> io::Result<(CheckpointLog, Checkpoint)> {
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let (cp, valid) = decode_prefix(&bytes);
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        file.set_len(valid as u64)?;
+        if valid == 0 {
+            file.write_all(&header())?;
+        }
+        let log = CheckpointLog {
+            path: path.to_path_buf(),
+            file: Mutex::new(file),
+        };
+        Ok((log, cp))
     }
 
-    /// Loads the checkpoint at `path`. `None` when the file is missing or
-    /// corrupt (see [`Checkpoint::decode`]).
-    #[must_use]
-    pub fn load(path: &Path) -> Option<Checkpoint> {
-        Checkpoint::decode(&fs::read(path).ok()?)
-    }
-
-    /// Removes the checkpoint (and any stale `.tmp` sibling) after a
-    /// campaign completes — a finished campaign must not donate shards to
-    /// an unrelated later run at the same path.
-    pub fn remove(path: &Path) {
-        let _ = fs::remove_file(path);
-        let _ = fs::remove_file(tmp_path(path));
+    /// Appends one shard's record. A failing write must not fail the
+    /// campaign — it only weakens a future resume — so it is reported as a
+    /// note, not an error.
+    pub fn append(&self, key: u64, preds: &[u8]) {
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Err(e) = file.write_all(&record(key, preds)) {
+            progress::note(format!(
+                "nvfi server: checkpoint write to {} failed: {e}",
+                self.path.display()
+            ));
+        }
     }
 }
 
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::path::PathBuf::from(tmp)
-}
-
-/// FNV-1a 64-bit hasher for the campaign fingerprint: tiny, dependency-free
+/// FNV-1a 64-bit hasher for content hashes and shard keys: tiny, dependency-free
 /// and stable across platforms and runs (unlike `DefaultHasher`, whose
 /// output is explicitly unspecified between releases).
 #[derive(Clone, Debug)]
@@ -209,20 +220,6 @@ impl Fnv64 {
     #[must_use]
     pub fn new() -> Self {
         Fnv64::default()
-    }
-
-    /// A hasher pre-seeded with the wire protocol and checkpoint format
-    /// versions. Campaign fingerprints derive from this, so a resumed
-    /// coordinator can never replay shards recorded under an older
-    /// protocol: bumping [`crate::wire::WIRE_VERSION`] or
-    /// [`CHECKPOINT_VERSION`] changes every fingerprint, and the stale
-    /// checkpoint reads as "a different campaign".
-    #[must_use]
-    pub fn campaign_seed() -> Self {
-        let mut h = Fnv64::new();
-        h.write_u64(u64::from(crate::wire::WIRE_VERSION));
-        h.write_u64(u64::from(CHECKPOINT_VERSION));
-        h
     }
 
     /// Folds `bytes` into the hash.
@@ -251,64 +248,104 @@ mod tests {
 
     fn sample() -> Checkpoint {
         Checkpoint {
-            fingerprint: 0xDEAD_BEEF_0BAD_F00D,
             entries: vec![
                 CheckpointEntry {
-                    work_id: 0,
-                    start: 0,
-                    end: 4,
+                    key: 0xDEAD_BEEF_0BAD_F00D,
                     preds: vec![1, 2, 3, 4],
                 },
                 CheckpointEntry {
-                    work_id: 3,
-                    start: 8,
-                    end: 10,
+                    key: 3,
                     preds: vec![9, 9],
                 },
+                CheckpointEntry {
+                    key: 17,
+                    preds: vec![],
+                },
             ],
+        }
+    }
+
+    /// Byte offset where each record of `cp.encode()` ends.
+    fn record_ends(cp: &Checkpoint) -> Vec<usize> {
+        let mut end = header().len();
+        cp.entries
+            .iter()
+            .map(|e| {
+                end += record(e.key, &e.preds).len();
+                end
+            })
+            .collect()
+    }
+
+    /// The checkpoint of the first `n` records.
+    fn prefix(cp: &Checkpoint, n: usize) -> Checkpoint {
+        Checkpoint {
+            entries: cp.entries[..n].to_vec(),
         }
     }
 
     #[test]
     fn roundtrips_bit_identically() {
         let cp = sample();
-        assert_eq!(Checkpoint::decode(&cp.encode()), Some(cp));
-        let empty = Checkpoint::new(7);
-        assert_eq!(Checkpoint::decode(&empty.encode()), Some(empty));
+        assert_eq!(Checkpoint::decode(&cp.encode()), cp);
+        assert_eq!(decode_prefix(&cp.encode()).1, cp.encode().len());
+        let empty = Checkpoint::default();
+        assert_eq!(Checkpoint::decode(&empty.encode()), empty);
     }
 
     #[test]
-    fn any_single_bit_flip_is_rejected() {
-        let bytes = sample().encode();
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x04;
+    fn a_cut_at_every_byte_loads_a_prefix_of_the_records() {
+        let cp = sample();
+        let bytes = cp.encode();
+        let ends = record_ends(&cp);
+        for cut in 0..=bytes.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
             assert_eq!(
-                Checkpoint::decode(&corrupt),
-                None,
-                "flip at byte {i} must fail the CRC"
+                Checkpoint::decode(&bytes[..cut]),
+                prefix(&cp, whole),
+                "a cut at byte {cut} keeps exactly the records before it"
             );
         }
     }
 
     #[test]
-    fn truncation_at_every_length_is_rejected() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            assert_eq!(Checkpoint::decode(&bytes[..cut]), None);
+    fn a_flipped_bit_drops_its_record_and_every_later_one() {
+        let cp = sample();
+        let bytes = cp.encode();
+        let ends = record_ends(&cp);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << bit;
+                // Records wholly before byte i survive; a flipped header
+                // byte loads an empty log.
+                let kept = ends.iter().filter(|&&end| end <= i).count();
+                assert_eq!(
+                    Checkpoint::decode(&corrupt),
+                    prefix(&cp, kept),
+                    "bit {bit} of byte {i}"
+                );
+            }
         }
     }
 
     #[test]
     fn wrong_version_is_ignored() {
-        let mut cp = sample().encode();
-        // Patch the version field (bytes 4..8) and re-seal the CRC so only
-        // the version check can reject it.
-        cp[4] = 0xFF;
-        let body_len = cp.len() - 4;
-        let crc = crc32(&cp[..body_len]).to_le_bytes();
-        cp[body_len..].copy_from_slice(&crc);
-        assert_eq!(Checkpoint::decode(&cp), None);
+        let mut bytes = sample().encode();
+        // Patch the version field (bytes 4..8); every record stays sealed,
+        // so only the header check can drop them.
+        bytes[4] = 0xFF;
+        assert_eq!(decode_prefix(&bytes), (Checkpoint::default(), 0));
+    }
+
+    #[test]
+    fn the_last_record_per_key_wins() {
+        let mut bytes = sample().encode();
+        bytes.extend(record(3, &[7, 7]));
+        bytes.extend(record(3, &[5, 6]));
+        let mut expect = sample();
+        expect.entries[1].preds = vec![5, 6];
+        assert_eq!(Checkpoint::decode(&bytes), expect);
     }
 
     #[test]
@@ -316,18 +353,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nvfi-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ckpt");
-        let cp = sample();
-        cp.store(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path), Some(cp.clone()));
-        // Overwrite with more progress; the rename is atomic.
-        let mut more = cp;
+        let (log, loaded) = CheckpointLog::open(&path).unwrap();
+        assert_eq!(loaded, Checkpoint::default(), "a missing file starts empty");
+        for e in &sample().entries {
+            log.append(e.key, &e.preds);
+        }
+        drop(log);
+        assert_eq!(Checkpoint::load(&path), Some(sample()));
+        // A torn tail is cut off on reopen, so the next append is reachable.
+        let mut torn = std::fs::read(&path).unwrap();
+        torn.extend(&record(99, &[1, 2, 3])[..5]);
+        std::fs::write(&path, torn).unwrap();
+        let (log, loaded) = CheckpointLog::open(&path).unwrap();
+        assert_eq!(loaded, sample());
+        log.append(5, &[0]);
+        let mut more = sample();
         more.entries.push(CheckpointEntry {
-            work_id: 5,
-            start: 0,
-            end: 1,
+            key: 5,
             preds: vec![0],
         });
-        more.store(&path).unwrap();
         assert_eq!(Checkpoint::load(&path), Some(more));
         Checkpoint::remove(&path);
         assert_eq!(Checkpoint::load(&path), None);
@@ -343,29 +387,5 @@ mod tests {
         let mut b = Fnv64::new();
         b.write(b"cba");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn campaign_seed_folds_in_both_format_versions() {
-        // The seed differs from the plain offset basis (so fingerprints are
-        // version-qualified) and equals exactly "basis + wire version +
-        // checkpoint version" (so a bump of either invalidates checkpoints).
-        let seeded = Fnv64::campaign_seed();
-        assert_ne!(seeded.finish(), Fnv64::new().finish());
-        let mut manual = Fnv64::new();
-        manual.write_u64(u64::from(crate::wire::WIRE_VERSION));
-        manual.write_u64(u64::from(CHECKPOINT_VERSION));
-        assert_eq!(seeded.finish(), manual.finish());
-        // Deterministic across calls.
-        assert_eq!(
-            Fnv64::campaign_seed().finish(),
-            Fnv64::campaign_seed().finish()
-        );
-        // And sensitive to the version values: hashing different versions
-        // yields a different seed.
-        let mut bumped = Fnv64::new();
-        bumped.write_u64(u64::from(crate::wire::WIRE_VERSION) + 1);
-        bumped.write_u64(u64::from(CHECKPOINT_VERSION));
-        assert_ne!(seeded.finish(), bumped.finish());
     }
 }

@@ -28,8 +28,8 @@
 //!   does not match the assigned session (stale cached artifacts, post-CRC
 //!   corruption) is a named [`WireError::Integrity`] — rejected, requeued,
 //!   and a trust strike against the worker; a **self-consistent lie** is
-//!   caught by audit re-execution ([`FleetSpec::audit_rate`]; the baseline
-//!   shard is always sampled), arbitrated by an authoritative in-process
+//!   caught by audit re-execution ([`FleetSpec::audit_rate`]; every
+//!   executed baseline shard is sampled), arbitrated by an authoritative in-process
 //!   re-run, and punished by quarantining the convicted worker
 //!   ([`Trust`](crate::trust::Trust)) while its unverified shards are
 //!   re-checked — conviction is fatal only to the worker, never a client;
@@ -43,10 +43,12 @@
 //!   [`FleetSpec::readmission_grace`], ends the distributed attempt:
 //!   [`DistError::FleetLost`], or — with
 //!   [`OnFleetLost::Degrade`] — a bit-identical in-process fallback run;
-//! * with a checkpoint path ([`CampaignSpec::checkpoint_path`]), completed
-//!   shards are persisted as they land, and a **restarted coordinator
-//!   resumes**: artifacts are re-shipped, finished shards are replayed
-//!   from the checkpoint, only unfinished ones are redone;
+//! * with a checkpoint path ([`CampaignSpec::checkpoint_path`]), every
+//!   shard is appended to a log there as it lands (and again if an audit
+//!   repairs it), keyed by the shard's content, and a **restarted
+//!   coordinator resumes**: artifacts are re-shipped, logged shards are
+//!   replayed, only unfinished ones are redone. Records another campaign
+//!   left at the path match only the shards the two share;
 //! * a worker-*reported* error ([`Msg::WorkerErr`](crate::wire::Msg))
 //!   stays **fatal**: it is deterministic and would reproduce on any
 //!   other worker.
@@ -211,18 +213,13 @@ pub struct FleetSpec {
     /// comparing replies byte-for-byte; a mismatch is arbitrated by an
     /// authoritative in-process re-execution that decides which replica
     /// lied. Sampling is deterministic per `(client, shard)` (hash-based,
-    /// not random) so a rerun audits the same shards. The baseline shard
-    /// (work item 0) is **always** audited whatever the rate — every
-    /// record's fault-free reference deserves the double-check. Suspect
-    /// and probationary workers are audited at 100 % regardless.
-    /// Default `0.0` (baseline-only).
+    /// not random) so a rerun audits the same shards. Every **executed**
+    /// baseline shard (work item 0) is audited whatever the rate — every
+    /// record's fault-free reference deserves the double-check; a baseline
+    /// served from the shard store or a checkpoint log was audited by the
+    /// campaign that ran it. Suspect and probationary workers are audited
+    /// at 100 % regardless. Default `0.0` (baseline-only).
     pub audit_rate: f64,
-    /// Whether audit convictions and attestation failures feed the
-    /// per-worker [`Trust`](crate::trust::Trust) state machine, draining
-    /// convicted workers from the fleet and putting re-admitted ones on
-    /// probation. Default `true`; disable only to measure a hostile fleet
-    /// without defending against it.
-    pub quarantine: bool,
 }
 
 impl Default for FleetSpec {
@@ -239,7 +236,6 @@ impl Default for FleetSpec {
             readmission_grace: Duration::from_secs(5),
             max_readmissions: 64,
             audit_rate: 0.0,
-            quarantine: true,
         }
     }
 }

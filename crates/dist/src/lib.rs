@@ -102,8 +102,8 @@
 //! **re-admitted** mid-campaign (or turned away with a versioned
 //! `Goodbye`), total fleet loss either fails the campaign or degrades to
 //! the bit-identical in-process run ([`OnFleetLost`]), and a killed
-//! coordinator **resumes** from a CRC-sealed [`checkpoint`] redoing only
-//! unfinished shards. See `crates/dist/README.md` and the [`coordinator`]
+//! coordinator **resumes** from a [`checkpoint`] log of CRC-sealed shard
+//! records, redoing only unfinished shards. See `crates/dist/README.md` and the [`coordinator`]
 //! module docs for the full failure model.
 //!
 //! Since wire v4 the fabric also survives **wrong answers**, which a CRC
@@ -112,8 +112,8 @@
 //! actually executed against (a stale cache or post-CRC corruption is a named
 //! [`WireError::Integrity`], not a silent wrong merge); the server silently
 //! **audits** a configurable fraction of completed shards by re-dispatching
-//! them to a different worker ([`FleetSpec::audit_rate`] — the baseline
-//! shard is always audited) and arbitrates any mismatch with an
+//! them to a different worker ([`FleetSpec::audit_rate`] — every executed
+//! baseline shard is audited) and arbitrates any mismatch with an
 //! authoritative in-process re-execution; and each worker identity carries a
 //! [`Trust`] reputation (`Healthy → Suspect → Quarantined`, with audited
 //! probation after re-admission), so a worker caught lying is drained, its
@@ -139,8 +139,10 @@
 //!
 //! * [`CampaignServer`] — the persistent multiplexing campaign server: one
 //!   long-lived worker fleet serving many concurrent client campaigns,
-//!   fair-share interleaved, behind a result cache keyed by
-//!   `(plan, fault config, eval set)` content hashes. Each
+//!   fair-share interleaved, behind one shard store that maps each
+//!   shard's content key (session artifacts, fault program, image range)
+//!   to its predictions, so campaigns that share shards run them once.
+//!   Each
 //!   [`CampaignServer::submit`] returns a [`ClientHandle`] streaming
 //!   per-shard [`Progress`]; [`ServerStats`] counts submissions, cache
 //!   hits, dispatches and shipped artifact frames.

@@ -34,14 +34,19 @@
 //! long one drains in parallel instead of queuing behind it — no client
 //! starves. Per-client progress streams over [`ClientHandle::progress`].
 //!
-//! # Result cache
+//! # Shard store
 //!
-//! Completed campaigns are cached by a key hashing everything that
-//! determines the merged records: `(plan, weights, eval set, golden)`
-//! hashes, the labels, the verifier mode, and every work item's full fault
-//! program as it would go on the wire. A repeat submit with an identical
-//! key returns the cached [`CampaignResult`] without dispatching a single
-//! shard ([`ServerStats`] exposes the hit count).
+//! Every shard is keyed by **content**: a hash of the session's four
+//! artifact hashes, the work item's fault program and window as they go on
+//! the wire, and the image range. The work item's position in the work
+//! list is not part of the key, so the same fault in another campaign is
+//! the same shard. The server keeps one map from key to predictions for
+//! its whole life, filled as campaigns finish. A submit looks up each of
+//! its shards: when all are present the campaign is folded on the spot
+//! without dispatching a single shard (a cache hit, counted in
+//! [`ServerStats`]); otherwise the present ones are prefilled and only the
+//! rest run. A sweep over one model therefore executes its fault-free
+//! baseline shard once per server, not once per campaign.
 //!
 //! # Failure model
 //!
@@ -52,8 +57,11 @@
 //! [`FleetSpec::readmission_grace`] fails every unfinished client with
 //! [`DistError::FleetLost`] while the server itself stays up for later
 //! submissions; worker-*reported* errors stay fatal to their client.
-//! Checkpoints ([`CampaignSpec::checkpoint_path`]) record per-client
-//! progress and resume across server (or coordinator) restarts.
+//! A client with a [`CampaignSpec::checkpoint_path`] appends each landed
+//! (or repaired) shard to a log of `(key, predictions)` records there, so
+//! a restarted server (or coordinator) resumes it. The log uses the shard
+//! store's keys: records a foreign campaign left at the path match only
+//! the shards the two share.
 //!
 //! # Result integrity (wire v4)
 //!
@@ -67,8 +75,8 @@
 //!   recomputes it from the *assigned* session: a worker running stale
 //!   cached artifacts, or a frame corrupted after its CRC was sealed, is a
 //!   named [`WireError::Integrity`] — the shard is requeued, never merged.
-//! * **Audit re-execution** — completed shards are sampled (the baseline
-//!   shard always; others per [`FleetSpec::audit_rate`]) and silently
+//! * **Audit re-execution** — completed shards are sampled (every executed
+//!   baseline shard; others per [`FleetSpec::audit_rate`]) and silently
 //!   re-dispatched to a *different* worker. A mismatch triggers an
 //!   authoritative in-process re-execution that arbitrates which replica
 //!   lied; the stored result is repaired if needed, so a *self-consistent*
@@ -94,14 +102,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nvfi::campaign::{Campaign, CampaignPlan, CampaignResult, CampaignSpec, VerifyMode};
+use nvfi::campaign::{Campaign, CampaignPlan, CampaignResult, CampaignSpec};
 use nvfi::{DevicePool, GoldenActivationCache, PlatformConfig, QuantizedEvalSet};
 use nvfi_dataset::Dataset;
 use nvfi_obs::{progress, trace};
 use nvfi_quant::QuantModel;
 
-use crate::checkpoint::{Checkpoint, CheckpointEntry, Fnv64};
-use crate::codec::{crc32, WireError};
+use crate::checkpoint::{Checkpoint, CheckpointLog, Fnv64};
+use crate::codec::WireError;
 use crate::coordinator::{DistError, FleetSpec, WorkerSpawn};
 use crate::trust::Trust;
 use crate::wire::{self, Msg, WireConfig, WireFault};
@@ -122,6 +130,9 @@ pub(crate) struct Task {
     pub(crate) work_id: usize,
     /// Image range of the evaluation set.
     pub(crate) range: Range<usize>,
+    /// Content key in the shard store and the checkpoint log (see
+    /// [`shard_key`]).
+    pub(crate) key: u64,
 }
 
 /// Reaps (and on early exit, kills) the spawned worker processes.
@@ -136,49 +147,6 @@ impl Drop for FleetGuard {
             // race loser then. Either way, wait() reaps.
             let _ = child.kill();
             let _ = child.wait();
-        }
-    }
-}
-
-/// The checkpoint file plus its in-memory image, persisted (atomically,
-/// whole-file) after every completed shard.
-struct CkptState {
-    path: PathBuf,
-    cp: Mutex<Checkpoint>,
-}
-
-impl CkptState {
-    /// Records (or, after an audit repaired a lying worker's shard,
-    /// **replaces**) one completed shard. Keyed replacement keeps a resume
-    /// from replaying a result that arbitration already overruled.
-    fn record(&self, task: &Task, preds: &[u8]) {
-        let mut cp = lock(&self.cp);
-        let key = (
-            task.work_id as u32,
-            task.range.start as u32,
-            task.range.end as u32,
-        );
-        if let Some(entry) = cp
-            .entries
-            .iter_mut()
-            .find(|e| (e.work_id, e.start, e.end) == key)
-        {
-            entry.preds = preds.to_vec();
-        } else {
-            cp.entries.push(CheckpointEntry {
-                work_id: key.0,
-                start: key.1,
-                end: key.2,
-                preds: preds.to_vec(),
-            });
-        }
-        if let Err(e) = cp.store(&self.path) {
-            // A failing checkpoint must not fail the campaign — it only
-            // weakens a future resume.
-            progress::note(format!(
-                "nvfi server: checkpoint write to {} failed: {e}",
-                self.path.display()
-            ));
         }
     }
 }
@@ -277,73 +245,39 @@ fn hash_golden(golden: &GoldenActivationCache) -> u64 {
     finish_nonzero(&h)
 }
 
-/// The [`Msg::Work`] frame of one shard of work item `work_id`. Hashing
-/// the `0..0` frame of every item is how the result key and the checkpoint
-/// fingerprint cover each item's full fault program; `Msg::Work` encoding
-/// bumps no serialize-once probe, so that is free and stays in sync with
-/// the protocol.
-fn work_msg(plan: &CampaignPlan, work_id: usize, start: u32, end: u32) -> Msg {
+/// The [`Msg::Work`] frame that runs work item `work_id` over `range`,
+/// under the wire id `wire_id`. `Msg::Work` encoding bumps no
+/// serialize-once probe, so hashing it for [`shard_key`] is free and stays
+/// in sync with the protocol.
+fn work_msg(plan: &CampaignPlan, wire_id: u32, work_id: usize, range: &Range<usize>) -> Msg {
     let (fault, window) = plan.item(work_id);
     Msg::Work {
-        work_id: work_id as u32,
-        start,
-        end,
+        work_id: wire_id,
+        start: range.start as u32,
+        end: range.end as u32,
         fault: fault.map(|f| WireFault::from_targets(&f.targets, f.kind)),
         window,
     }
 }
 
-/// The result-cache key: hashes everything that determines the merged
-/// records — the four artifact hashes, the evaluation labels, the verifier
-/// mode (it decides which items are pruned as provably masked) and every
-/// work item's full fault program as it would go on the wire. Two submits
-/// share a key iff their [`CampaignResult`]s are interchangeable.
-fn result_cache_key(
-    artifact_hashes: (u64, u64, u64, u64),
+/// A shard's content key: hashes everything that determines its
+/// predictions — the session's four artifact hashes, and the work item's
+/// fault program, window and image range as they go on the wire, under
+/// wire id 0. The item's position in the work list is left out, so the
+/// same fault is the same shard in every campaign over the same session.
+fn shard_key(
+    session: (u64, u64, u64, u64),
     plan: &CampaignPlan,
-    verify: VerifyMode,
+    work_id: usize,
+    range: &Range<usize>,
 ) -> u64 {
-    let (plan_hash, weights, eval, golden) = artifact_hashes;
     let mut h = Fnv64::new();
     h.write(&[5]);
-    h.write_u64(plan_hash);
-    h.write_u64(weights);
-    h.write_u64(eval);
-    h.write_u64(golden);
-    h.write_u64(plan.labels().len() as u64);
-    h.write(plan.labels());
-    h.write(&[match verify {
-        VerifyMode::Off => 0,
-        VerifyMode::Warn => 1,
-        VerifyMode::Strict => 2,
-    }]);
-    for work_id in 0..plan.work().len() {
-        h.write(&work_msg(plan, work_id, 0, 0).encode());
-    }
-    finish_nonzero(&h)
-}
-
-/// Hashes everything that determines the schedule and its answers: the
-/// wire + checkpoint format versions (via [`Fnv64::campaign_seed`], so a
-/// protocol bump invalidates every older checkpoint), the encoded session
-/// frames (plan, weights, evaluation set — config and quantized pixels
-/// included), the task list, and each work item's full fault program as it
-/// would go on the wire. Two campaigns share a fingerprint iff their
-/// checkpointed shards are interchangeable.
-fn campaign_fingerprint(frames: [&[u8]; 3], tasks: &[Task], plan: &CampaignPlan) -> u64 {
-    let mut h = Fnv64::campaign_seed();
-    for frame in frames {
-        h.write_u64(u64::from(crc32(frame)));
-    }
-    h.write_u64(tasks.len() as u64);
-    for t in tasks {
-        h.write_u64(t.work_id as u64);
-        h.write_u64(t.range.start as u64);
-        h.write_u64(t.range.end as u64);
-    }
-    for work_id in 0..plan.work().len() {
-        h.write(&work_msg(plan, work_id, 0, 0).encode());
-    }
+    h.write_u64(session.0);
+    h.write_u64(session.1);
+    h.write_u64(session.2);
+    h.write_u64(session.3);
+    h.write(&work_msg(plan, 0, work_id, range).encode());
     h.finish()
 }
 
@@ -361,8 +295,8 @@ pub(crate) enum Prepared {
 }
 
 /// A [`CampaignPlan`] plus what only the fabric needs: the exported plan
-/// words and weight image, their content hashes, the task layout and the
-/// result key — nothing borrowed from the caller, and no programmed device.
+/// words and weight image, their content hashes and the keyed task layout
+/// — nothing borrowed from the caller, and no programmed device.
 pub(crate) struct PreparedCampaign {
     plan: Arc<CampaignPlan>,
     config: PlatformConfig,
@@ -375,14 +309,13 @@ pub(crate) struct PreparedCampaign {
     tasks: Vec<Task>,
     verbose: bool,
     checkpoint_path: Option<PathBuf>,
-    result_key: u64,
 }
 
 /// Prepares one campaign for the fabric — the fleet-free front half shared
 /// by [`CampaignServer::submit`] and [`crate::run_campaign`]:
 /// [`CampaignPlan::prepare`] (the same preparation as the in-process
-/// [`Campaign::run`]), then the artifact export, content hashes, task
-/// layout and result key. An all-masked campaign is folded from its
+/// [`Campaign::run`]), then the artifact export, content hashes and the
+/// keyed task layout. An all-masked campaign is folded from its
 /// baseline on the prototype right here and never engages the fleet.
 pub(crate) fn prepare(
     model: &QuantModel,
@@ -432,11 +365,15 @@ pub(crate) fn prepare(
         }
         let shards = layout.get(i % layout.len().max(1)).copied().unwrap_or(1);
         for range in DevicePool::shard_plan(images, shards, granularity) {
-            tasks.push(Task { work_id: i, range });
+            let key = shard_key(session, &plan, i, &range);
+            tasks.push(Task {
+                work_id: i,
+                range,
+                key,
+            });
         }
     }
 
-    let result_key = result_cache_key(session, &plan, spec.verify);
     Ok(Prepared::Scheduled(Box::new(PreparedCampaign {
         plan: Arc::new(plan),
         config,
@@ -447,7 +384,6 @@ pub(crate) fn prepare(
         tasks,
         verbose: spec.verbose,
         checkpoint_path: spec.checkpoint_path.clone(),
-        result_key,
     })))
 }
 
@@ -472,7 +408,8 @@ fn fair_share_pick(clients: impl Iterator<Item = (u64, u64, bool)>) -> Option<u6
 /// [`ClientHandle::progress`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Progress {
-    /// Shards completed so far (checkpoint-prefilled ones included).
+    /// Shards completed so far (ones prefilled from the shard store or the
+    /// checkpoint log included).
     pub done: usize,
     /// Total shards of this campaign.
     pub total: usize,
@@ -481,9 +418,10 @@ pub struct Progress {
 /// Counters of a [`CampaignServer`]'s lifetime, for tests and monitoring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Campaigns submitted (result-cache hits included).
+    /// Campaigns submitted (cache hits included).
     pub campaigns_submitted: u64,
-    /// Submissions answered from the result cache without fleet work.
+    /// Submissions whose every shard was in the shard store, answered
+    /// without fleet work.
     pub cache_hits: u64,
     /// Shards handed to workers (requeued shards count again).
     pub tasks_dispatched: u64,
@@ -555,7 +493,7 @@ struct ClientState {
     /// One slot per task, filled as shards land.
     results: Vec<Option<Vec<u8>>>,
     /// Which worker identity produced each landed result (`None` for
-    /// checkpoint-prefilled or arbitration-authoritative slots).
+    /// prefilled or arbitration-authoritative slots).
     producer: Vec<Option<u64>>,
     /// Tasks with an audit scheduled or in flight (guards every resolution
     /// path — an audit is closed exactly once).
@@ -571,7 +509,8 @@ struct ClientState {
     fatal: Option<DistError>,
     finished: bool,
     verbose: bool,
-    ckpt: Option<Arc<CkptState>>,
+    /// This client's checkpoint log, if it asked for one.
+    ckpt: Option<Arc<CheckpointLog>>,
     /// In-process authoritative re-executor for audit arbitration.
     arbiter: Arc<Arbiter>,
     progress: Sender<Progress>,
@@ -584,8 +523,9 @@ struct ServerState {
     artifacts: HashMap<u64, Arc<Vec<u8>>>,
     clients: BTreeMap<u64, ClientState>,
     next_client: u64,
-    /// Finished campaigns by result key (see [`result_cache_key`]).
-    results_cache: HashMap<u64, CampaignResult>,
+    /// The shard store: predictions of every shard of every finished
+    /// campaign, by content key (see [`shard_key`]).
+    shards: HashMap<u64, Vec<u8>>,
     /// Reputation per worker identity — survives reconnects and drains.
     trust: HashMap<u64, Trust>,
     /// Connection count per worker identity currently serving.
@@ -606,12 +546,9 @@ struct ServerInner {
     readmission_grace: Duration,
     max_readmissions: usize,
     total_workers: usize,
-    /// Fraction of non-baseline completed shards audited (baseline shards
-    /// are always audited). See [`FleetSpec::audit_rate`].
+    /// Fraction of non-baseline completed shards audited (every executed
+    /// baseline shard is). See [`FleetSpec::audit_rate`].
     audit_rate: f64,
-    /// Whether integrity strikes and audit convictions quarantine workers
-    /// (audits still *repair* results when off). See [`FleetSpec::quarantine`].
-    quarantine: bool,
 }
 
 /// The in-process authoritative re-executor behind audit arbitration: the
@@ -645,10 +582,10 @@ impl Arbiter {
     }
 }
 
-/// Whether a completed shard is sampled for audit: the baseline (work item
-/// 0) always is — the one shard every campaign depends on — and others by
-/// a deterministic domain-tagged draw over `(client, shard key)` against
-/// `audit_rate`, so the audit set is reproducible run to run.
+/// Whether a completed shard is sampled for audit: an executed baseline
+/// (work item 0) always is — the one shard every campaign depends on — and
+/// others by a deterministic domain-tagged draw over `(client, shard key)`
+/// against `audit_rate`, so the audit set is reproducible run to run.
 fn audit_sampled(rate: f64, client: u64, key: (u32, u32, u32)) -> bool {
     if key.0 == 0 {
         return true;
@@ -698,7 +635,7 @@ struct SweepItem {
     task_idx: usize,
     arbiter: Arc<Arbiter>,
     tasks: Arc<Vec<Task>>,
-    ckpt: Option<Arc<CkptState>>,
+    ckpt: Option<Arc<CheckpointLog>>,
 }
 
 impl ClientState {
@@ -719,12 +656,8 @@ impl ClientState {
 /// proved a wrong answer) quarantines outright. On the transition *into*
 /// quarantine every unverified shard the worker produced is re-verified by
 /// the owning client's arbiter — repaired if it lied — so nothing the
-/// convicted worker touched survives unchecked. No-op when
-/// [`FleetSpec::quarantine`] is off.
+/// convicted worker touched survives unchecked.
 fn punish_worker(inner: &ServerInner, ident: u64, conviction: bool) {
-    if !inner.quarantine {
-        return;
-    }
     let mut sweep: Vec<SweepItem> = Vec::new();
     {
         let mut guard = lock(&inner.state);
@@ -774,8 +707,9 @@ fn punish_worker(inner: &ServerInner, ident: u64, conviction: bool) {
 /// Resolves open audits in-process: the arbiter's authoritative
 /// re-execution replaces any differing stored result (and is the
 /// completion of a task whose result was discarded), the audit closes, and
-/// a repaired result is re-checkpointed. Audits resolved concurrently are
-/// skipped; an arbiter error fails only its client.
+/// a repaired result is appended to the checkpoint log again. Audits
+/// resolved concurrently are skipped; an arbiter error fails only its
+/// client.
 fn arbitrate(inner: &ServerInner, items: Vec<SweepItem>) {
     for item in items {
         let Some(task) = item.tasks.get(item.task_idx) else {
@@ -815,8 +749,8 @@ fn arbitrate(inner: &ServerInner, items: Vec<SweepItem>) {
             close_audit(c, item.task_idx, &inner.completion);
         }
         if rerecord {
-            if let Some(ck) = &item.ckpt {
-                ck.record(task, &auth);
+            if let Some(log) = &item.ckpt {
+                log.append(task.key, &auth);
             }
         }
     }
@@ -864,7 +798,7 @@ struct Assignment {
     work_msg: Msg,
     /// Expected `(work_id, start, end)` of the reply.
     key: (u32, u32, u32),
-    ckpt: Option<Arc<CkptState>>,
+    ckpt: Option<Arc<CheckpointLog>>,
     arbiter: Arc<Arbiter>,
     total: usize,
 }
@@ -932,7 +866,7 @@ fn pick_assignment(inner: &ServerInner, has: &mut HashSet<u64>, ident: u64) -> O
         task.range.start as u32,
         task.range.end as u32,
     );
-    let work_msg = work_msg(&c.plan, task.work_id, key.1, key.2);
+    let work_msg = work_msg(&c.plan, key.0, task.work_id, &task.range);
     let session = c.session;
     let (mut ship, mut frames) = (0u8, Vec::new());
     // An in-process audit touches no socket: nothing to ship.
@@ -1117,19 +1051,18 @@ fn await_shard(
     result
 }
 
-/// Lands one completed *run*: checkpoint, merge, and — when the shard is
+/// Lands one completed *run*: log, merge, and — when the shard is
 /// sampled (or the producer is under heightened audit) — schedule a silent
 /// audit re-execution. A result landed by a worker that was quarantined
 /// mid-flight is discarded and its task requeued: nothing a convicted
 /// worker produced is merged unverified.
 fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, preds: Vec<u8>) {
     // Persist before counting done: a server killed right here resumes
-    // with this shard already checkpointed. (A later arbitration replaces
-    // the entry by key if this worker turns out to have lied.)
-    if let Some(ck) = &a.ckpt {
-        if let Some(task) = a.tasks.get(a.task_idx) {
-            ck.record(task, &preds);
-        }
+    // with this shard already logged. (A later arbitration appends the
+    // repaired record, which wins on load, if this worker turns out to
+    // have lied.)
+    if let (Some(log), Some(task)) = (&a.ckpt, a.tasks.get(a.task_idx)) {
+        log.append(task.key, &preds);
     }
     let mut guard = lock(&inner.state);
     let st = &mut *guard;
@@ -1140,7 +1073,7 @@ fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, p
     if c.finished || !matches!(c.results.get(a.task_idx), Some(None)) {
         return;
     }
-    if inner.quarantine && producer_trust.is_quarantined() {
+    if producer_trust.is_quarantined() {
         // Convicted while this shard was in flight: discard and requeue.
         c.queue.push(QueueEntry::Run(a.task_idx));
         return;
@@ -1172,8 +1105,8 @@ fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, p
             });
         }
     }
-    let need_audit = (inner.quarantine && producer_trust.audits_all())
-        || audit_sampled(inner.audit_rate, a.client, a.key);
+    let need_audit =
+        producer_trust.audits_all() || audit_sampled(inner.audit_rate, a.client, a.key);
     if need_audit && !c.verified.get(a.task_idx).copied().unwrap_or(false) {
         if let Some(open) = c.audit_open.get_mut(a.task_idx) {
             *open = true;
@@ -1212,9 +1145,7 @@ fn resolve_wire_audit(
                 // Audit passed: the stored result is confirmed.
                 trace::event("audit.pass");
                 close_audit(c, a.task_idx, &inner.completion);
-                if inner.quarantine {
-                    st.trust.entry(producer).or_default().audit_passed();
-                }
+                st.trust.entry(producer).or_default().audit_passed();
                 None
             }
             Some(orig) => {
@@ -1263,15 +1194,15 @@ fn resolve_wire_audit(
                 close_audit(c, a.task_idx, &inner.completion);
             }
         }
-        if inner.quarantine && !orig_lied {
+        if !orig_lied {
             // The producer told the truth; the auditor is the liar. Credit
             // the producer as any passed audit would.
             guard.trust.entry(producer).or_default().audit_passed();
         }
     }
     if rerecord {
-        if let Some(ck) = &a.ckpt {
-            ck.record(task, &auth);
+        if let Some(log) = &a.ckpt {
+            log.append(task.key, &auth);
         }
     }
     if orig_lied {
@@ -1332,7 +1263,7 @@ fn resolve_local_audit(inner: &ServerInner, a: &Assignment, producer: u64) {
                         *p = None;
                     }
                     rerecord = true;
-                } else if inner.quarantine {
+                } else {
                     st.trust.entry(producer).or_default().audit_passed();
                 }
                 close_audit(c, a.task_idx, &inner.completion);
@@ -1340,8 +1271,8 @@ fn resolve_local_audit(inner: &ServerInner, a: &Assignment, producer: u64) {
         }
     }
     if rerecord {
-        if let Some(ck) = &a.ckpt {
-            ck.record(task, &auth);
+        if let Some(log) = &a.ckpt {
+            log.append(task.key, &auth);
         }
     }
     if lied {
@@ -1389,23 +1320,21 @@ fn connection_thread(
             while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
             break;
         }
-        if inner.quarantine {
-            let quarantined = lock(&inner.state)
-                .trust
-                .get(&ident)
-                .is_some_and(|t| t.is_quarantined());
-            if quarantined {
-                // Drain the convicted worker. Its serve loop reads a clean
-                // `Goodbye` and stands down (or reconnects later, entering
-                // probation via the acceptor's re-admission path).
-                let _ = wire::send(
-                    &mut stream,
-                    &Msg::Goodbye {
-                        reason: "worker quarantined after failed result audit".to_string(),
-                    },
-                );
-                break;
-            }
+        let quarantined = lock(&inner.state)
+            .trust
+            .get(&ident)
+            .is_some_and(|t| t.is_quarantined());
+        if quarantined {
+            // Drain the convicted worker. Its serve loop reads a clean
+            // `Goodbye` and stands down (or reconnects later, entering
+            // probation via the acceptor's re-admission path).
+            let _ = wire::send(
+                &mut stream,
+                &Msg::Goodbye {
+                    reason: "worker quarantined after failed result audit".to_string(),
+                },
+            );
+            break;
         }
         let Some(a) = pick_assignment(inner, &mut has, ident) else {
             // No ready client: stay available — a lost worker may yet
@@ -1655,8 +1584,8 @@ fn acceptor_thread(
                     let mut st = lock(&inner.state);
                     for c in st.clients.values_mut() {
                         if !c.finished {
-                            // Fail the rest (their checkpoints, if any,
-                            // stay on disk for a resume). The server
+                            // Fail the rest (their checkpoint logs, if
+                            // any, stay on disk for a resume). The server
                             // stays up.
                             c.fatal = Some(DistError::FleetLost {
                                 incomplete: c.tasks.len() - c.done,
@@ -1929,7 +1858,7 @@ impl CampaignServer {
                 artifacts: HashMap::new(),
                 clients: BTreeMap::new(),
                 next_client: 0,
-                results_cache: HashMap::new(),
+                shards: HashMap::new(),
                 trust: HashMap::new(),
                 active_idents: HashMap::new(),
                 stats: ServerStats::default(),
@@ -1942,7 +1871,6 @@ impl CampaignServer {
             max_readmissions: fleet.max_readmissions,
             total_workers,
             audit_rate: fleet.audit_rate,
-            quarantine: fleet.quarantine,
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         {
@@ -1989,8 +1917,8 @@ impl CampaignServer {
     /// `spec.threads` still means "total device budget" when the fleet's
     /// [`FleetSpec::local_devices`] was 0.
     ///
-    /// An all-masked campaign, or one whose result key is already in the
-    /// result cache, resolves without any fleet work.
+    /// An all-masked campaign, or one whose every shard is already in the
+    /// shard store, resolves without any fleet work.
     ///
     /// # Errors
     ///
@@ -2025,24 +1953,32 @@ impl CampaignServer {
         }
     }
 
-    /// Registers a [`PreparedCampaign`] with the scheduler: result-cache
-    /// lookup first, then artifact registration (each distinct hash
-    /// encoded exactly once per server), checkpoint prefill, and the
-    /// client queue.
+    /// Registers a [`PreparedCampaign`] with the scheduler: one shard-store
+    /// lookup per task (all present: fold on the spot, a cache hit), then
+    /// artifact registration (each distinct hash encoded exactly once per
+    /// server), checkpoint prefill, and the client queue.
     pub(crate) fn submit_prepared(&self, p: PreparedCampaign) -> ClientHandle {
         let mut st = lock(&self.inner.state);
         st.stats.campaigns_submitted += 1;
-        if let Some(cached) = st.results_cache.get(&p.result_key) {
-            let mut result = cached.clone();
+        let mut results: Vec<Option<Vec<u8>>> = p
+            .tasks
+            .iter()
+            .map(|t| st.shards.get(&t.key).cloned())
+            .collect();
+        let stored = results.iter().flatten().count();
+        if stored == p.tasks.len() {
             st.stats.cache_hits += 1;
             drop(st);
-            result.wall_seconds = p.plan.started().elapsed().as_secs_f64();
             if let Some(path) = &p.checkpoint_path {
-                // The cached answer completes this campaign; a stale
-                // checkpoint must not donate shards to a later run.
+                // The store completes this campaign; a stale log must not
+                // donate shards to a later run.
                 Checkpoint::remove(path);
             }
-            return ClientHandle::ready(result);
+            return ClientHandle::ready(fold_shards(
+                &p.plan,
+                &p.tasks,
+                results.into_iter().flatten(),
+            ));
         }
         // The decoded artifacts live on (shared) behind the audit arbiter:
         // an authoritative in-process re-execution needs exactly what a
@@ -2053,7 +1989,7 @@ impl CampaignServer {
         // Register the artifact frames. Encoding happens at most once per
         // distinct content hash for the server's whole life — the
         // serialize-once probes count these.
-        let plan_frame = ensure_artifact(&mut st, plan_hash, || {
+        ensure_artifact(&mut st, plan_hash, || {
             Msg::Plan {
                 config: p.config.into(),
                 local_devices: p.local_devices as u32,
@@ -2061,7 +1997,7 @@ impl CampaignServer {
             }
             .encode()
         });
-        let weights_frame = ensure_artifact(&mut st, weights_hash, || {
+        ensure_artifact(&mut st, weights_hash, || {
             Msg::Weights {
                 regions: weight_image.as_ref().clone(),
             }
@@ -2069,7 +2005,7 @@ impl CampaignServer {
         });
         let qset = p.plan.qset();
         let shape = qset.shape();
-        let eval_frame = ensure_artifact(&mut st, eval_hash, || {
+        ensure_artifact(&mut st, eval_hash, || {
             // Encoded straight from the borrowed pixel slice: no owned copy
             // of the (large) evaluation set just to build a `Msg`.
             wire::encode_eval_set(
@@ -2093,59 +2029,41 @@ impl CampaignServer {
         }
         drop(st);
 
-        // Checkpoint/resume (file I/O outside the state lock): replay
-        // completed shards of a previous campaign whose fingerprint matches
-        // this one, then keep persisting as new shards land.
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; p.tasks.len()];
-        let mut prefilled = 0usize;
-        let ckpt: Option<Arc<CkptState>> = p.checkpoint_path.as_ref().map(|path| {
-            let fingerprint = campaign_fingerprint(
-                [&plan_frame, &weights_frame, &eval_frame],
-                &p.tasks,
-                &p.plan,
-            );
-            let mut cp = Checkpoint::new(fingerprint);
-            if let Some(prev) = Checkpoint::load(path) {
-                if prev.fingerprint == fingerprint {
-                    let by_key: HashMap<(u32, u32, u32), usize> = p
-                        .tasks
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| {
-                            (
-                                (t.work_id as u32, t.range.start as u32, t.range.end as u32),
-                                i,
-                            )
-                        })
-                        .collect();
-                    for entry in prev.entries {
-                        let key = (entry.work_id, entry.start, entry.end);
-                        if let Some(&idx) = by_key.get(&key) {
-                            if let Some(slot @ None) = results.get_mut(idx) {
-                                *slot = Some(entry.preds.clone());
-                                prefilled += 1;
-                                cp.entries.push(entry);
-                            }
-                        }
+        // Checkpoint/resume (file I/O outside the state lock): open the
+        // log, prefill the shards it holds that the store did not, and
+        // keep appending as new shards land.
+        let mut resumed = 0usize;
+        let ckpt = p.checkpoint_path.as_ref().and_then(|path| {
+            let (log, cp) = match CheckpointLog::open(path) {
+                Ok(opened) => opened,
+                Err(e) => {
+                    progress::note(format!(
+                        "nvfi server: checkpoint {} unusable: {e}",
+                        path.display()
+                    ));
+                    return None;
+                }
+            };
+            let logged: HashMap<u64, Vec<u8>> =
+                cp.entries.into_iter().map(|e| (e.key, e.preds)).collect();
+            for (slot, task) in results.iter_mut().zip(p.tasks.iter()) {
+                if slot.is_none() {
+                    if let Some(preds) = logged.get(&task.key) {
+                        *slot = Some(preds.clone());
+                        resumed += 1;
                     }
-                    if p.verbose && prefilled > 0 {
-                        progress::emit(&progress::Event::Resumed {
-                            path: path.display().to_string(),
-                            done: prefilled,
-                            total: p.tasks.len(),
-                        });
-                    }
-                } else if p.verbose {
-                    progress::emit(&progress::Event::CheckpointMismatch {
-                        path: path.display().to_string(),
-                    });
                 }
             }
-            Arc::new(CkptState {
-                path: path.clone(),
-                cp: Mutex::new(cp),
-            })
+            if p.verbose && resumed > 0 {
+                progress::emit(&progress::Event::Resumed {
+                    path: path.display().to_string(),
+                    done: stored + resumed,
+                    total: p.tasks.len(),
+                });
+            }
+            Some(Arc::new(log))
         });
+        let prefilled = stored + resumed;
 
         let (progress_tx, progress_rx) = channel();
         let tasks = Arc::new(p.tasks);
@@ -2155,9 +2073,9 @@ impl CampaignServer {
             .map(QueueEntry::Run)
             .collect();
         let finished = prefilled == tasks.len();
-        // Checkpoint-prefilled shards count as verified: they were landed
-        // (and possibly audited) by the run that recorded them, and there
-        // is no producer left to audit.
+        // Prefilled shards count as verified: they were landed (and
+        // possibly audited) by the run that recorded them, and there is no
+        // producer left to audit.
         let verified: Vec<bool> = results.iter().map(Option::is_some).collect();
         let arbiter = Arc::new(Arbiter {
             config: p.config,
@@ -2201,7 +2119,6 @@ impl CampaignServer {
                 id,
                 plan: p.plan,
                 tasks,
-                result_key: p.result_key,
                 checkpoint_path: p.checkpoint_path,
             },
             progress: progress_rx,
@@ -2289,15 +2206,8 @@ pub fn query_stats(addr: SocketAddr) -> Result<String, DistError> {
 /// Interns an encoded artifact frame by content hash — the closure runs
 /// (and the serialize-once probes tick) only when the hash is new to the
 /// server.
-fn ensure_artifact(
-    st: &mut ServerState,
-    hash: u64,
-    make: impl FnOnce() -> Vec<u8>,
-) -> Arc<Vec<u8>> {
-    st.artifacts
-        .entry(hash)
-        .or_insert_with(|| Arc::new(make()))
-        .clone()
+fn ensure_artifact(st: &mut ServerState, hash: u64, make: impl FnOnce() -> Vec<u8>) {
+    st.artifacts.entry(hash).or_insert_with(|| Arc::new(make()));
 }
 
 // ---------------------------------------------------------------------------
@@ -2313,7 +2223,6 @@ enum HandleInner {
         id: u64,
         plan: Arc<CampaignPlan>,
         tasks: Arc<Vec<Task>>,
-        result_key: u64,
         checkpoint_path: Option<PathBuf>,
     },
 }
@@ -2350,26 +2259,25 @@ impl ClientHandle {
     /// shards by range — never by arrival order — and folds them with
     /// [`CampaignPlan::fold`], the same fold as the in-process
     /// [`Campaign::run`], so the result is bit-identical to it. The
-    /// finished result is stored in the server's result cache.
+    /// campaign's shards go into the server's shard store.
     ///
     /// # Errors
     ///
     /// [`DistError::FleetLost`] when every worker stayed gone past the
-    /// re-admission grace (the checkpoint, if any, is left on disk for a
+    /// re-admission grace (the checkpoint log, if any, is left on disk for a
     /// resume); [`DistError::Worker`] for worker-reported deterministic
     /// failures; [`DistError::Protocol`] when the server was shut down
     /// with this campaign unfinished.
     pub fn wait(self) -> Result<CampaignResult, DistError> {
-        let (server, id, plan, tasks, result_key, checkpoint_path) = match self.inner {
+        let (server, id, plan, tasks, checkpoint_path) = match self.inner {
             HandleInner::Ready(result) => return Ok(result),
             HandleInner::Pending {
                 server,
                 id,
                 plan,
                 tasks,
-                result_key,
                 checkpoint_path,
-            } => (server, id, plan, tasks, result_key, checkpoint_path),
+            } => (server, id, plan, tasks, checkpoint_path),
         };
         let mut st = lock(&server.state);
         loop {
@@ -2391,30 +2299,40 @@ impl ClientHandle {
         if let Some(e) = client.fatal {
             return Err(e);
         }
-        // The task list is ordered by (work item, range), so extending in
-        // task order concatenates each item's shards in image order.
-        let mut per_item: Vec<Vec<u8>> = vec![Vec::new(); plan.work().len()];
-        for (task, slot) in tasks.iter().zip(client.results) {
-            let Some(preds) = slot else {
-                return Err(DistError::Protocol("finished campaign left a shard hole"));
-            };
-            let Some(item) = per_item.get_mut(task.work_id) else {
-                return Err(DistError::Protocol("shard names an out-of-range work item"));
-            };
-            item.extend(preds);
+        let Some(shards) = client.results.into_iter().collect::<Option<Vec<_>>>() else {
+            return Err(DistError::Protocol("finished campaign left a shard hole"));
+        };
+        // The campaign is complete: its shards serve later campaigns, and
+        // its log retires — a finished run leaves nothing at its path.
+        {
+            let mut st = lock(&server.state);
+            for (task, preds) in tasks.iter().zip(&shards) {
+                st.shards.insert(task.key, preds.clone());
+            }
         }
-        let result = plan.fold(per_item);
-        // The campaign is complete: cache the answer for repeat queries and
-        // retire the checkpoint — a finished run must not donate shards to
-        // an unrelated later campaign at the same path.
-        lock(&server.state)
-            .results_cache
-            .insert(result_key, result.clone());
         if let Some(path) = &checkpoint_path {
             Checkpoint::remove(path);
         }
-        Ok(result)
+        Ok(fold_shards(&plan, &tasks, shards))
     }
+}
+
+/// Concatenates each work item's shards and folds them with
+/// [`CampaignPlan::fold`]. The task list is ordered by (work item, range),
+/// so extending in task order concatenates each item's shards in image
+/// order — never arrival order.
+fn fold_shards(
+    plan: &CampaignPlan,
+    tasks: &[Task],
+    shards: impl IntoIterator<Item = Vec<u8>>,
+) -> CampaignResult {
+    let mut per_item: Vec<Vec<u8>> = vec![Vec::new(); plan.work().len()];
+    for (task, preds) in tasks.iter().zip(shards) {
+        if let Some(item) = per_item.get_mut(task.work_id) {
+            item.extend(preds);
+        }
+    }
+    plan.fold(per_item)
 }
 
 #[cfg(test)]

@@ -36,8 +36,7 @@ use crate::coordinator::DistError;
 /// under and ships only the frames the worker is missing. The artifact set
 /// gains [`Msg::Golden`], the windowed-campaign golden activation cache.
 /// Bare `Plan`/`Weights`/`EvalSet` frames outside a delta are a protocol
-/// error in v3. The checkpoint seed folds `WIRE_VERSION`, so v2 resume
-/// files self-invalidate.
+/// error in v3.
 ///
 /// v4: results are attested and workers are identified.
 /// [`Msg::ShardDone`] carries a domain-tagged FNV-1a attestation

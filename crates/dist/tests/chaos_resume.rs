@@ -2,9 +2,9 @@
 //! worker processes: every injectable failure class — a corrupted frame, a
 //! connection dropped mid-frame, a stalled shard, a worker crash with
 //! reconnection and mid-campaign re-admission, a killed-and-restarted
-//! coordinator — must leave the campaign records **bit-identical** to the
-//! in-process [`Campaign::run`], or fail with a named error. Never a hang,
-//! never a panic, never a silently wrong merge.
+//! coordinator, a foreign checkpoint log — must leave the campaign records
+//! **bit-identical** to the in-process [`Campaign::run`], or fail with a
+//! named error. Never a hang, never a panic, never a silently wrong merge.
 //!
 //! Chaos is injected deterministically: worker processes get a
 //! `NVFI_CHAOS_PLAN` (or `NVFI_CHAOS_SEED`) through `FleetSpec::worker_env`,
@@ -20,7 +20,9 @@ use nvfi_accel::FaultKind;
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{Dataset, SynthCifar, SynthCifarConfig};
 use nvfi_dist::chaos::{ENV_CHAOS_PLAN, ENV_CHAOS_SEED};
-use nvfi_dist::{run_campaign, worker, Checkpoint, DistError, FleetSpec, OnFleetLost};
+use nvfi_dist::{
+    run_campaign, worker, CampaignServer, Checkpoint, DistError, FleetSpec, OnFleetLost,
+};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
@@ -203,6 +205,69 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
     assert!(
         Checkpoint::load(&ckpt).is_none(),
         "a completed campaign must remove its checkpoint"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// **Foreign log at the checkpoint path.** Campaign A logs three shards at
+/// path P — the baseline and target set 0 under both of its kinds — then
+/// loses its only worker and fails with `FleetLost`. Campaign B, whose
+/// second fault kind differs, then runs at P on a fresh server. Log records
+/// are keyed by shard content, so B must take from A's log exactly the
+/// two shards they share (the baseline and target set 0 stuck at zero),
+/// run its other five, finish bit-identical to its in-process run and
+/// remove P.
+#[test]
+fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
+    let (q, eval) = setup();
+    let config = PlatformConfig::default();
+    let dir = std::env::temp_dir().join(format!("nvfi-foreign-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt: PathBuf = dir.join("campaign.ckpt");
+    let spec_a = CampaignSpec {
+        workers: 1,
+        checkpoint_path: Some(ckpt.clone()),
+        ..base_spec()
+    };
+
+    // Campaign A: the sole worker completes 3 of the 7 shards, then dies.
+    let fleet = FleetSpec {
+        worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "3".to_string())]],
+        ..worker_fleet()
+    };
+    match run_campaign(&q, config, &spec_a, &eval, &fleet) {
+        Err(DistError::FleetLost { incomplete }) => assert_eq!(incomplete, 4),
+        other => panic!("expected FleetLost, got {other:?}"),
+    }
+    let left_behind = Checkpoint::load(&ckpt).expect("campaign A leaves its log");
+    assert_eq!(left_behind.entries.len(), 3, "three shards were logged");
+
+    // Campaign B at the same path: same model, another second fault kind.
+    let spec_b = CampaignSpec {
+        kinds: vec![FaultKind::StuckAtZero, FaultKind::Constant(1)],
+        ..spec_a
+    };
+    let in_process = Campaign::new(&q, config).run(&spec_b, &eval).unwrap();
+    let server = CampaignServer::start(&worker_fleet(), 1).unwrap();
+    let resumed = server
+        .submit(&q, config, &spec_b, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let stats = server.stats();
+    server.shutdown();
+    assert_identical(&in_process, &resumed, "campaign B over A's log");
+    assert_eq!(
+        stats.tasks_dispatched, 5,
+        "B must run its seven shards minus the two it shares with A's log"
+    );
+    assert_eq!(
+        stats.audits_dispatched, 0,
+        "B's baseline came from the log, so no executed baseline needs an audit"
+    );
+    assert!(
+        Checkpoint::load(&ckpt).is_none(),
+        "a completed campaign must remove the log at its path"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

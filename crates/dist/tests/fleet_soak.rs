@@ -2,8 +2,8 @@
 //! concurrent client campaigns — with a worker killed mid-soak.
 //!
 //! One `CampaignServer` over two `nvfi_worker` processes serves three
-//! concurrently submitted campaigns (different fault configurations, so
-//! none is a result-cache hit). Worker 0 is told (via the
+//! concurrently submitted campaigns (different fault configurations, and
+//! submitted together, so none is a cache hit). Worker 0 is told (via the
 //! `NVFI_WORKER_EXIT_AFTER` test hook) to die after its second shard —
 //! mid-soak, while multiple clients are in flight. The server must requeue
 //! only the dead worker's shard onto the survivor, and **every** client's

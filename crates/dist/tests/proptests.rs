@@ -2,12 +2,14 @@
 //! round-trips bit-exactly through encode/decode, no truncation of any
 //! encoded message can panic the decoder, and no [`ChaosStream`] corruption
 //! plan — bit flips, truncation, duplication, mid-frame drops, in any
-//! combination — can panic the frame reader.
+//! combination — can panic the frame reader. The checkpoint log gets the
+//! same treatment: arbitrary or mutated bytes load a prefix of its records.
 
 use nvfi_accel::FaultKind;
 use nvfi_dist::chaos::{ChaosAction, ChaosPlan, ChaosStream};
+use nvfi_dist::checkpoint::CheckpointEntry;
 use nvfi_dist::wire::{self, Msg, WireConfig, WireFault, WireSpan};
-use nvfi_dist::WireError;
+use nvfi_dist::{Checkpoint, WireError};
 use proptest::prelude::*;
 
 /// Encode → decode must reproduce the message exactly.
@@ -284,6 +286,47 @@ proptest! {
             .map(|i| ((i as u32).wrapping_mul(seed) % 251) as i8)
             .collect();
         exercise(&Msg::Golden { boundary, surfaces, data, cached_images });
+    }
+
+    /// Checkpoint logs: arbitrary bytes load without panicking, and a
+    /// valid log with bytes flipped and its tail cut loads a prefix of its
+    /// records — never a record it did not hold, never a mis-decoded one.
+    /// Bytes appended after a whole log never hide its records.
+    #[test]
+    fn checkpoint_logs_load_a_prefix_of_their_records(
+        seed in any::<u64>(),
+        preds in collection::vec(collection::vec(any::<u8>(), 0..24usize), 0..6usize),
+        garbage in collection::vec(any::<u8>(), 0..96usize),
+        flips in collection::vec((any::<u64>(), any::<u8>()), 0..3usize),
+        cut in any::<u64>(),
+    ) {
+        let _ = Checkpoint::decode(&garbage);
+        // Distinct keys, so "last record per key" is every record.
+        let cp = Checkpoint {
+            entries: preds
+                .into_iter()
+                .enumerate()
+                .map(|(i, preds)| CheckpointEntry { key: seed.wrapping_add(i as u64), preds })
+                .collect(),
+        };
+        let log = cp.encode();
+        prop_assert_eq!(Checkpoint::decode(&log), cp.clone());
+
+        let mut appended = log.clone();
+        appended.extend(&garbage);
+        let decoded = Checkpoint::decode(&appended);
+        prop_assert!(decoded.entries.starts_with(&cp.entries));
+
+        let mut mutated = log.clone();
+        for (pos, x) in flips {
+            let i = (pos % mutated.len() as u64) as usize;
+            mutated[i] ^= x.max(1);
+        }
+        mutated.truncate((cut % (log.len() as u64 + 1)) as usize);
+        let decoded = Checkpoint::decode(&mutated);
+        let n = decoded.entries.len();
+        prop_assert!(n <= cp.entries.len());
+        prop_assert_eq!(&decoded.entries[..], &cp.entries[..n]);
     }
 
     /// Whatever corruption plan a [`ChaosStream`] applies to a frame

@@ -4,9 +4,11 @@
 //! * a **warm session** — a second campaign over unchanged plan / weights /
 //!   evaluation set — re-ships **zero** artifact bytes and re-encodes
 //!   nothing (the serialize-once probes prove both);
-//! * a **repeat query** with an identical `(plan, fault config, eval set)`
-//!   key is served from the server's result cache without dispatching a
-//!   single shard;
+//! * a **repeat query** whose every shard is in the server's shard store
+//!   is served from it without dispatching a single shard;
+//! * a **sweep** of campaigns over one model takes the shared fault-free
+//!   baseline shard from the shard store: it runs, and is audited, once
+//!   per server;
 //! * a **changed weight image** (an SEU in storage) changes the content
 //!   hash, so the stale cached artifact is never reused — both campaigns
 //!   stay bit-identical to their own in-process runs;
@@ -150,9 +152,9 @@ fn warm_session_reships_zero_artifact_bytes() {
     server.shutdown();
 }
 
-/// A repeat submission with an identical `(plan, fault config, eval set)`
-/// result key must be answered from the result cache: same records, one
-/// more cache hit, and **no** new shard dispatched to the fleet.
+/// A repeat submission whose every shard is in the shard store must be
+/// answered from it: same records, one more cache hit, and **no** new
+/// shard dispatched to the fleet.
 #[test]
 fn repeat_query_is_served_from_the_result_cache() {
     let _g = lock();
@@ -198,6 +200,67 @@ fn repeat_query_is_served_from_the_result_cache() {
     assert_eq!(
         stats_after_repeat.campaigns_submitted,
         stats_after_first.campaigns_submitted + 1,
+    );
+    server.shutdown();
+}
+
+/// Two campaigns one after the other over the same artifacts, with
+/// different fault kinds, share exactly one shard: the fault-free
+/// baseline. The second must take it from the shard store — dispatching
+/// only its fault shards and scheduling no baseline audit — and both must
+/// stay bit-identical to their in-process runs.
+#[test]
+fn second_campaign_takes_the_shared_baseline_from_the_shard_store() {
+    let _g = lock();
+    let (q, eval) = setup();
+    let config = PlatformConfig::default();
+    let server = CampaignServer::start(&worker_fleet(), 1).unwrap();
+
+    let spec_a = spec_with_kinds(vec![FaultKind::StuckAtZero]);
+    let first = server
+        .submit(&q, config, &spec_a, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_identical(
+        &Campaign::new(&q, config).run(&spec_a, &eval).unwrap(),
+        &first,
+        "first campaign",
+    );
+    let before = server.stats();
+    assert_eq!(
+        before.audits_dispatched, 1,
+        "the executed baseline is audited"
+    );
+
+    let spec_b = spec_with_kinds(vec![FaultKind::Constant(-1)]);
+    let in_process_b = Campaign::new(&q, config).run(&spec_b, &eval).unwrap();
+    let second = server
+        .submit(&q, config, &spec_b, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_identical(&in_process_b, &second, "second campaign");
+    let after = server.stats();
+
+    // One worker: every executed work item is one shard.
+    let fault_shards = (in_process_b.records.len() - in_process_b.masked_static) as u64;
+    assert!(
+        fault_shards > 0,
+        "the second campaign must run fault shards"
+    );
+    assert_eq!(
+        after.tasks_dispatched - before.tasks_dispatched,
+        fault_shards,
+        "the second campaign must dispatch its fault shards only"
+    );
+    assert_eq!(
+        after.audits_dispatched, before.audits_dispatched,
+        "a baseline taken from the store must not be audited again"
+    );
+    assert_eq!(
+        after.cache_hits, before.cache_hits,
+        "a campaign that still runs shards is not a cache hit"
     );
     server.shutdown();
 }

@@ -57,8 +57,6 @@ pub enum Event {
         done: usize,
         total: usize,
     },
-    /// A checkpoint file belonged to a different campaign.
-    CheckpointMismatch { path: String },
     /// The whole fleet was lost; falling back to the in-process pool.
     FleetDegraded { incomplete: usize },
     /// One `nvfi-top` line summarizing the fleet (periodic, `NVFI_METRICS=top`).
@@ -116,9 +114,6 @@ fn render(e: &Event) -> String {
         }
         Event::Resumed { path, done, total } => {
             format!("  resuming from {path}: {done}/{total} shards already done")
-        }
-        Event::CheckpointMismatch { path } => {
-            format!("  checkpoint {path} belongs to a different campaign; starting fresh")
         }
         Event::FleetDegraded { incomplete } => {
             format!(
