@@ -13,9 +13,31 @@
 //! loop — each output element is loaded and stored once per GEMM, and each
 //! `b` element serves four output rows. A 64-wide tile is four 512-bit
 //! registers per row, so its 4 x 64 block holds 16 of AVX-512's 32 vector
-//! registers and leaves the rest for the broadcast `a` values and the `b`
-//! row. Leftover rows (`m % 4`) fall back to a single-row kernel that walks
-//! `COL_BLOCK`-wide panels with four fused `k`-steps.
+//! registers and leaves the rest for the broadcast `a` values, the `b` rows
+//! and the pair sums. Leftover rows (`m % 4`) fall back to a single-row
+//! kernel that walks `COL_BLOCK`-wide panels with four fused `k`-steps.
+//!
+//! # Pair products
+//!
+//! An i8·i8 product fits in i16, so a tile puts two of them in one i16 lane:
+//! for each k-pair it forms `a[p]·b[p] + a[p+1]·b[p+1]` with 16-bit vector
+//! multiplies (`vpmullw`, 32 lanes per zmm register), sign-extends the sum
+//! and accumulates it in i32. That halves the i32 work per product and
+//! replaces the 32-bit `vpmulld`, which costs two uops. The pair sum of
+//! i8 inputs lies in `[−32512, 32768]`, one past `i16::MAX` at the top, so
+//! the tile multiplies the *negated* `a` (`−a ∈ [−127, 128]`): its pair sums
+//! lie in `[−32768, 32512]`, which i16 holds exactly for every input, and the
+//! tile subtracts them. No input needs a second kernel or a range check.
+//!
+//! The tile is three `T`-wide loops — widen the two `b` rows to i16, form
+//! the four rows' pair sums, widen each sum and subtract it from its i32
+//! accumulator — because LLVM vectorizes that shape with zmm `vpmullw` +
+//! `vpmovsxwd`, but a single fused loop only with ymm `vpmullw`. The rows
+//! are the inner loop: with the rows outside, LLVM unrolls the 32-wide tile
+//! fully and vectorizes it across the four rows in xmm registers, about 6x
+//! slower. The quad's rows are negated into a buffer before the tiles run:
+//! negated inside the tile, the broadcast `a` values let LLVM move the
+//! negation onto the vector sums, one more instruction per sum.
 
 use crate::Mat;
 
@@ -83,8 +105,10 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
         return;
     }
     // 4-row register blocking: the four output rows of a quad share every
-    // `b` panel load, quartering B-operand traffic.
+    // `b` panel load, quartering B-operand traffic. `neg` holds the current
+    // quad's rows, negated (see "Pair products" above).
     let quads = m / 4;
+    let mut neg = Vec::new();
     for q in 0..quads {
         let i = q * 4;
         gemm_quad_blocked(
@@ -93,6 +117,7 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
             &mut out[i * n..(i + 4) * n],
             k,
             n,
+            &mut neg,
         );
     }
     for i in quads * 4..m {
@@ -108,98 +133,131 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
 
 /// Four output rows of the blocked microkernel: `orow4 (+)= arow4 * b`,
 /// where `arow4` holds four consecutive rows of `a` and `orow4` the four
-/// matching output rows. Columns are walked in fixed-width register tiles
-/// (64-wide, then at most one 32- and one 16-wide tile for the remainder,
-/// then a scalar tail): one tile is four `[i32; T]` accumulators that live
-/// in vector registers across the whole `k` loop, so every output element
-/// is loaded and stored exactly once per GEMM, and each `b` element loaded
-/// serves four rows.
+/// matching output rows. The rows are first negated into `neg` as i16 (see
+/// the module docs), then columns are walked in fixed-width
+/// register tiles (64-wide, then at most one 32- and one 16-wide tile for
+/// the remainder, then a scalar tail): one tile is four `[i32; T]`
+/// accumulators that live in vector registers across the whole `k` loop,
+/// so every output element is loaded and stored exactly once per GEMM, and
+/// each `b` element loaded serves four rows.
 #[inline]
-fn gemm_quad_blocked(arow4: &[i8], b: &[i8], orow4: &mut [i32], k: usize, n: usize) {
-    let (a0, arest) = arow4.split_at(k);
-    let (a1, arest) = arest.split_at(k);
-    let (a2, a3) = arest.split_at(k);
-    let a4 = [a0, a1, a2, a3];
+fn gemm_quad_blocked(
+    arow4: &[i8],
+    b: &[i8],
+    orow4: &mut [i32],
+    k: usize,
+    n: usize,
+    neg: &mut Vec<i16>,
+) {
+    neg.clear();
+    neg.extend(arow4.iter().map(|&v| -i16::from(v)));
+    let (x0, xrest) = neg.split_at(k);
+    let (x1, xrest) = xrest.split_at(k);
+    let (x2, x3) = xrest.split_at(k);
+    let x4 = [x0, x1, x2, x3];
     let (o0, orest) = orow4.split_at_mut(n);
     let (o1, orest) = orest.split_at_mut(n);
     let (o2, o3) = orest.split_at_mut(n);
     let mut o4 = [o0, o1, o2, o3];
     let mut j = 0;
     while j + 64 <= n {
-        gemm_quad_tile::<64>(&a4, b, &mut o4, k, n, j);
+        gemm_quad_tile::<64>(&x4, b, &mut o4, k, n, j);
         j += 64;
     }
     if j + 32 <= n {
-        gemm_quad_tile::<32>(&a4, b, &mut o4, k, n, j);
+        gemm_quad_tile::<32>(&x4, b, &mut o4, k, n, j);
         j += 32;
     }
     if j + 16 <= n {
-        gemm_quad_tile::<16>(&a4, b, &mut o4, k, n, j);
+        gemm_quad_tile::<16>(&x4, b, &mut o4, k, n, j);
         j += 16;
     }
     // Column tail (n % 16): scalar, still four rows per b element.
     if j < n {
         let [o0, o1, o2, o3] = &mut o4;
         for p in 0..k {
-            let v0 = a0[p] as i32;
-            let v1 = a1[p] as i32;
-            let v2 = a2[p] as i32;
-            let v3 = a3[p] as i32;
+            let v0 = i32::from(x0[p]);
+            let v1 = i32::from(x1[p]);
+            let v2 = i32::from(x2[p]);
+            let v3 = i32::from(x3[p]);
             if v0 | v1 | v2 | v3 == 0 {
                 continue;
             }
             let brow = &b[p * n..(p + 1) * n];
             for t in j..n {
-                let bv = brow[t] as i32;
-                o0[t] = o0[t].wrapping_add(v0.wrapping_mul(bv));
-                o1[t] = o1[t].wrapping_add(v1.wrapping_mul(bv));
-                o2[t] = o2[t].wrapping_add(v2.wrapping_mul(bv));
-                o3[t] = o3[t].wrapping_add(v3.wrapping_mul(bv));
+                let bv = i32::from(brow[t]);
+                o0[t] = o0[t].wrapping_sub(v0.wrapping_mul(bv));
+                o1[t] = o1[t].wrapping_sub(v1.wrapping_mul(bv));
+                o2[t] = o2[t].wrapping_sub(v2.wrapping_mul(bv));
+                o3[t] = o3[t].wrapping_sub(v3.wrapping_mul(bv));
             }
         }
     }
 }
 
-/// One 4 x `T` register tile of [`gemm_quad_blocked`] at column offset `j`.
+/// One 4 x `T` register tile of [`gemm_quad_blocked`] at column offset `j`,
+/// in pair products (see the module docs).
+///
+/// `x4` holds the quad's `a` rows negated, `x = −a ∈ [−127, 128]`. For each
+/// k-pair `(p, p + 1)` the tile forms, per row and column,
+/// `s = x[p]·b[p] + x[p+1]·b[p+1]` in i16, sign-extends `s` and subtracts
+/// it from the row's `[i32; T]` accumulator; an odd last k row runs in i32.
+/// Each `x·b` lies in `[−16384, 16256]`, so `s ∈ [−32768, 32512]` never
+/// wraps, and the i32 result is the naive wrapping sum for every input.
 #[inline]
 fn gemm_quad_tile<const T: usize>(
-    a4: &[&[i8]; 4],
+    x4: &[&[i16]; 4],
     b: &[i8],
     o4: &mut [&mut [i32]; 4],
     k: usize,
     n: usize,
     j: usize,
 ) {
-    let [a0, a1, a2, a3] = *a4;
-    let mut c0 = [0i32; T];
-    let mut c1 = [0i32; T];
-    let mut c2 = [0i32; T];
-    let mut c3 = [0i32; T];
-    c0.copy_from_slice(&o4[0][j..j + T]);
-    c1.copy_from_slice(&o4[1][j..j + T]);
-    c2.copy_from_slice(&o4[2][j..j + T]);
-    c3.copy_from_slice(&o4[3][j..j + T]);
-    for p in 0..k {
-        let v0 = a0[p] as i32;
-        let v1 = a1[p] as i32;
-        let v2 = a2[p] as i32;
-        let v3 = a3[p] as i32;
-        if v0 | v1 | v2 | v3 == 0 {
-            continue;
-        }
-        let bs = &b[p * n + j..p * n + j + T];
+    let mut c = [[0i32; T]; 4];
+    for (c, o) in c.iter_mut().zip(o4.iter()) {
+        c.copy_from_slice(&o[j..j + T]);
+    }
+    let [x0, x1, x2, x3] = *x4;
+    let mut p = 0;
+    while p + 2 <= k {
+        let x = [x0[p], x1[p], x2[p], x3[p]];
+        let y = [x0[p + 1], x1[p + 1], x2[p + 1], x3[p + 1]];
+        let (b0, b1) = (&b[p * n + j..][..T], &b[(p + 1) * n + j..][..T]);
+        let mut w0 = [0i16; T];
+        let mut w1 = [0i16; T];
         for t in 0..T {
-            let bv = bs[t] as i32;
-            c0[t] = c0[t].wrapping_add(v0.wrapping_mul(bv));
-            c1[t] = c1[t].wrapping_add(v1.wrapping_mul(bv));
-            c2[t] = c2[t].wrapping_add(v2.wrapping_mul(bv));
-            c3[t] = c3[t].wrapping_add(v3.wrapping_mul(bv));
+            w0[t] = i16::from(b0[t]);
+            w1[t] = i16::from(b1[t]);
+        }
+        // Never wraps (range above); wrapping ops keep overflow checks out
+        // of the vector loop in debug builds.
+        let mut s = [[0i16; T]; 4];
+        for t in 0..T {
+            for r in 0..4 {
+                s[r][t] = x[r]
+                    .wrapping_mul(w0[t])
+                    .wrapping_add(y[r].wrapping_mul(w1[t]));
+            }
+        }
+        for t in 0..T {
+            for r in 0..4 {
+                c[r][t] = c[r][t].wrapping_sub(i32::from(s[r][t]));
+            }
+        }
+        p += 2;
+    }
+    if p < k {
+        let bs = &b[p * n + j..][..T];
+        for (c, x) in c.iter_mut().zip(x4) {
+            let v = i32::from(x[p]);
+            for t in 0..T {
+                c[t] = c[t].wrapping_sub(v.wrapping_mul(i32::from(bs[t])));
+            }
         }
     }
-    o4[0][j..j + T].copy_from_slice(&c0);
-    o4[1][j..j + T].copy_from_slice(&c1);
-    o4[2][j..j + T].copy_from_slice(&c2);
-    o4[3][j..j + T].copy_from_slice(&c3);
+    for (c, o) in c.iter().zip(o4.iter_mut()) {
+        o[j..j + T].copy_from_slice(c);
+    }
 }
 
 /// One output row of the blocked microkernel: `orow (+)= arow * b`.
@@ -444,6 +502,48 @@ mod tests {
                 .map(|v| v.wrapping_add(k as i32 * 128 * 128))
                 .collect();
             assert_eq!(out.as_slice(), want.as_slice(), "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn pair_sums_are_exact_over_the_i8_range() {
+        // Every first pair (a0, b0) in i8 x i8 against each extreme or
+        // trivial second pair (a1, b1), at each tile width. Quad q tests
+        // a0 = q - 128 in row q % 4, so every tile row sees every value; the
+        // quad's other rows hold `others`, once free of -128 and once with a
+        // -128 in them: no row's result may depend on what shares its quad.
+        const SECOND: [(i8, i8); 6] = [
+            (-128, -128),
+            (-128, 127),
+            (127, -128),
+            (127, 127),
+            (0, 0),
+            (1, -1),
+        ];
+        let all: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let m = 4 * all.len();
+        for others in [[[127, -127]; 3], [[-128, -128], [127, -127], [127, -127]]] {
+            for (a1, b1) in SECOND {
+                let mut a = Vec::with_capacity(2 * m);
+                for (q, &a0) in all.iter().enumerate() {
+                    let mut quad = others.to_vec();
+                    quad.insert(q % 4, [a0, a1]);
+                    a.extend(quad.concat());
+                }
+                let a = Mat::from_vec(m, 2, a);
+                for width in [64, 32, 16] {
+                    for b0 in all.chunks(width) {
+                        let b = Mat::from_vec(2, width, [b0, &vec![b1; width]].concat());
+                        let mut got = vec![0i32; m * width];
+                        gemm_i8_i32_into(a.as_slice(), b.as_slice(), &mut got, m, 2, width);
+                        assert_eq!(
+                            got,
+                            naive_i32(&a, &b).as_slice(),
+                            "second pair ({a1}, {b1}), width {width}, others {others:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -12,7 +12,10 @@
 //!   identical;
 //! * int8 convolution accumulates into `i32` with **wrapping** addition,
 //!   matching the hardware accumulator (relevant when injected faults push
-//!   sums far beyond normal dynamic range).
+//!   sums far beyond normal dynamic range). The int8 GEMM forms two
+//!   products per 16-bit lane before widening them into `i32`; that is
+//!   exact for every input, so its results equal the naive loop's bit for
+//!   bit (see [`gemm`]).
 //!
 //! # Examples
 //!

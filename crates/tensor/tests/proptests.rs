@@ -39,15 +39,62 @@ fn small_conv_case() -> impl Strategy<Value = (Tensor<i8>, Tensor<i8>, ConvGeom)
 /// An `m x k` by `k x n` int8 GEMM (m <= 9, k <= 300, n <= 200) plus a
 /// random initial output: every row and column tile of the blocked kernel.
 fn gemm_case() -> impl Strategy<Value = (usize, usize, usize, Vec<i8>, Vec<i8>, Vec<i32>)> {
-    (1usize..10, 0usize..301, 0usize..201).prop_flat_map(|(m, k, n)| {
+    gemm_case_of(any::<i8>, any::<i8>, any::<i32>)
+}
+
+/// [`gemm_case`] with the elements of `a`, `b` and the initial output drawn
+/// from the strategies the three functions return.
+fn gemm_case_of<A, B, O>(
+    a_elem: fn() -> A,
+    b_elem: fn() -> B,
+    out_elem: fn() -> O,
+) -> impl Strategy<Value = (usize, usize, usize, Vec<i8>, Vec<i8>, Vec<i32>)>
+where
+    A: Strategy<Value = i8>,
+    B: Strategy<Value = i8>,
+    O: Strategy<Value = i32>,
+{
+    (1usize..10, 0usize..301, 0usize..201).prop_flat_map(move |(m, k, n)| {
         (
             Just((m, k, n)),
-            proptest::collection::vec(any::<i8>(), m * k),
-            proptest::collection::vec(any::<i8>(), k * n),
-            proptest::collection::vec(any::<i32>(), m * n),
+            proptest::collection::vec(a_elem(), m * k),
+            proptest::collection::vec(b_elem(), k * n),
+            proptest::collection::vec(out_elem(), m * n),
         )
             .prop_map(|((m, k, n), a, b, out)| (m, k, n, a, b, out))
     })
+}
+
+/// An i8 other than -128. Uniform `any::<i8>()` puts a -128 in almost every
+/// four-row quad of `a` once k is ~100 or more; this draws quads without one.
+fn i8_without_min() -> impl Strategy<Value = i8> {
+    (-127i16..128).prop_map(|v| v as i8)
+}
+
+/// An i8 from the ends of the range and around zero: the extreme pair sums
+/// of the pair-product tile, e.g. `(-128)·(-128) + (-128)·(-128) = 32768`.
+fn i8_extreme() -> impl Strategy<Value = i8> {
+    const EXTREMES: [i8; 6] = [-128, -127, -1, 0, 1, 127];
+    (0..EXTREMES.len()).prop_map(|i| EXTREMES[i])
+}
+
+/// An i32 within 2^20 of `i32::MAX`, so large positive sums wrap.
+fn i32_near_max() -> impl Strategy<Value = i32> {
+    (0i32..1 << 20).prop_map(|d| i32::MAX - d)
+}
+
+/// The naive wrapping triple loop: `init (+)= a * b`.
+fn naive_gemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], init: &[i32]) -> Vec<i32> {
+    let mut want = init.to_vec();
+    for i in 0..m {
+        for j in 0..n {
+            for p in 0..k {
+                let prod = i32::from(a[i * k + p]) * i32::from(b[p * n + j]);
+                want[i * n + j] = want[i * n + j].wrapping_add(prod);
+            }
+        }
+    }
+    want
 }
 
 proptest! {
@@ -66,6 +113,30 @@ proptest! {
                 }
             }
         }
+        let mut got = init;
+        gemm::gemm_i8_i32_into(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The same with no -128 in `a`, like the engine's quantized weights
+    /// (symmetric in [-127, 127]).
+    #[test]
+    fn gemm_i8_into_equals_naive_without_i8_min_in_a(
+        (m, k, n, a, b, init) in gemm_case_of(i8_without_min, any::<i8>, any::<i32>)
+    ) {
+        let want = naive_gemm(m, k, n, &a, &b, &init);
+        let mut got = init;
+        gemm::gemm_i8_i32_into(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The same with `a` and `b` at the ends of the i8 range and outputs
+    /// near `i32::MAX`: extreme pair sums, accumulated until they wrap.
+    #[test]
+    fn gemm_i8_into_equals_naive_at_extremes_near_i32_max(
+        (m, k, n, a, b, init) in gemm_case_of(i8_extreme, i8_extreme, i32_near_max)
+    ) {
+        let want = naive_gemm(m, k, n, &a, &b, &init);
         let mut got = init;
         gemm::gemm_i8_i32_into(&a, &b, &mut got, m, k, n);
         prop_assert_eq!(got, want);
