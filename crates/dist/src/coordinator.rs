@@ -40,9 +40,9 @@
 //!   once the re-admission cap is reached — never left hanging in TCP
 //!   limbo;
 //! * losing **every** worker, for longer than
-//!   [`FleetSpec::readmission_grace`], ends the distributed attempt:
-//!   [`DistError::FleetLost`], or — with
-//!   [`OnFleetLost::Degrade`] — a bit-identical in-process fallback run;
+//!   [`FleetSpec::readmission_grace`], fails the campaign with
+//!   [`DistError::FleetLost`] and leaves its checkpoint log, if any, on
+//!   disk for a resume;
 //! * with a checkpoint path ([`CampaignSpec::checkpoint_path`]), every
 //!   shard is appended to a log there as it lands (and again if an audit
 //!   repairs it), keyed by the shard's content, and a **restarted
@@ -59,7 +59,6 @@ use std::time::Duration;
 use nvfi::campaign::{Campaign, CampaignResult, CampaignSpec};
 use nvfi::{PlatformConfig, PlatformError};
 use nvfi_dataset::Dataset;
-use nvfi_obs::progress;
 use nvfi_quant::QuantModel;
 
 use crate::codec::WireError;
@@ -152,20 +151,6 @@ pub enum WorkerSpawn {
     Exe(PathBuf),
 }
 
-/// What the coordinator does when every worker is lost with tasks still
-/// outstanding (after [`FleetSpec::readmission_grace`] has passed with no
-/// reconnection).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OnFleetLost {
-    /// Return [`DistError::FleetLost`] (the default): the caller decides.
-    #[default]
-    Fail,
-    /// Degrade gracefully: fall back to the in-process [`Campaign::run`],
-    /// whose merged records are **bit-identical** to what the fleet would
-    /// have produced — the campaign finishes slower instead of failing.
-    Degrade,
-}
-
 /// How the worker fleet is raised for one campaign (or one
 /// [`CampaignServer`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -197,8 +182,6 @@ pub struct FleetSpec {
     /// (the default) waits forever; set this when the network can stall
     /// silently (cross-host fleets behind flaky links).
     pub task_timeout: Option<Duration>,
-    /// Fleet-lost policy (fail the campaign or degrade to in-process).
-    pub on_fleet_lost: OnFleetLost,
     /// How long the coordinator keeps the campaign alive with **zero**
     /// connected workers before declaring the fleet lost — the window a
     /// crashed-and-backing-off worker has to reconnect and be re-admitted.
@@ -232,7 +215,6 @@ impl Default for FleetSpec {
             worker_env: Vec::new(),
             accept_timeout: Duration::from_secs(60),
             task_timeout: None,
-            on_fleet_lost: OnFleetLost::Fail,
             readmission_grace: Duration::from_secs(5),
             max_readmissions: 64,
             audit_rate: 0.0,
@@ -282,8 +264,7 @@ impl FleetSpec {
 /// [`DistError::Spawn`] if the fleet cannot be raised,
 /// [`DistError::Worker`] if a worker reports a deterministic error,
 /// [`DistError::FleetLost`] if every worker stays gone past the
-/// re-admission grace (unless [`OnFleetLost::Degrade`] turns that into an
-/// in-process run); platform and socket errors propagate as their
+/// re-admission grace; platform and socket errors propagate as their
 /// variants.
 ///
 /// # Panics
@@ -315,19 +296,5 @@ pub fn run_campaign(
     let srv = CampaignServer::start(fleet, spec.workers)?;
     let outcome = srv.submit_prepared(*prepared).wait();
     srv.shutdown();
-    match outcome {
-        Err(DistError::FleetLost { incomplete }) if fleet.on_fleet_lost == OnFleetLost::Degrade => {
-            // FleetLost left the checkpoint (if any) on disk; the in-process
-            // fallback finishes the campaign, so retire it afterwards.
-            if spec.verbose {
-                progress::emit(&progress::Event::FleetDegraded { incomplete });
-            }
-            let result = Campaign::new(model, config).run(spec, eval)?;
-            if let Some(path) = &spec.checkpoint_path {
-                crate::checkpoint::Checkpoint::remove(path);
-            }
-            Ok(result)
-        }
-        other => other,
-    }
+    outcome
 }

@@ -100,10 +100,10 @@
 //! from timing out while [`FleetSpec::task_timeout`] kills genuinely
 //! stalled ones, crashed workers reconnect with capped-backoff and are
 //! **re-admitted** mid-campaign (or turned away with a versioned
-//! `Goodbye`), total fleet loss either fails the campaign or degrades to
-//! the bit-identical in-process run ([`OnFleetLost`]), and a killed
-//! coordinator **resumes** from a [`checkpoint`] log of CRC-sealed shard
-//! records, redoing only unfinished shards. See `crates/dist/README.md` and the [`coordinator`]
+//! `Goodbye`), total fleet loss fails the campaign with
+//! [`DistError::FleetLost`] (its checkpoint log stays on disk), and a
+//! killed coordinator **resumes** from a [`checkpoint`] log of CRC-sealed
+//! shard records, redoing only unfinished shards. See `crates/dist/README.md` and the [`coordinator`]
 //! module docs for the full failure model.
 //!
 //! Since wire v4 the fabric also survives **wrong answers**, which a CRC
@@ -173,7 +173,7 @@ pub mod worker;
 pub use chaos::{ChaosPlan, ChaosStream};
 pub use checkpoint::Checkpoint;
 pub use codec::WireError;
-pub use coordinator::{run_campaign, DistError, FleetSpec, OnFleetLost, WorkerSpawn};
+pub use coordinator::{run_campaign, DistError, FleetSpec, WorkerSpawn};
 pub use server::{query_stats, CampaignServer, ClientHandle, Progress, ServerStats};
 pub use trust::Trust;
 pub use worker::ServeEnd;

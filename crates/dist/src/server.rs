@@ -81,7 +81,11 @@
 //!   authoritative in-process re-execution that arbitrates which replica
 //!   lied; the stored result is repaired if needed, so a *self-consistent*
 //!   lie (correctly attested wrong predictions) is caught too. On a
-//!   one-worker fleet the audit runs in-process directly.
+//!   one-worker fleet the audit runs in-process directly. Every audit —
+//!   over the wire, in-process, in a quarantine sweep or in the fleet-loss
+//!   rescue — closes exactly once in one verdict function, `settle_audit`,
+//!   and an arbitration that proves an answer wrong convicts whoever gave
+//!   it, the rescue's included.
 //! * **Quarantine** — each worker identity carries a [`Trust`] record:
 //!   `Healthy → Suspect` on an integrity strike, `Quarantined` on a second
 //!   strike or an audit conviction. A quarantined worker is drained
@@ -629,8 +633,9 @@ fn fail_client(inner: &ServerInner, id: u64, e: DistError) {
     }
 }
 
-/// One task to re-verify in-process (see [`arbitrate`]).
-struct SweepItem {
+/// One task of one client, with the handles that landing, requeueing or
+/// settling it needs outside the state lock.
+struct Ticket {
     client: u64,
     task_idx: usize,
     arbiter: Arc<Arbiter>,
@@ -639,15 +644,20 @@ struct SweepItem {
 }
 
 impl ClientState {
-    /// Task `task_idx` of client `client`, ready for [`arbitrate`].
-    fn sweep_item(&self, client: u64, task_idx: usize) -> SweepItem {
-        SweepItem {
+    /// Task `task_idx` of client `client` as a [`Ticket`].
+    fn ticket(&self, client: u64, task_idx: usize) -> Ticket {
+        Ticket {
             client,
             task_idx,
             arbiter: Arc::clone(&self.arbiter),
             tasks: Arc::clone(&self.tasks),
             ckpt: self.ckpt.clone(),
         }
+    }
+
+    /// Whether task `i` has an audit still waiting for its verdict.
+    fn awaits_verdict(&self, i: usize) -> bool {
+        !self.finished && self.audit_open.get(i).copied().unwrap_or(false)
     }
 }
 
@@ -658,7 +668,7 @@ impl ClientState {
 /// the owning client's arbiter — repaired if it lied — so nothing the
 /// convicted worker touched survives unchecked.
 fn punish_worker(inner: &ServerInner, ident: u64, conviction: bool) {
-    let mut sweep: Vec<SweepItem> = Vec::new();
+    let mut sweep: Vec<Ticket> = Vec::new();
     {
         let mut guard = lock(&inner.state);
         let st = &mut *guard;
@@ -696,63 +706,114 @@ fn punish_worker(inner: &ServerInner, ident: u64, conviction: bool) {
                             c.audits_pending += 1;
                         }
                     }
-                    sweep.push(c.sweep_item(id, i));
+                    sweep.push(c.ticket(id, i));
                 }
             }
         }
     }
-    arbitrate(inner, sweep);
+    // Settling a swept shard can only convict `ident` again, which returns
+    // above: the sweep never recurses.
+    for t in &sweep {
+        settle_audit(inner, t, None);
+    }
 }
 
-/// Resolves open audits in-process: the arbiter's authoritative
-/// re-execution replaces any differing stored result (and is the
-/// completion of a task whose result was discarded), the audit closes, and
-/// a repaired result is appended to the checkpoint log again. Audits
-/// resolved concurrently are skipped; an arbiter error fails only its
-/// client.
-fn arbitrate(inner: &ServerInner, items: Vec<SweepItem>) {
-    for item in items {
-        let Some(task) = item.tasks.get(item.task_idx) else {
-            continue;
+/// Settles one open audit: the one verdict every audit path shares.
+/// `replica` is the auditor's identity and predictions when the audit ran
+/// over the wire, `None` when nobody else could run it (a one-worker fleet,
+/// a conviction sweep, a fleet-loss rescue).
+///
+/// A replica equal to the stored result confirms it outright. Otherwise the
+/// arbiter re-executes the task authoritatively, outside the lock; a stored
+/// result that differs from it is repaired (and logged again), and whoever
+/// it proves wrong — the producer, the auditor or both — is convicted. The
+/// evidence that disagreed with the stored result (the replica, else the
+/// arbiter) counts one audit mismatch. An audit settled concurrently is
+/// skipped; an arbiter error fails only its client.
+fn settle_audit(inner: &ServerInner, t: &Ticket, replica: Option<(u64, Vec<u8>)>) {
+    let (producer, stored) = {
+        let mut guard = lock(&inner.state);
+        let st = &mut *guard;
+        let Some(c) = st.clients.get_mut(&t.client) else {
+            return;
         };
-        let auth = match item.arbiter.run(task) {
-            Ok(v) => v,
-            Err(e) => {
-                fail_client(inner, item.client, e);
-                continue;
-            }
+        if !c.awaits_verdict(t.task_idx) {
+            return;
+        }
+        let producer = c.producer.get(t.task_idx).copied().flatten();
+        let Some(stored) = c.results.get(t.task_idx).cloned().flatten() else {
+            // An audit opens only on a landed slot and slots are never
+            // emptied again; a missing one leaves nothing to check.
+            close_audit(c, t.task_idx, &inner.completion);
+            return;
         };
-        let mut rerecord = false;
-        {
-            let mut guard = lock(&inner.state);
-            let st = &mut *guard;
-            let Some(c) = st.clients.get_mut(&item.client) else {
-                continue;
-            };
-            if c.finished || !c.audit_open.get(item.task_idx).copied().unwrap_or(false) {
-                continue; // resolved by a concurrent audit landing
-            }
-            if let Some(slot) = c.results.get_mut(item.task_idx) {
-                if slot.as_deref() != Some(auth.as_slice()) {
-                    if slot.is_some() {
-                        st.stats.audit_mismatches += 1;
-                    } else {
-                        // The audited task was discarded and requeued (its
-                        // producer got convicted): the arbitration *is* its
-                        // completion.
-                        c.done += 1;
-                    }
-                    *slot = Some(auth.clone());
-                    rerecord = true;
+        if let Some((_, r)) = &replica {
+            if *r == stored {
+                trace::event("audit.pass");
+                close_audit(c, t.task_idx, &inner.completion);
+                if let Some(p) = producer {
+                    st.trust.entry(p).or_default().audit_passed();
                 }
+                return;
             }
-            close_audit(c, item.task_idx, &inner.completion);
+            trace::event("audit.mismatch");
+            st.stats.audit_mismatches += 1;
         }
-        if rerecord {
-            if let Some(log) = &item.ckpt {
-                log.append(task.key, &auth);
+        (producer, stored)
+    };
+    let Some(task) = t.tasks.get(t.task_idx) else {
+        return;
+    };
+    let auth = match t.arbiter.run(task) {
+        Ok(v) => v,
+        Err(e) => {
+            fail_client(inner, t.client, e);
+            return;
+        }
+    };
+    let producer_lied = auth != stored;
+    let on_wire = replica.is_some();
+    let lying_auditor = replica.and_then(|(auditor, r)| (r != auth).then_some(auditor));
+    let repaired = {
+        let mut guard = lock(&inner.state);
+        let st = &mut *guard;
+        match st.clients.get_mut(&t.client) {
+            Some(c) if c.awaits_verdict(t.task_idx) => {
+                if !on_wire {
+                    trace::event(if producer_lied {
+                        "audit.mismatch"
+                    } else {
+                        "audit.pass"
+                    });
+                    st.stats.audit_mismatches += u64::from(producer_lied);
+                }
+                if producer_lied {
+                    if let Some(slot) = c.results.get_mut(t.task_idx) {
+                        *slot = Some(auth.clone());
+                    }
+                    if let Some(p) = c.producer.get_mut(t.task_idx) {
+                        *p = None; // authoritative now
+                    }
+                }
+                close_audit(c, t.task_idx, &inner.completion);
+                if let Some(p) = producer.filter(|_| !producer_lied) {
+                    st.trust.entry(p).or_default().audit_passed();
+                }
+                producer_lied
             }
+            _ => false,
         }
+    };
+    if repaired {
+        if let Some(log) = &t.ckpt {
+            log.append(task.key, &auth);
+        }
+    }
+    if let Some(p) = producer.filter(|_| producer_lied) {
+        punish_worker(inner, p, true);
+    }
+    if let Some(auditor) = lying_auditor {
+        punish_worker(inner, auditor, true);
     }
 }
 
@@ -786,10 +847,8 @@ enum AssignKind {
 /// One dispatch decision, built under the state lock and executed outside
 /// it.
 struct Assignment {
-    client: u64,
-    task_idx: usize,
+    ticket: Ticket,
     kind: AssignKind,
-    tasks: Arc<Vec<Task>>,
     session: (u64, u64, u64, u64),
     /// [`Msg::ArtifactDelta`] ship bitmask for this connection.
     ship: u8,
@@ -798,9 +857,6 @@ struct Assignment {
     work_msg: Msg,
     /// Expected `(work_id, start, end)` of the reply.
     key: (u32, u32, u32),
-    ckpt: Option<Arc<CheckpointLog>>,
-    arbiter: Arc<Arbiter>,
-    total: usize,
 }
 
 /// Whether one queue entry is dispatchable to the worker identity `ident`:
@@ -890,18 +946,13 @@ fn pick_assignment(inner: &ServerInner, has: &mut HashSet<u64>, ident: u64) -> O
         }
     }
     Some(Assignment {
-        client: id,
-        task_idx,
+        ticket: c.ticket(id, task_idx),
         kind,
-        tasks: Arc::clone(&c.tasks),
         session,
         ship,
         frames,
         work_msg,
         key,
-        ckpt: c.ckpt.clone(),
-        arbiter: Arc::clone(&c.arbiter),
-        total: c.tasks.len(),
     })
 }
 
@@ -910,15 +961,16 @@ fn pick_assignment(inner: &ServerInner, has: &mut HashSet<u64>, ident: u64) -> O
 /// *audit* is re-enqueued only while its audit is still open — a
 /// conviction sweep may have resolved it meanwhile.
 fn requeue(inner: &ServerInner, a: &Assignment, worker_id: usize, why: &dyn std::fmt::Display) {
+    let t = &a.ticket;
     let mut st = lock(&inner.state);
-    if let Some(c) = st.clients.get_mut(&a.client) {
+    if let Some(c) = st.clients.get_mut(&t.client) {
         if !c.finished {
             match a.kind {
-                AssignKind::Run => c.queue.push(QueueEntry::Run(a.task_idx)),
+                AssignKind::Run => c.queue.push(QueueEntry::Run(t.task_idx)),
                 AssignKind::Audit { producer } | AssignKind::AuditLocal { producer } => {
-                    if c.audit_open.get(a.task_idx).copied().unwrap_or(false) {
+                    if c.audit_open.get(t.task_idx).copied().unwrap_or(false) {
                         c.queue.push(QueueEntry::Audit {
-                            task_idx: a.task_idx,
+                            task_idx: t.task_idx,
                             producer,
                         });
                     }
@@ -926,10 +978,10 @@ fn requeue(inner: &ServerInner, a: &Assignment, worker_id: usize, why: &dyn std:
             }
             trace::event("shard.requeued");
             if c.verbose {
-                if let Some(task) = a.tasks.get(a.task_idx) {
+                if let Some(task) = t.tasks.get(t.task_idx) {
                     progress::emit(&progress::Event::ShardRequeued {
                         worker: worker_id,
-                        client: a.client,
+                        client: t.client,
                         item: task.work_id as u32,
                         start: task.range.start as u32,
                         end: task.range.end as u32,
@@ -1051,53 +1103,56 @@ fn await_shard(
     result
 }
 
-/// Lands one completed *run*: log, merge, and — when the shard is
+/// Lands one completed *run*: merge, log, and — when the shard is
 /// sampled (or the producer is under heightened audit) — schedule a silent
 /// audit re-execution. A result landed by a worker that was quarantined
 /// mid-flight is discarded and its task requeued: nothing a convicted
-/// worker produced is merged unverified.
+/// worker produced is merged, or logged, unverified.
 fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, preds: Vec<u8>) {
-    // Persist before counting done: a server killed right here resumes
-    // with this shard already logged. (A later arbitration appends the
-    // repaired record, which wins on load, if this worker turns out to
-    // have lied.)
-    if let (Some(log), Some(task)) = (&a.ckpt, a.tasks.get(a.task_idx)) {
-        log.append(task.key, &preds);
-    }
+    let t = &a.ticket;
+    let total = t.tasks.len();
     let mut guard = lock(&inner.state);
     let st = &mut *guard;
     let producer_trust = st.trust.get(&ident).copied().unwrap_or_default();
-    let Some(c) = st.clients.get_mut(&a.client) else {
+    let Some(c) = st.clients.get_mut(&t.client) else {
         return;
     };
-    if c.finished || !matches!(c.results.get(a.task_idx), Some(None)) {
+    if c.finished || !matches!(c.results.get(t.task_idx), Some(None)) {
         return;
     }
     if producer_trust.is_quarantined() {
         // Convicted while this shard was in flight: discard and requeue.
-        c.queue.push(QueueEntry::Run(a.task_idx));
+        c.queue.push(QueueEntry::Run(t.task_idx));
         return;
     }
-    if let Some(slot) = c.results.get_mut(a.task_idx) {
+    // Log only what lands: a resumed campaign takes a logged shard as
+    // verified and never audits it, so a discarded lie must not reach the
+    // log. The append happens under the lock that lands the shard, so an
+    // audit of it (queued under this same hold) can only log its repair
+    // after this record, and the last record per key wins on load.
+    if let (Some(log), Some(task)) = (&t.ckpt, t.tasks.get(t.task_idx)) {
+        log.append(task.key, &preds);
+    }
+    if let Some(slot) = c.results.get_mut(t.task_idx) {
         *slot = Some(preds);
     }
-    if let Some(p) = c.producer.get_mut(a.task_idx) {
+    if let Some(p) = c.producer.get_mut(t.task_idx) {
         *p = Some(ident);
     }
     c.done += 1;
     let _ = c.progress.send(Progress {
         done: c.done,
-        total: a.total,
+        total,
     });
     if c.verbose {
-        if let Some(task) = a.tasks.get(a.task_idx) {
+        if let Some(task) = t.tasks.get(t.task_idx) {
             // `c.done` was advanced under the state lock just above, so
             // the printed sequence is monotonic; the renderer's own lock
             // only guards against interleaved lines.
             progress::emit(&progress::Event::ShardLanded {
-                client: a.client,
+                client: t.client,
                 done: c.done,
-                total: a.total,
+                total,
                 worker: worker_id,
                 item: task.work_id as u32,
                 start: task.range.start as u32,
@@ -1106,178 +1161,18 @@ fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, p
         }
     }
     let need_audit =
-        producer_trust.audits_all() || audit_sampled(inner.audit_rate, a.client, a.key);
-    if need_audit && !c.verified.get(a.task_idx).copied().unwrap_or(false) {
-        if let Some(open) = c.audit_open.get_mut(a.task_idx) {
+        producer_trust.audits_all() || audit_sampled(inner.audit_rate, t.client, a.key);
+    if need_audit && !c.verified.get(t.task_idx).copied().unwrap_or(false) {
+        if let Some(open) = c.audit_open.get_mut(t.task_idx) {
             *open = true;
             c.audits_pending += 1;
             c.queue.push(QueueEntry::Audit {
-                task_idx: a.task_idx,
+                task_idx: t.task_idx,
                 producer: ident,
             });
         }
     }
     maybe_finish(c, &inner.completion);
-}
-
-/// Resolves one wire-dispatched audit: the replica either confirms the
-/// stored result (audit passes, producer credited) or triggers the
-/// authoritative in-process arbitration that decides which replica lied —
-/// repairing the stored result and convicting the liar.
-fn resolve_wire_audit(
-    inner: &ServerInner,
-    a: &Assignment,
-    producer: u64,
-    auditor: u64,
-    replica: Vec<u8>,
-) {
-    let original: Option<Vec<u8>> = {
-        let mut guard = lock(&inner.state);
-        let st = &mut *guard;
-        let Some(c) = st.clients.get_mut(&a.client) else {
-            return;
-        };
-        if c.finished || !c.audit_open.get(a.task_idx).copied().unwrap_or(false) {
-            return; // resolved meanwhile (conviction sweep, rescue)
-        }
-        match c.results.get(a.task_idx).and_then(Option::as_ref) {
-            Some(orig) if *orig == replica => {
-                // Audit passed: the stored result is confirmed.
-                trace::event("audit.pass");
-                close_audit(c, a.task_idx, &inner.completion);
-                st.trust.entry(producer).or_default().audit_passed();
-                None
-            }
-            Some(orig) => {
-                trace::event("audit.mismatch");
-                st.stats.audit_mismatches += 1;
-                Some(orig.clone())
-            }
-            None => {
-                // No stored result to audit (requeued after a quarantine
-                // discard): nothing to compare, close the audit.
-                close_audit(c, a.task_idx, &inner.completion);
-                None
-            }
-        }
-    };
-    let Some(original) = original else {
-        return;
-    };
-    // Two replicas disagree: somebody lied. Arbitrate authoritatively.
-    let Some(task) = a.tasks.get(a.task_idx) else {
-        return;
-    };
-    let auth = match a.arbiter.run(task) {
-        Ok(v) => v,
-        Err(e) => {
-            fail_client(inner, a.client, e);
-            return;
-        }
-    };
-    let orig_lied = auth != original;
-    let replica_lied = auth != replica;
-    let mut rerecord = false;
-    {
-        let mut guard = lock(&inner.state);
-        if let Some(c) = guard.clients.get_mut(&a.client) {
-            if !c.finished && c.audit_open.get(a.task_idx).copied().unwrap_or(false) {
-                if orig_lied {
-                    if let Some(slot) = c.results.get_mut(a.task_idx) {
-                        *slot = Some(auth.clone());
-                    }
-                    if let Some(p) = c.producer.get_mut(a.task_idx) {
-                        *p = None; // authoritative now
-                    }
-                    rerecord = true;
-                }
-                close_audit(c, a.task_idx, &inner.completion);
-            }
-        }
-        if !orig_lied {
-            // The producer told the truth; the auditor is the liar. Credit
-            // the producer as any passed audit would.
-            guard.trust.entry(producer).or_default().audit_passed();
-        }
-    }
-    if rerecord {
-        if let Some(log) = &a.ckpt {
-            log.append(task.key, &auth);
-        }
-    }
-    if orig_lied {
-        punish_worker(inner, producer, true);
-    }
-    if replica_lied {
-        punish_worker(inner, auditor, true);
-    }
-}
-
-/// Resolves an in-process audit (one-worker fleets: nobody else can check
-/// the producer): the arbiter's re-execution *is* authoritative, so it is
-/// compared against the stored result directly.
-fn resolve_local_audit(inner: &ServerInner, a: &Assignment, producer: u64) {
-    let original: Option<Vec<u8>> = {
-        let mut guard = lock(&inner.state);
-        let Some(c) = guard.clients.get_mut(&a.client) else {
-            return;
-        };
-        if c.finished || !c.audit_open.get(a.task_idx).copied().unwrap_or(false) {
-            return;
-        }
-        match c.results.get(a.task_idx).and_then(Option::as_ref) {
-            Some(orig) => Some(orig.clone()),
-            None => {
-                close_audit(c, a.task_idx, &inner.completion);
-                None
-            }
-        }
-    };
-    let Some(original) = original else {
-        return;
-    };
-    let Some(task) = a.tasks.get(a.task_idx) else {
-        return;
-    };
-    let auth = match a.arbiter.run(task) {
-        Ok(v) => v,
-        Err(e) => {
-            fail_client(inner, a.client, e);
-            return;
-        }
-    };
-    let lied = auth != original;
-    let mut rerecord = false;
-    {
-        let mut guard = lock(&inner.state);
-        let st = &mut *guard;
-        if let Some(c) = st.clients.get_mut(&a.client) {
-            if !c.finished && c.audit_open.get(a.task_idx).copied().unwrap_or(false) {
-                trace::event(if lied { "audit.mismatch" } else { "audit.pass" });
-                if lied {
-                    st.stats.audit_mismatches += 1;
-                    if let Some(slot) = c.results.get_mut(a.task_idx) {
-                        *slot = Some(auth.clone());
-                    }
-                    if let Some(p) = c.producer.get_mut(a.task_idx) {
-                        *p = None;
-                    }
-                    rerecord = true;
-                } else {
-                    st.trust.entry(producer).or_default().audit_passed();
-                }
-                close_audit(c, a.task_idx, &inner.completion);
-            }
-        }
-    }
-    if rerecord {
-        if let Some(log) = &a.ckpt {
-            log.append(task.key, &auth);
-        }
-    }
-    if lied {
-        punish_worker(inner, producer, true);
-    }
 }
 
 /// Drives one worker connection for the life of the server: pick the
@@ -1358,7 +1253,7 @@ fn connection_thread(
         let traced = trace::is_enabled();
         let ids = trace::Ids {
             campaign: 0,
-            client: a.client,
+            client: a.ticket.client,
             worker: worker_id as u64,
             shard: u64::from(a.key.0),
         };
@@ -1374,10 +1269,10 @@ fn connection_thread(
             );
         }
         let _ctx = trace::with_ids(ids);
-        if let AssignKind::AuditLocal { producer } = a.kind {
+        if let AssignKind::AuditLocal { .. } = a.kind {
             // In-process arbitration: no frames on this connection.
             trace::event("audit.dispatch_local");
-            resolve_local_audit(inner, &a, producer);
+            settle_audit(inner, &a.ticket, None);
             idle_since = trace::now_us();
             continue;
         }
@@ -1387,7 +1282,7 @@ fn connection_thread(
         // Activate the session when it (or the owning client) changed. The
         // client matters only for bookkeeping symmetry: the artifact tuple
         // alone decides what ships.
-        if a.session != current || current_client != Some(a.client) || a.ship != 0 {
+        if a.session != current || current_client != Some(a.ticket.client) || a.ship != 0 {
             let ship_t0 = trace::now_us();
             let (plan, weights, eval, golden) = a.session;
             let activated = wire::send(
@@ -1426,12 +1321,12 @@ fn connection_thread(
                 );
             }
             current = a.session;
-            current_client = Some(a.client);
+            current_client = Some(a.ticket.client);
         }
         // A legitimate re-dispatch of a key this connection completed
         // before (an audit of a task someone else requeued here, or a
         // repair re-run) must not be mistaken for a late duplicate.
-        done_keys.remove(&(a.client, a.key.0, a.key.1, a.key.2));
+        done_keys.remove(&(a.ticket.client, a.key.0, a.key.1, a.key.2));
         // Dispatch timestamp: worker-side span summaries in the reply are
         // shard-relative and get re-based onto the coordinator timeline
         // here.
@@ -1450,7 +1345,7 @@ fn connection_thread(
             .and_then(|()| {
                 await_shard(
                     &mut stream,
-                    a.client,
+                    a.ticket.client,
                     a.key,
                     a.session,
                     inner.task_timeout,
@@ -1475,8 +1370,8 @@ fn connection_thread(
                 let merge_t0 = trace::now_us();
                 match a.kind {
                     AssignKind::Run => land_run(inner, &a, worker_id, ident, preds),
-                    AssignKind::Audit { producer } => {
-                        resolve_wire_audit(inner, &a, producer, ident, preds);
+                    AssignKind::Audit { .. } => {
+                        settle_audit(inner, &a.ticket, Some((ident, preds)));
                     }
                     AssignKind::AuditLocal { .. } => {} // handled above
                 }
@@ -1513,7 +1408,7 @@ fn connection_thread(
                 // would reproduce it. Fail the owning client — other
                 // clients keep running — and drop this connection (its
                 // stream state is no longer trusted).
-                fail_client(inner, a.client, e);
+                fail_client(inner, a.ticket.client, e);
                 break;
             }
         }
@@ -1674,27 +1569,26 @@ fn acceptor_thread(
     }
 }
 
-/// Resolves every open audit of every unfinished client in-process (the
-/// fleet is gone; the arbiter is the only executor left). Audits whose
-/// producers died unverified are arbitrated authoritatively, so a client
-/// that only awaited verification finishes with a repaired — and correct —
-/// result instead of a [`DistError::FleetLost`].
+/// Settles every open audit of every unfinished client in-process (the
+/// fleet is gone; the arbiter is the only executor left), so a client that
+/// only awaited verification finishes with a repaired — and correct —
+/// result instead of a [`DistError::FleetLost`]. A producer the arbiter
+/// proves wrong is convicted, as by any other audit.
 fn rescue_open_audits(inner: &ServerInner) {
-    let mut rescue: Vec<SweepItem> = Vec::new();
-    {
-        let mut st = lock(&inner.state);
-        for (&id, c) in &mut st.clients {
-            if c.finished || c.audits_pending == 0 {
-                continue;
-            }
-            for i in 0..c.tasks.len() {
-                if c.audit_open.get(i).copied().unwrap_or(false) {
-                    rescue.push(c.sweep_item(id, i));
-                }
-            }
-        }
+    let rescue: Vec<Ticket> = {
+        let st = lock(&inner.state);
+        st.clients
+            .iter()
+            .flat_map(|(&id, c)| {
+                (0..c.tasks.len())
+                    .filter(|&i| c.awaits_verdict(i))
+                    .map(move |i| c.ticket(id, i))
+            })
+            .collect()
+    };
+    for t in &rescue {
+        settle_audit(inner, t, None);
     }
-    arbitrate(inner, rescue);
 }
 
 /// Accepts and handshakes `n` workers within `timeout` (the initial fleet

@@ -1,5 +1,5 @@
 //! Byzantine drills: the fabric must survive workers that return **wrong
-//! answers**, not just workers that crash or garble frames. Three adversaries,
+//! answers**, not just workers that crash or garble frames. Four adversaries,
 //! each end to end over real sockets and worker processes:
 //!
 //! * a **self-consistent liar** — the `NVFI_WORKER_CORRUPT_AFTER` hook flips
@@ -8,6 +8,9 @@
 //!   re-execution can catch it; arbitration must convict the right replica
 //!   and quarantine the worker, with every concurrent client's result still
 //!   bit-identical to the in-process run;
+//! * a **lone liar** — the same hook on the only worker of a one-worker
+//!   fleet, where no other replica exists: the in-process arbiter audits
+//!   every shard itself and must repair the lie and convict the worker;
 //! * a **transport liar** — the chaos `lie` verb mangles a `ShardDone` body
 //!   *after* the worker computed its attestation and reseals the CRC, so the
 //!   wire layer cannot catch it. The server's attestation recompute must:
@@ -16,7 +19,7 @@
 //!   `ShardDone` frame later in the stream. The duplicate-completion dedup
 //!   must absorb it without a single spurious requeue.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
 use nvfi::PlatformConfig;
@@ -128,6 +131,60 @@ fn corrupting_worker_is_convicted_and_quarantined() {
         stats.integrity_rejects, 0,
         "a self-consistent lie passes attestation — only the audit may \
          catch it: {stats:?}"
+    );
+}
+
+/// **One-worker liar.** With a single worker nobody else can audit it, so
+/// every audit (`audit_rate: 1.0`) is settled by the in-process arbiter
+/// against the stored result. On a fresh one-worker server the campaign
+/// executes one shard per unmasked work item plus the baseline shard;
+/// worker 0 serves all but the last honestly and flips every prediction of
+/// the last one. The local audit must catch that lie, repair the slot and
+/// convict the worker, leaving the records bit-identical.
+#[test]
+fn one_worker_liar_is_repaired_by_the_local_arbiter() {
+    let (q, eval) = setup();
+    let config = PlatformConfig::default();
+    let spec = spec_with_kinds(vec![FaultKind::StuckAtZero, FaultKind::Constant(-1)]);
+    let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
+    // One worker: every executed work item is one shard.
+    let honest = in_process.records.len() - in_process.masked_static;
+    assert!(honest > 0, "the campaign must run fault shards");
+
+    let fleet = FleetSpec {
+        worker_env: env_on_worker_0(worker::ENV_CORRUPT_AFTER, &honest.to_string()),
+        audit_rate: 1.0,
+        ..worker_fleet()
+    };
+    let server = CampaignServer::start(&fleet, 1).unwrap();
+    let dist = server
+        .submit(&q, config, &spec, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_identical(&in_process, &dist, "after a repaired one-worker lie");
+
+    // The verdict closes the audit, which may finish the client, before it
+    // convicts the worker: wait for the conviction to land.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = server.stats();
+        if stats.workers_quarantined > 0 || Instant::now() >= deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(
+        stats.audit_mismatches, 1,
+        "only the last shard lied, and only the local audit can see it: {stats:?}"
+    );
+    assert_eq!(
+        stats.workers_quarantined, 1,
+        "the arbiter's verdict must convict the worker: {stats:?}"
+    );
+    assert_eq!(
+        stats.integrity_rejects, 0,
+        "a self-consistent lie passes attestation: {stats:?}"
     );
 }
 

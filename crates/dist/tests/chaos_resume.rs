@@ -20,9 +20,7 @@ use nvfi_accel::FaultKind;
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{Dataset, SynthCifar, SynthCifarConfig};
 use nvfi_dist::chaos::{ENV_CHAOS_PLAN, ENV_CHAOS_SEED};
-use nvfi_dist::{
-    run_campaign, worker, CampaignServer, Checkpoint, DistError, FleetSpec, OnFleetLost,
-};
+use nvfi_dist::{run_campaign, worker, CampaignServer, Checkpoint, DistError, FleetSpec};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
@@ -270,27 +268,6 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
         "a completed campaign must remove the log at its path"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// **Graceful degradation.** With `OnFleetLost::Degrade`, losing every
-/// worker must not fail the campaign: the coordinator falls back to the
-/// in-process path and the records are bit-identical.
-#[test]
-fn fleet_lost_degrades_to_in_process_when_asked() {
-    let (q, eval) = setup();
-    let config = PlatformConfig::default();
-    let spec = CampaignSpec {
-        workers: 1,
-        ..base_spec()
-    };
-    let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let fleet = FleetSpec {
-        worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "0".to_string())]],
-        on_fleet_lost: OnFleetLost::Degrade,
-        ..worker_fleet()
-    };
-    let degraded = run_campaign(&q, config, &spec, &eval, &fleet).unwrap();
-    assert_identical(&in_process, &degraded, "degraded campaign");
 }
 
 /// **Versioned rejection.** With the re-admission cap at zero, worker 0's

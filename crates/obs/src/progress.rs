@@ -57,8 +57,6 @@ pub enum Event {
         done: usize,
         total: usize,
     },
-    /// The whole fleet was lost; falling back to the in-process pool.
-    FleetDegraded { incomplete: usize },
     /// One `nvfi-top` line summarizing the fleet (periodic, `NVFI_METRICS=top`).
     FleetSummary {
         workers: usize,
@@ -114,11 +112,6 @@ fn render(e: &Event) -> String {
         }
         Event::Resumed { path, done, total } => {
             format!("  resuming from {path}: {done}/{total} shards already done")
-        }
-        Event::FleetDegraded { incomplete } => {
-            format!(
-                "  fleet lost with {incomplete} task(s) outstanding; degrading to the in-process campaign"
-            )
         }
         Event::FleetSummary {
             workers,
