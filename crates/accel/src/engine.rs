@@ -26,10 +26,13 @@
 //! Every launch — one image ([`Accelerator::run_inference_i8_view`], the
 //! golden prefix and suffix) or a mini-batch
 //! ([`Accelerator::run_batch_i8_view`]) — runs one executor per op kind
-//! over the launch's `b_n` images. A conv or linear op is one im2col + GEMM
-//! with the images' columns side by side; per-column independence of the
-//! GEMM makes a mini-batch bit-identical to its images run alone. Op inputs
-//! come from the surface map, and each launch starts with every entry
+//! over the launch's `b_n` images, held **batch-innermost** in the surface
+//! map: `[C][H][W][B]`, plain CHW at `B = 1` (what DRAM packs and the exact
+//! oracle reads). A conv or linear op is one im2col + GEMM with columns in
+//! `(oy, ox, b)` order, so its `K x (OH·OW·B)` output is already the next
+//! surface, and the SDP, residual add and pooling are flat loops over it.
+//! Per-column independence of the GEMM makes a mini-batch bit-identical to
+//! its images run alone. Each launch starts with every surface-map entry
 //! stale. The image count selects the DRAM contract:
 //!
 //! * a **one-image launch** writes every surface it produces to DRAM,
@@ -38,7 +41,8 @@
 //!   per-inference traffic;
 //! * a **mini-batch launch** keeps its surfaces off DRAM and writes only
 //!   the last image's logits. An op reading a surface the launch has not
-//!   written fails with [`AccelError::BadPlan`].
+//!   written fails with [`AccelError::BadPlan`]. It transposes its CHW
+//!   input images into the batch-innermost input surface once.
 //!
 //! # Lane-delta fault execution
 //!
@@ -61,9 +65,10 @@
 //! * **permanent** (the window covers the whole op): for lane `(m, j)`,
 //!   every kernel row `k ≡ m (mod 8)` with `k < K` and every reduction row
 //!   `(c, r, s)` with `c ≡ j (mod 8)` and `c < C`, add `f(w·x) − w·x` over
-//!   every column, the columns of every image of the launch. The inner
-//!   loop is branch-free over contiguous columns, so it vectorizes; a lane
-//!   costs 1/64 of the op's MACs. Zero-fed idle channels (`c ≥ C`)
+//!   every column, the columns of every image of the launch, so column
+//!   order does not matter to it. The inner loop is branch-free over
+//!   contiguous columns, so it vectorizes; a lane costs 1/64 of the op's
+//!   MACs. Zero-fed idle channels (`c ≥ C`)
 //!   multiply zeros, so each adds the constant `(cb_n − real_blocks)·R·S·f(0)`
 //!   per output element; gated ones add nothing;
 //! * **windowed**: MAC cycles are numbered lexicographically in
@@ -297,7 +302,7 @@ impl WeightArena {
 /// stale one of an earlier launch, kept for its capacity).
 #[derive(Clone, Debug, Default)]
 struct Surface {
-    /// The launch's images as dense CHW, back to back.
+    /// The launch's images, `[C][H][W][B]` (CHW in a one-image launch).
     data: Vec<i8>,
     /// Shape of one image.
     shape: Shape4,
@@ -312,7 +317,7 @@ struct Surface {
 struct Scratch {
     /// DMA staging for surface reads and arena refills.
     dma: Vec<i8>,
-    /// im2col column matrix of the launch's images side by side.
+    /// im2col column matrix of the current op, columns in `(oy, ox, b)`.
     cols: Vec<i8>,
     /// i32 accumulators of the current op.
     acc: Vec<i32>,
@@ -853,13 +858,15 @@ impl Accelerator {
     /// campaign-lifetime quantized evaluation set, so the per-call cost is
     /// zero copies and zero quantization.
     ///
-    /// The whole mini-batch is one launch: each layer runs once, with the
-    /// images' im2col columns side by side in one GEMM and the intermediate
-    /// surfaces kept off DRAM. The result is bit-identical to running
-    /// [`Accelerator::run_inference_i8_view`] per image (GEMM output columns
-    /// are independent, and lane-delta corrects every column of the
-    /// mini-batch at once). Under [`ExecMode::Exact`] or an armed transient
-    /// window the batch runs as one-image launches.
+    /// The whole mini-batch is one launch: the images are transposed once
+    /// into a batch-innermost `[C][H][W][B]` surface, and each layer runs
+    /// once, as one im2col + GEMM with columns in `(oy, ox, b)` order, on
+    /// surfaces kept batch-innermost and off DRAM (a one-image launch keeps
+    /// CHW, which DRAM packs and the oracle reads). The result is
+    /// bit-identical to [`Accelerator::run_inference_i8_view`] per image (GEMM
+    /// output columns are independent, and lane-delta corrects every column
+    /// of the mini-batch at once). Under [`ExecMode::Exact`] or an armed
+    /// transient window the batch runs as one-image launches.
     ///
     /// # Errors
     ///
@@ -1040,8 +1047,13 @@ impl Accelerator {
                     shape.image_len()
                 )));
             }
-            self.scratch.out.clear();
-            self.scratch.out.extend_from_slice(images);
+            let out = &mut self.scratch.out;
+            out.resize(images.len(), 0);
+            for (b, image) in images.chunks_exact(shape.image_len()).enumerate() {
+                for (i, &v) in image.iter().enumerate() {
+                    out[i * b_n + b] = v;
+                }
+            }
             self.commit_surface(plan.input_addr, shape, b_n)?;
         }
         for i in ops {
@@ -1054,10 +1066,11 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Makes the surface at `addr` live in the surface map as `b_n` images
-    /// of `shape`. A one-image launch reads a surface it has not written
-    /// (the golden suffix's live-ins) from DRAM; a mini-batch launch keeps
-    /// its surfaces off DRAM, so for it a missing surface is a plan error.
+    /// Makes the surface at `addr` live in the surface map as `b_n`
+    /// batch-innermost images of `shape`. A one-image launch reads a surface
+    /// it has not written (the golden suffix's live-ins) from DRAM; a
+    /// mini-batch launch keeps its surfaces off DRAM, so for it a missing
+    /// surface is a plan error.
     fn stage_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
         let scratch = &mut self.scratch;
         if scratch
@@ -1083,9 +1096,9 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Publishes `scratch.out`, `b_n` dense images of `shape`, as the
-    /// surface at `addr`. A one-image launch also writes it to DRAM, packed:
-    /// the DRAM contract of per-image runs and golden captures.
+    /// Publishes `scratch.out`, `b_n` batch-innermost images of `shape`, as
+    /// the surface at `addr`. A one-image launch also writes it to DRAM,
+    /// packed: the DRAM contract of per-image runs and golden captures.
     fn commit_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
         let bytes = surface::surface_bytes(shape.c, shape.h, shape.w);
         let scratch = &mut self.scratch;
@@ -1118,11 +1131,12 @@ impl Accelerator {
         }
     }
 
-    /// The accumulation of a conv or linear op, lowered to one GEMM: the
-    /// launch's images' im2col columns side by side, then lane-delta when a
-    /// selected lane observes the op — or, under [`ExecMode::Exact`], the
-    /// per-product oracle instead. Leaves the `K x (b_n·OH·OW)` accumulators
-    /// in `scratch.acc`, image `b`'s columns at `b·OH·OW`.
+    /// The accumulation of a conv or linear op, lowered to one GEMM over the
+    /// launch's im2col columns, then lane-delta when a selected lane observes
+    /// the op — or, under [`ExecMode::Exact`], the per-product oracle
+    /// instead — into `scratch.acc`, `[K][OH][OW][B]`. A 1x1 stride-1
+    /// unpadded op (the linear head among them) multiplies its input surface
+    /// directly, which equals its column matrix.
     fn accumulate(
         &mut self,
         op_idx: usize,
@@ -1148,8 +1162,7 @@ impl Accelerator {
             ..
         } = &mut self.scratch;
         let input = &surfaces[&input_addr].data;
-        let (crs, n_cols, in_len) = (g.input.c * g.r * g.s, g.oh * g.ow, g.input.image_len());
-        let wide_n = b_n * n_cols;
+        let (crs, wide_n) = (g.input.c * g.r * g.s, g.oh * g.ow * b_n);
         // Zeroing the accumulators is billed to the phase that accumulates
         // into them: `exact` or `gemm`.
         if path == OpPath::Exact {
@@ -1160,11 +1173,13 @@ impl Accelerator {
             timer.lap(Phase::Exact);
             return Ok(());
         }
-        cols.resize(crs * wide_n, 0);
-        for b in 0..b_n {
-            let image = &input[b * in_len..(b + 1) * in_len];
-            im2col::im2col_into_offset(image, g, cols, wide_n, b * n_cols);
-        }
+        let cols: &[i8] = if (g.r, g.s, g.stride, g.pad) == (1, 1, 1, 0) {
+            input
+        } else {
+            cols.resize(crs * wide_n, 0);
+            im2col::im2col_batched_into(input, g, b_n, cols);
+            cols
+        };
         timer.lap(Phase::Im2col);
         acc.clear();
         acc.resize(g.k * wide_n, 0);
@@ -1178,8 +1193,8 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Convolution: the accumulation, then the SDP per image into the
-    /// op's output surface.
+    /// Convolution: the accumulation, then the SDP into the op's output
+    /// surface.
     fn exec_conv(&mut self, op_idx: usize, op: &ConvOp, b_n: usize) -> Result<(), AccelError> {
         let mut timer = PhaseTimer::start();
         let g = op.geom;
@@ -1191,23 +1206,12 @@ impl Accelerator {
             self.stage_surface(addr, out_shape, b_n)?;
             timer.lap(Phase::Surface);
         }
-        let (n_cols, out_len) = (g.oh * g.ow, out_shape.image_len());
         let Scratch {
             surfaces, acc, out, ..
         } = &mut self.scratch;
-        let residual = op.fuse_add_addr.map(|addr| &surfaces[&addr].data);
-        out.resize(b_n * out_len, 0);
-        for b in 0..b_n {
-            sdp_into(
-                op,
-                &g,
-                acc,
-                b_n * n_cols,
-                b * n_cols,
-                residual.map(|r| &r[b * out_len..(b + 1) * out_len]),
-                &mut out[b * out_len..(b + 1) * out_len],
-            );
-        }
+        let residual = op.fuse_add_addr.map(|addr| surfaces[&addr].data.as_slice());
+        out.resize(acc.len(), 0);
+        sdp_into(op, acc, residual, out);
         timer.lap(Phase::Sdp);
         self.commit_surface(op.output_addr, out_shape, b_n)?;
         timer.lap(Phase::Surface);
@@ -1217,35 +1221,28 @@ impl Accelerator {
     fn exec_pool(&mut self, op: &PoolOp, b_n: usize) -> Result<(), AccelError> {
         let (s, o) = (op.in_shape.with_n(1), op.out_shape());
         self.stage_surface(op.input_addr, s, b_n)?;
-        let (in_len, out_len) = (s.image_len(), o.image_len());
         let Scratch { surfaces, out, .. } = &mut self.scratch;
-        let input = &surfaces[&op.input_addr].data;
-        out.resize(b_n * out_len, 0);
-        for b in 0..b_n {
-            pool_into(
-                op,
-                &input[b * in_len..(b + 1) * in_len],
-                &mut out[b * out_len..(b + 1) * out_len],
-            );
-        }
+        out.resize(b_n * o.image_len(), 0);
+        pool_into(op, &surfaces[&op.input_addr].data, b_n, out);
         self.commit_surface(op.output_addr, o, b_n)
     }
 
-    /// The linear head: the accumulation plus bias into `scratch.logits`.
-    /// DRAM receives the launch's last image's logits, as after a run of
-    /// that image alone.
+    /// The linear head: the accumulation plus bias into `scratch.logits`,
+    /// image-major (the accumulators are `[out_f][B]`). DRAM receives the
+    /// launch's last image's logits, as after a run of that image alone.
     fn exec_linear(&mut self, op_idx: usize, op: &LinearOp, b_n: usize) -> Result<(), AccelError> {
         let mut timer = PhaseTimer::start();
         // The head runs on the same MAC array as a 1x1 convolution over a
-        // 1x1 spatial extent — faults apply here too — and im2col of that
-        // geometry lays the images' input vectors out as the GEMM columns.
+        // 1x1 spatial extent — faults apply here too — and its `[C][1][1][B]`
+        // input surface is already the `in_f x B` GEMM operand.
         let g = ConvGeom::new(Shape4::new(1, op.in_f, 1, 1), op.out_f, 1, 1, 1, 0);
         self.accumulate(op_idx, &g, op.input_addr, b_n, &mut timer)?;
         let Scratch { acc, logits, .. } = &mut self.scratch;
         logits.clear();
-        for b in 0..b_n {
-            logits.extend((0..op.out_f).map(|o| acc[o * b_n + b].wrapping_add(op.bias[o])));
-        }
+        logits.extend((0..acc.len()).map(|i| {
+            let (b, o) = (i / op.out_f, i % op.out_f);
+            acc[o * b_n + b].wrapping_add(op.bias[o])
+        }));
         timer.lap(Phase::Sdp);
         self.dram
             .write_i32(op.output_addr, &logits[(b_n - 1) * op.out_f..])?;
@@ -1358,8 +1355,9 @@ impl LaneMux {
 /// accumulators of one op.
 ///
 /// `cols` is the op's `C*R*S x n` im2col matrix and `acc` its `K x n`
-/// accumulator, with `n = images * OH * OW` and image `b`'s columns at
-/// `b * OH * OW`. `weights` is the dense `K x C*R*S` weight matrix.
+/// accumulator, with `n = OH * OW * images` and columns in `(oy, ox, b)`
+/// order: image `b`'s pixel `px` is column `px * images + b`. `weights` is
+/// the dense `K x C*R*S` weight matrix.
 #[allow(clippy::too_many_arguments)]
 fn lane_delta_into(
     fi: &FaultInjectorBank,
@@ -1414,7 +1412,7 @@ fn lane_delta_into(
             }
             let row = c * rs + tap;
             for b in 0..images {
-                let col = b * pix + px;
+                let col = px * images + b;
                 let d = if c < c_in {
                     mux.delta(i32::from(weights[k * crs + row]) * i32::from(cols[row * n + col]))
                 } else {
@@ -1439,31 +1437,23 @@ fn lane_delta_into(
     }
 }
 
-/// SDP post-processing of one image: bias, per-channel requantization,
-/// optional rescaled residual add, ReLU, saturation. Reads accumulator
-/// element `(k, oy, ox)` at `k * row_stride + col_off + oy * OW + ox` and
-/// writes the dense `K x OH x OW` output. The bias, both requantizers and
-/// the ReLU flag are hoisted out of the pixel loop, which is then
-/// branch-free and vectorizes.
-fn sdp_into(
-    op: &ConvOp,
-    g: &ConvGeom,
-    acc: &[i32],
-    row_stride: usize,
-    col_off: usize,
-    residual: Option<&[i8]>,
-    out: &mut [i8],
-) {
-    let n_pix = g.oh * g.ow;
+/// SDP post-processing of a launch's `K x n` accumulators, `[K][OH][OW][B]`:
+/// bias, per-channel requantization, optional rescaled residual add, ReLU,
+/// saturation. The output and the residual share the accumulators' layout,
+/// so each channel is one flat row. The bias, both requantizers and the
+/// ReLU flag are hoisted out of the row loop, which is then branch-free and
+/// vectorizes.
+fn sdp_into(op: &ConvOp, acc: &[i32], residual: Option<&[i8]>, out: &mut [i8]) {
+    let n = acc.len() / op.geom.k;
     let relu = op.relu;
-    for k in 0..g.k {
+    for k in 0..op.geom.k {
         let (rq, bias) = (op.requant_for(k), op.bias[k]);
-        let arow = &acc[k * row_stride + col_off..k * row_stride + col_off + n_pix];
-        let orow = &mut out[k * n_pix..(k + 1) * n_pix];
+        let arow = &acc[k * n..(k + 1) * n];
+        let orow = &mut out[k * n..(k + 1) * n];
         match residual {
             Some(res) => {
                 let add_rq = op.add_requant.expect("add requant");
-                let rrow = &res[k * n_pix..(k + 1) * n_pix];
+                let rrow = &res[k * n..(k + 1) * n];
                 for ((o, &a), &rv) in orow.iter_mut().zip(arow).zip(rrow) {
                     *o = sdp_postprocess(a.wrapping_add(bias), rq, Some((rv, add_rq)), relu);
                 }
@@ -1477,10 +1467,14 @@ fn sdp_into(
     }
 }
 
-/// PDP pooling of one dense CHW image into a dense CHW output, bit-exact
-/// with [`pool::maxpool2d`] / [`nvfi_quant::exec::pdp_global_avg`].
-fn pool_into(op: &PoolOp, input: &[i8], out: &mut [i8]) {
+/// PDP pooling of a launch's `b` batch-innermost images, `[C][H][W][B]`,
+/// into `[C][OH][OW][B]`, bit-exact per image with [`pool::maxpool2d`] /
+/// [`nvfi_quant::exec::pdp_global_avg`]. A max-pool output pixel is the
+/// lane-wise maximum of its window's `B`-lane input pixels; the global
+/// average reduces each `(c, b)` over its plane.
+fn pool_into(op: &PoolOp, input: &[i8], b: usize, out: &mut [i8]) {
     let s = op.in_shape;
+    let plane = s.h * s.w * b;
     match op.kind {
         PoolKind::Max => {
             let (k, stride) = (op.k, op.stride);
@@ -1495,36 +1489,33 @@ fn pool_into(op: &PoolOp, input: &[i8], out: &mut [i8]) {
                     && (s.w - k).is_multiple_of(stride),
                 "pool {k}/{stride} does not tile {s}"
             );
-            let oh = (s.h - k) / stride + 1;
-            let ow = (s.w - k) / stride + 1;
-            for c in 0..s.c {
-                let plane = &input[c * s.h * s.w..(c + 1) * s.h * s.w];
-                let oplane = &mut out[c * oh * ow..(c + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = plane[oy * stride * s.w + ox * stride];
-                        for r in 0..k {
-                            let row = &plane[(oy * stride + r) * s.w + ox * stride..][..k];
-                            for &v in row {
-                                if v > best {
-                                    best = v;
-                                }
+            let (oh, ow) = ((s.h - k) / stride + 1, (s.w - k) / stride + 1);
+            let lanes = |y: usize, x: usize| (y * s.w + x) * b..(y * s.w + x + 1) * b;
+            for (c, oplane) in out.chunks_exact_mut(oh * ow * b).enumerate() {
+                let iplane = &input[c * plane..(c + 1) * plane];
+                for (p, best) in oplane.chunks_exact_mut(b).enumerate() {
+                    let (y0, x0) = (p / ow * stride, p % ow * stride);
+                    best.copy_from_slice(&iplane[lanes(y0, x0)]);
+                    for y in y0..y0 + k {
+                        for x in x0..x0 + k {
+                            for (o, &v) in best.iter_mut().zip(&iplane[lanes(y, x)]) {
+                                *o = (*o).max(v);
                             }
                         }
-                        oplane[oy * ow + ox] = best;
                     }
                 }
             }
         }
         PoolKind::GlobalAvg => {
             let area = (s.h * s.w) as u32;
-            for c in 0..s.c {
-                let plane = &input[c * s.h * s.w..(c + 1) * s.h * s.w];
-                let mut sum = 0i32;
-                for &v in plane {
-                    sum = sum.wrapping_add(v as i32);
-                }
-                out[c] = sat::to_i8(i64::from(pool::rounded_div(sum, area)));
+            for (i, o) in out.iter_mut().enumerate() {
+                let (c, lane) = (i / b, i % b);
+                let sum = input[c * plane..(c + 1) * plane]
+                    .iter()
+                    .skip(lane)
+                    .step_by(b)
+                    .fold(0i32, |sum, &v| sum.wrapping_add(i32::from(v)));
+                *o = sat::to_i8(i64::from(pool::rounded_div(sum, area)));
             }
         }
     }

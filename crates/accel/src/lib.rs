@@ -85,10 +85,12 @@
 //! ([`Accelerator::run_inference_i8_view`], the golden prefix and suffix)
 //! or a mini-batch ([`Accelerator::run_batch_i8_view`], which
 //! [`Accelerator::classify_batch_i8`] drives per [`AccelConfig::batch`]
-//! images). A conv or linear op is one im2col + GEMM with the launch's
-//! images' columns side by side, then lane-delta or, under
-//! [`ExecMode::Exact`], the oracle; pool ops run per image. Results do not
-//! depend on how images are grouped into launches.
+//! images). Activation surfaces are batch-innermost, `[C][H][W][B]` (plain
+//! CHW in a one-image launch), so a conv or linear op is one im2col + GEMM
+//! with columns in `(oy, ox, b)` order, then lane-delta or, under
+//! [`ExecMode::Exact`], the oracle, and the SDP and pooling each run once
+//! over all images. Results do not depend on how images are grouped into
+//! launches.
 //!
 //! All per-op intermediates (DMA staging, im2col columns, i32
 //! accumulators, SDP output, packed surfaces) live in a per-device scratch

@@ -1013,3 +1013,122 @@ fn lane_delta_matches_exact_exhaustively() {
         "only {perturbed} faulted runs moved the logits"
     );
 }
+
+/// A hand-built network for the batched executors the ResNet fixtures miss
+/// (they have no max pool) or cover only at power-of-two widths: ragged
+/// channels (5 -> 11 -> 11 -> 13 -> 6), a 3x3 pad-1 conv, a 2x2
+/// stride-2 max pool, a stride-1 conv adding the pool's output as its
+/// residual, a 1x1 stride-2 downsample, a 1x1 stride-1 conv (whose column
+/// matrix is its input), the global average and the linear head.
+fn pool_and_residual_model() -> QuantModel {
+    use nvfi_nn::deploy::{DeployModel, DeployOp, DeployOpKind};
+    use nvfi_tensor::{Mat, Shape4};
+
+    // Deterministic weights in [-0.5, 0.5), distinct per layer.
+    let wave = |i: usize, salt: usize| ((i * 7919 + salt * 104_729) % 1000) as f32 / 1000.0 - 0.5;
+    let conv = |k: usize, c: usize, r: usize, stride: usize, pad: usize, salt: usize| {
+        let shape = Shape4::new(k, c, r, r);
+        let fuse_add = (salt == 2).then_some(2);
+        DeployOpKind::Conv {
+            weight: Tensor::from_fn(shape, |a, b, y, x| wave(shape.index(a, b, y, x), salt)),
+            bias: (0..k).map(|i| wave(i, salt + 9) * 0.2).collect(),
+            stride,
+            pad,
+            relu: salt != 4,
+            fuse_add,
+        }
+    };
+    let op = |input: usize, kind: DeployOpKind| DeployOp { input, kind };
+    let input_shape = Shape4::new(1, 5, 8, 8);
+    let deploy = DeployModel {
+        input_shape,
+        ops: vec![
+            op(0, conv(11, 5, 3, 1, 1, 1)),
+            op(1, DeployOpKind::MaxPool { k: 2, stride: 2 }),
+            op(2, conv(11, 11, 3, 1, 1, 2)),
+            op(3, conv(13, 11, 1, 2, 0, 3)),
+            op(4, conv(6, 13, 1, 1, 0, 4)),
+            op(5, DeployOpKind::GlobalAvgPool),
+            op(
+                6,
+                DeployOpKind::Linear {
+                    weight: Mat::from_vec(3, 6, (0..18).map(|i| wave(i, 5)).collect()),
+                    bias: vec![0.1, -0.05, 0.0],
+                },
+            ),
+        ],
+        output: 7,
+    };
+    let calib = Tensor::from_fn(input_shape.with_n(4), |n, c, y, x| {
+        wave(((n * 5 + c) * 8 + y) * 8 + x, 7) * 2.0
+    });
+    quantize(&deploy, &calib, &QuantConfig::default()).unwrap()
+}
+
+/// Batched max pool, residual add and 1x1 ops against the oracle: for every
+/// mini-batch size 1-9, with no fault and under permanent two-lane
+/// `Constant(±1)` overrides (one lane on an idle multiplier of the 5-channel
+/// stem), `run_batch_i8_view` and `classify_batch_i8` give each image the
+/// logits and prediction of its own `ExecMode::Exact` run, and retire the
+/// same MAC cycles per image.
+#[test]
+fn batched_pool_and_residual_match_exact() {
+    let q = pool_and_residual_model();
+    let shape = q.input_shape;
+    let images = q.quantize_input(&Tensor::from_fn(shape.with_n(9), |n, c, h, w| {
+        ((n * 37 + c * 17 + h * 7 + w * 3) % 43) as f32 * 0.05 - 1.0
+    }));
+    let image_len = shape.image_len();
+    let faults = [
+        None,
+        Some(FaultKind::Constant(1)),
+        Some(FaultKind::Constant(-1)),
+    ];
+    let mut clean = Vec::new();
+    for fault in faults {
+        let program = |mode| {
+            let mut d = accel_with(&q, mode, IdleLanePolicy::ZeroFed).accel;
+            if let Some(kind) = fault {
+                d.inject(&FaultConfig::new(
+                    vec![MultId::new(1, 2), MultId::new(5, 7)],
+                    kind,
+                ));
+            }
+            d
+        };
+        let mut exact = program(ExecMode::Exact);
+        let (mut want, mut cycles) = (Vec::new(), 0);
+        for img in images.as_slice().chunks(image_len) {
+            want.push(exact.run_inference_i8_view(img).unwrap().logits);
+            cycles = exact.mac_cycles_retired();
+        }
+        if fault.is_none() {
+            clean.clone_from(&want);
+        } else {
+            assert_ne!(want, clean, "{fault:?} moved no logit");
+        }
+        let mut auto = program(ExecMode::Auto);
+        for b_n in 1..=9 {
+            let batch = &images.as_slice()[..b_n * image_len];
+            let got: Vec<Vec<i32>> = auto
+                .run_batch_i8_view(batch)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.logits)
+                .collect();
+            assert_eq!(got, want[..b_n], "{fault:?}, batch of {b_n}");
+            assert_eq!(auto.mac_cycles_retired(), b_n as u64 * cycles);
+            let classes: Vec<u8> = want[..b_n]
+                .iter()
+                .map(|l| nvfi_quant::exec::argmax(l))
+                .collect();
+            assert_eq!(auto.classify_batch_i8(batch).unwrap(), classes);
+            let last_launch = (b_n - 1) % auto.config().batch + 1;
+            assert_eq!(auto.mac_cycles_retired(), last_launch as u64 * cycles);
+        }
+    }
+    assert!(
+        clean.windows(2).any(|w| w[0] != w[1]),
+        "every image has the same logits"
+    );
+}

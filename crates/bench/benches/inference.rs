@@ -9,8 +9,10 @@ use nvfi::{EmulationPlatform, PlatformConfig};
 use nvfi_accel::{FaultConfig, FaultKind};
 use nvfi_bench::{medium_fixture, small_fixture};
 use nvfi_compiler::regmap::MultId;
+use nvfi_compiler::PlanOp;
 use nvfi_hwnum::Requant;
 use nvfi_quant::exec::sdp_postprocess;
+use nvfi_tensor::{im2col, ConvGeom};
 
 fn bench_cpu_reference(c: &mut Criterion) {
     let (q, data) = medium_fixture();
@@ -118,6 +120,41 @@ fn bench_sdp(c: &mut Criterion) {
     g.finish();
 }
 
+/// im2col alone: every conv of the medium fixture's plan lowered at the
+/// batch-8 width campaigns run, through the engine's batch-innermost
+/// kernel. A return to per-image column blocks, which copy runs `B` times
+/// shorter, shows up here as a multiple.
+fn bench_im2col(c: &mut Criterion) {
+    let (q, _) = medium_fixture();
+    let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let batch = 8;
+    let mut convs: Vec<(ConvGeom, Vec<i8>, Vec<i8>)> = plan
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            PlanOp::Conv(conv) => Some(conv.geom),
+            _ => None,
+        })
+        .map(|g| {
+            let len = g.input.image_len() * batch;
+            let input = (0..len).map(|i| (i * 37 % 251) as u8 as i8).collect();
+            let cols = vec![0; g.input.c * g.r * g.s * g.oh * g.ow * batch];
+            (g, input, cols)
+        })
+        .collect();
+    let mut g = c.benchmark_group("inference_medium");
+    g.sample_size(20);
+    g.bench_function("im2col_batch8_w16", |b| {
+        b.iter(|| {
+            for (geom, input, cols) in &mut convs {
+                im2col::im2col_batched_into(input, geom, batch, cols);
+                let _ = black_box(&cols);
+            }
+        })
+    });
+    g.finish();
+}
+
 /// The int8 GEMM kernel alone, one row per distinct conv GEMM of the medium
 /// fixture at the batch-8 width campaigns run (`m x k x n` = output
 /// channels x reduction x batch pixels). A row's GMAC/s is `m * k * n`
@@ -153,6 +190,7 @@ criterion_group!(
     bench_accelerator_emulation,
     bench_accelerator_medium,
     bench_sdp,
+    bench_im2col,
     bench_gemm_shapes
 );
 criterion_main!(benches);
