@@ -121,16 +121,11 @@ pub enum ExecMode {
     /// Every product goes through its injector mux, one by one. Slow — the
     /// ground-truth oracle the other modes are tested against.
     Exact,
-    /// Clean GEMM plus lane-delta corrections, restricted to permanent
-    /// full-lane overrides (the paper's 0 / +1 / -1 experiments); errors
-    /// with [`AccelError::FastPathUnsupported`] on bit-granular faults, and
-    /// on transient windows already at [`Accelerator::set_fault_window`]
-    /// time.
-    Fast,
     /// Clean GEMM plus lane-delta corrections for every fault kind and
-    /// window (see the module docs). Ops no selected lane can observe —
-    /// under a window, the fault-free prefix and the post-pulse suffix —
-    /// run the clean GEMM alone. Bit-identical to [`ExecMode::Exact`].
+    /// window (see the module docs), the paper's 0 / +1 / -1 experiments
+    /// included. Ops no selected lane can observe — under a window, the
+    /// fault-free prefix and the post-pulse suffix — run the clean GEMM
+    /// alone. Bit-identical to [`ExecMode::Exact`].
     #[default]
     Auto,
 }
@@ -647,12 +642,9 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::FastPathUnsupported`] for a non-`None` window
-    /// under [`ExecMode::Fast`] (its contract is permanent full-lane
-    /// overrides; rejecting here surfaces the conflict before any
-    /// inference), and [`AccelError::BadPlan`] if a plan is loaded and the
-    /// window cannot overlap any retired MAC cycle (`1..=total`): such a
-    /// "pulse" would silently run a fault-free campaign.
+    /// Returns [`AccelError::BadPlan`] if a plan is loaded and the window
+    /// cannot overlap any retired MAC cycle (`1..=total`): such a "pulse"
+    /// would silently run a fault-free campaign.
     pub fn set_fault_window(&mut self, window: Option<Range<u64>>) -> Result<(), AccelError> {
         if let Some(w) = &window {
             self.validate_fault_window(w)?;
@@ -662,17 +654,14 @@ impl Accelerator {
     }
 
     /// Read-only validation of a prospective transient window: everything
-    /// [`Accelerator::set_fault_window`] checks (execution-mode conflict,
-    /// plan-schedule overlap when a plan is loaded) without mutating the
-    /// device — for callers that want to surface window errors up front.
+    /// [`Accelerator::set_fault_window`] checks (plan-schedule overlap when
+    /// a plan is loaded) without mutating the device — for callers that
+    /// want to surface window errors up front.
     ///
     /// # Errors
     ///
     /// Same contract as [`Accelerator::set_fault_window`].
     pub fn validate_fault_window(&self, window: &Range<u64>) -> Result<(), AccelError> {
-        if self.config.mode == ExecMode::Fast {
-            return Err(AccelError::FastPathUnsupported);
-        }
         if let Some(plan) = &self.plan {
             Self::validate_window(window, plan.total_mac_cycles())?;
         }
@@ -889,7 +878,7 @@ impl Accelerator {
         if b_n == 0 {
             return Ok(Vec::new());
         }
-        if b_n == 1 || self.per_image_only()? {
+        if b_n == 1 || self.per_image_only() {
             return images
                 .chunks_exact(image_len)
                 .map(|img| self.run_inference_i8_view(img))
@@ -950,20 +939,9 @@ impl Accelerator {
     /// Whether the next batch must run as one-image launches: always under
     /// [`ExecMode::Exact`] (the oracle is per-image), and under an armed
     /// transient window, whose golden-prefix restores are per image.
-    fn per_image_only(&self) -> Result<bool, AccelError> {
-        self.check_fast_contract()?;
+    fn per_image_only(&self) -> bool {
         let fi = &self.csb.fi;
-        Ok(self.config.mode == ExecMode::Exact || (fi.any_active() && fi.window.is_some()))
-    }
-
-    /// [`ExecMode::Fast`] accepts only permanent full-lane overrides.
-    fn check_fast_contract(&self) -> Result<(), AccelError> {
-        let fi = &self.csb.fi;
-        let outside = fi.any_active() && (!fi.is_full_override() || fi.window.is_some());
-        if self.config.mode == ExecMode::Fast && outside {
-            return Err(AccelError::FastPathUnsupported);
-        }
-        Ok(())
+        self.config.mode == ExecMode::Exact || (fi.any_active() && fi.window.is_some())
     }
 
     /// The execution path of plan op `op_idx` under the current fault
@@ -972,21 +950,18 @@ impl Accelerator {
     /// (no active fault, or a window missing its span) and
     /// [`OpPath::LaneDelta`] when one does. Counted by [`path_counter`] in
     /// one-image launches.
-    fn op_path(&self, op_idx: usize, b_n: usize) -> Result<OpPath, AccelError> {
+    fn op_path(&self, op_idx: usize, b_n: usize) -> OpPath {
         let path = if self.config.mode == ExecMode::Exact {
             OpPath::Exact
+        } else if self.csb.fi.any_active() && !self.faulted_cycles(op_idx).is_empty() {
+            OpPath::LaneDelta
         } else {
-            self.check_fast_contract()?;
-            if self.csb.fi.any_active() && !self.faulted_cycles(op_idx).is_empty() {
-                OpPath::LaneDelta
-            } else {
-                OpPath::Fast
-            }
+            OpPath::Fast
         };
         if b_n == 1 {
             path_counter(path).inc();
         }
-        Ok(path)
+        path
     }
 
     /// The op-local MAC cycles of plan op `op_idx` (`0` is its first cycle)
@@ -1145,7 +1120,7 @@ impl Accelerator {
         b_n: usize,
         timer: &mut PhaseTimer,
     ) -> Result<(), AccelError> {
-        let path = self.op_path(op_idx, b_n)?;
+        let path = self.op_path(op_idx, b_n);
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;

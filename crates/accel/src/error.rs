@@ -23,9 +23,6 @@ pub enum AccelError {
         /// Offending CSB address.
         addr: u32,
     },
-    /// The fast execution path cannot express the programmed faults
-    /// (partial-wire overrides or transient windows need `ExecMode::Exact`).
-    FastPathUnsupported,
 }
 
 impl fmt::Display for AccelError {
@@ -42,10 +39,6 @@ impl fmt::Display for AccelError {
             AccelError::NoPlan => write!(f, "no execution plan loaded"),
             AccelError::BadPlan(why) => write!(f, "malformed execution plan: {why}"),
             AccelError::BadRegister { addr } => write!(f, "unmapped register {addr:#06x}"),
-            AccelError::FastPathUnsupported => write!(
-                f,
-                "fast path cannot express the programmed faults; use ExecMode::Exact"
-            ),
         }
     }
 }

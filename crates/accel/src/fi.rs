@@ -24,8 +24,9 @@ pub enum FaultKind {
     /// Bit-flip fault: the wires in `mask` are inverted (XOR) after the
     /// override mux. This is an extension beyond the paper's stuck-at /
     /// constant models — its Sec. II notes "other fault models can easily
-    /// be incorporated". Flips are data-dependent, so `ExecMode::Fast`
-    /// rejects them; the default engine applies them lane by lane.
+    /// be incorporated". Flips are data-dependent; `ExecMode::Auto` applies
+    /// them per selected lane with lane-delta, bit-identically to
+    /// `ExecMode::Exact`.
     FlipBits {
         /// Which of the 18 wires are inverted.
         mask: u32,
@@ -42,14 +43,6 @@ impl FaultKind {
             FaultKind::StuckBits { fsel, fdata } => (fsel & I18::MASK, fdata & I18::MASK, 0),
             FaultKind::FlipBits { mask } => (0, 0, mask & I18::MASK),
         }
-    }
-
-    /// Whether the fault overrides all 18 wires with constants (the class
-    /// `ExecMode::Fast` accepts).
-    #[must_use]
-    pub fn is_full_override(self) -> bool {
-        let (fsel, _, xor) = self.registers();
-        fsel == I18::MASK && xor == 0
     }
 
     /// Rejects fault kinds that are provable no-ops: after 18-bit register
@@ -144,8 +137,7 @@ pub struct FaultInjectorBank {
     /// Optional transient ("pulse") window in cycles: the injector is only
     /// active while the engine's cycle counter lies in this range. `None`
     /// means a permanent fault. Honoured by `ExecMode::Auto` (lane-delta on
-    /// the ops the window reaches) and `ExecMode::Exact`; `ExecMode::Fast`
-    /// rejects windows.
+    /// the ops the window reaches) and `ExecMode::Exact` alike.
     pub window: Option<Range<u64>>,
 }
 
@@ -160,13 +152,6 @@ impl FaultInjectorBank {
     #[must_use]
     pub fn any_active(&self) -> bool {
         self.enabled && self.sel != 0 && (self.fsel | self.xor) & I18::MASK != 0
-    }
-
-    /// Whether the configured fault overrides all 18 wires with constants
-    /// (no data-dependent flips) — the class `ExecMode::Fast` accepts.
-    #[must_use]
-    pub fn is_full_override(&self) -> bool {
-        self.fsel & I18::MASK == I18::MASK && self.xor & I18::MASK == 0
     }
 
     /// Lanes currently selected, in lane order. Walks the set bits of `sel`
@@ -252,9 +237,6 @@ mod tests {
             FaultKind::FlipBits { mask: 0b101 }.registers(),
             (0, 0, 0b101)
         );
-        assert!(FaultKind::Constant(5).is_full_override());
-        assert!(!FaultKind::StuckBits { fsel: 1, fdata: 1 }.is_full_override());
-        assert!(!FaultKind::FlipBits { mask: 1 }.is_full_override());
     }
 
     #[test]

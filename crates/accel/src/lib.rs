@@ -48,10 +48,6 @@
 //!   other modes are tested against. It runs image by image: a mini-batch
 //!   under it (or under an armed transient window) runs as one-image
 //!   launches.
-//! * [`ExecMode::Fast`] is `Auto` restricted to permanent full-lane
-//!   overrides (the paper's 0 / +1 / -1 experiments); anything else
-//!   returns [`AccelError::FastPathUnsupported`] — a transient window
-//!   already at [`Accelerator::set_fault_window`] time.
 //!
 //! Lane-delta equals the oracle for every fault kind × lane set × window
 //! placement × idle-lane policy; `tests/equivalence.rs` proves it

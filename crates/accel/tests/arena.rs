@@ -166,14 +166,14 @@ proptest! {
         prop_assert_eq!(warm_logits, cold_logits);
     }
 
-    /// Fast path + corrections with a warm arena equals the exact engine
-    /// (the arena must not change fault semantics).
+    /// Clean GEMM + lane-delta corrections with a warm arena equal the exact
+    /// engine (the arena must not change fault semantics).
     #[test]
     fn warm_arena_fast_corrections_equal_exact((model, images, targets, value, _) in case()) {
         let img = model.quantize_input(&images.slice_image(0));
         let fault = FaultConfig::new(targets, FaultKind::Constant(value));
 
-        let mut fast = device(&model, ExecMode::Fast);
+        let mut fast = device(&model, ExecMode::Auto);
         let _ = fast.run_inference_i8_view(img.as_slice()).unwrap(); // warm
         fast.inject(&fault);
         let fast_logits = fast.run_inference_i8_view(img.as_slice()).unwrap().logits;

@@ -254,8 +254,8 @@ proptest! {
     ) {
         let fault = FaultConfig::new(targets, FaultKind::Constant(value));
         let exact = run(&model, &image, ExecMode::Exact, gated, Some(&fault));
-        let fast = run(&model, &image, ExecMode::Fast, gated, Some(&fault));
-        prop_assert_eq!(exact, fast);
+        let auto = run(&model, &image, ExecMode::Auto, gated, Some(&fault));
+        prop_assert_eq!(exact, auto);
     }
 
     #[test]
@@ -264,9 +264,9 @@ proptest! {
     ) {
         let want = nvfi_quant::exec::forward(&model, &model.quantize_input(&image), 1);
         let exact = run(&model, &image, ExecMode::Exact, gated, None);
-        let fast = run(&model, &image, ExecMode::Fast, gated, None);
+        let auto = run(&model, &image, ExecMode::Auto, gated, None);
         prop_assert_eq!(&exact, &want[0]);
-        prop_assert_eq!(&fast, &want[0]);
+        prop_assert_eq!(&auto, &want[0]);
     }
 
     /// Permanent bit-granular faults run batched: `classify_batch_i8` in

@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * `Fast` vs `Exact` fault execution (the reason campaigns are feasible);
+//! * `Auto` vs `Exact` fault execution (the reason campaigns are feasible);
 //! * idle-lane policy (ZeroFed vs Gated) — functional policy, identical
 //!   cost expected;
 //! * im2col+GEMM vs naive direct convolution;
@@ -16,19 +16,18 @@ use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig};
 use nvfi_tensor::{conv, ConvGeom, Shape4, Tensor};
 
-fn bench_fast_vs_exact(c: &mut Criterion) {
+fn bench_auto_vs_exact(c: &mut Criterion) {
     let (q, data) = small_fixture();
     let img = data.test.images.slice_image(0);
     let fault = FaultConfig::new(vec![MultId::new(0, 0)], FaultKind::StuckAtZero);
     let mut g = c.benchmark_group("ablation_fi_exec_mode");
     g.sample_size(10);
-    for (label, mode) in [("fast", ExecMode::Fast), ("exact", ExecMode::Exact)] {
+    for (label, mode) in [("auto", ExecMode::Auto), ("exact", ExecMode::Exact)] {
         let cfg = PlatformConfig {
             accel: AccelConfig {
                 mode,
                 ..Default::default()
             },
-            ..Default::default()
         };
         let mut platform = EmulationPlatform::assemble(&q, cfg).unwrap();
         platform.inject(&fault);
@@ -51,7 +50,6 @@ fn bench_idle_lane_policy(c: &mut Criterion) {
                 idle_lanes: idle,
                 ..Default::default()
             },
-            ..Default::default()
         };
         let mut platform = EmulationPlatform::assemble(&q, cfg).unwrap();
         platform.inject(&FaultConfig::new(
@@ -113,7 +111,7 @@ fn bench_quant_granularity(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fast_vs_exact,
+    bench_auto_vs_exact,
     bench_idle_lane_policy,
     bench_conv_kernels,
     bench_quant_granularity

@@ -170,7 +170,6 @@ fn bench_windowed_trio(
                 mode,
                 ..Default::default()
             },
-            ..Default::default()
         };
         Campaign::new(q, config)
     };

@@ -45,9 +45,10 @@ pub fn medium_fixture() -> (QuantModel, TrainTest) {
 }
 
 /// The distributed [`nvfi::experiments::CampaignRunner`] of the experiment
-/// binaries: schedules every campaign through the `nvfi-dist` coordinator,
-/// honouring [`nvfi::experiments::ExperimentConfig::workers`]
-/// (`NVFI_WORKERS`) and
+/// binaries: submits every campaign to one [`nvfi_dist::CampaignServer`],
+/// raised by the first campaign and held for the experiment, so the fleet
+/// is spawned once and each artifact shipped once. Honours
+/// [`nvfi::experiments::ExperimentConfig::workers`] (`NVFI_WORKERS`) and
 /// [`nvfi::experiments::ExperimentConfig::dist_addr`] (`NVFI_DIST_ADDR`).
 ///
 /// Two fleet shapes:
@@ -60,8 +61,11 @@ pub fn medium_fixture() -> (QuantModel, TrainTest) {
 ///   each host); nothing is spawned locally.
 pub struct DistRunner {
     fleet: nvfi_dist::FleetSpec,
-    /// Workers attach remotely instead of being spawned (`dist_addr` set).
-    external: bool,
+    /// Worker processes to spawn locally (`0` when they attach remotely).
+    local_workers: usize,
+    /// The experiment's one server, raised by the first campaign and held
+    /// for the rest, so the fleet and its artifact caches are shared.
+    server: Option<nvfi_dist::CampaignServer>,
 }
 
 impl DistRunner {
@@ -70,28 +74,28 @@ impl DistRunner {
     pub fn from_config(cfg: &nvfi::experiments::ExperimentConfig) -> Self {
         // NVFI_TASK_TIMEOUT (seconds; unset = wait forever) bounds shard
         // silence in both fleet shapes — heartbeating workers never trip it.
-        let task_timeout = cfg.task_timeout.map(std::time::Duration::from_secs);
         // NVFI_AUDIT_RATE plumbs the result-integrity layer's audit
         // sampling of completed shards (every executed baseline shard is
         // audited).
+        let fleet = nvfi_dist::FleetSpec {
+            task_timeout: cfg.task_timeout.map(std::time::Duration::from_secs),
+            audit_rate: cfg.audit_rate,
+            ..nvfi_dist::FleetSpec::self_exec()
+        };
         match &cfg.dist_addr {
             Some(addr) => DistRunner {
                 fleet: nvfi_dist::FleetSpec {
                     listen: Some(addr.clone()),
                     external_workers: cfg.workers,
-                    task_timeout,
-                    audit_rate: cfg.audit_rate,
-                    ..nvfi_dist::FleetSpec::self_exec()
+                    ..fleet
                 },
-                external: true,
+                local_workers: 0,
+                server: None,
             },
             None => DistRunner {
-                fleet: nvfi_dist::FleetSpec {
-                    task_timeout,
-                    audit_rate: cfg.audit_rate,
-                    ..nvfi_dist::FleetSpec::self_exec()
-                },
-                external: false,
+                fleet,
+                local_workers: cfg.workers,
+                server: None,
             },
         }
     }
@@ -105,16 +109,14 @@ impl nvfi::experiments::CampaignRunner<nvfi_dist::DistError> for DistRunner {
         spec: &nvfi::campaign::CampaignSpec,
         eval: &nvfi_dataset::Dataset,
     ) -> Result<nvfi::campaign::CampaignResult, nvfi_dist::DistError> {
-        let spec = if self.external {
-            // All workers are remote attachments; spawn none locally.
-            nvfi::campaign::CampaignSpec {
-                workers: 0,
-                ..spec.clone()
-            }
-        } else {
-            spec.clone()
+        let server = match &mut self.server {
+            Some(server) => server,
+            slot => slot.insert(nvfi_dist::CampaignServer::start(
+                &self.fleet,
+                self.local_workers,
+            )?),
         };
-        nvfi_dist::run_campaign(model, config, &spec, eval, &self.fleet)
+        server.submit(model, config, spec, eval)?.wait()
     }
 }
 

@@ -92,15 +92,11 @@ pub struct CampaignSpec {
     /// Number of evaluation images (clamped to the dataset size).
     pub eval_images: usize,
     /// Total device/thread budget of the campaign. Devices are grouped into
-    /// per-work-item pools by the two-level scheduler (see [`Campaign::run`]).
+    /// per-work-item pools by the two-level scheduler (see [`Campaign::run`]):
+    /// `threads` devices are spread evenly over `min(threads, work items)`
+    /// pools ([`Campaign::pool_layout`]), so a narrow work list gets wide
+    /// pools and a wide work list gets one device per worker.
     pub threads: usize,
-    /// Requested devices per fault configuration ([`DevicePool`] size).
-    /// `0` (the default) auto-sizes: `threads` devices are spread evenly
-    /// over `min(threads, work items)` pools, so a narrow work list gets
-    /// wide pools and a wide work list gets one device per worker. A
-    /// non-zero request is clamped to the `threads` budget, which is always
-    /// spread in full over the resulting groups ([`Campaign::pool_layout`]).
-    pub pool_devices: usize,
     /// Optional transient fault window (in per-inference MAC cycles),
     /// applied alongside every injected fault configuration. Only the plan
     /// ops whose MAC-cycle span intersects the window pay for lane-delta
@@ -167,7 +163,6 @@ impl Default for CampaignSpec {
             kinds: vec![FaultKind::StuckAtZero],
             eval_images: 100,
             threads: 1,
-            pool_devices: 0,
             workers: 0,
             fault_window: None,
             golden_cache_bytes: GOLDEN_CACHE_DEFAULT_BYTES,
@@ -645,23 +640,15 @@ impl Campaign {
         }
     }
 
-    /// Devices per worker group: the full `threads` budget spread over the
-    /// outer scheduling width, remainder devices going to the leading
-    /// groups. With `pool_devices == 0` the width is
-    /// `min(threads, work_items)`; a non-zero `pool_devices` requests that
-    /// group size instead, clamped to the thread budget — the layout never
-    /// exceeds `threads` devices in total and never leaves budgeted threads
-    /// idle (at least one group, never more groups than work items).
+    /// Devices per worker group: the full `threads` budget spread over
+    /// `min(threads, work_items)` groups, remainder devices going to the
+    /// leading groups — the layout never exceeds `threads` devices in total
+    /// and never leaves budgeted threads idle (at least one group, never
+    /// more groups than work items).
     #[must_use]
-    pub fn pool_layout(threads: usize, work_items: usize, pool_devices: usize) -> Vec<usize> {
+    pub fn pool_layout(threads: usize, work_items: usize) -> Vec<usize> {
         let threads = threads.max(1);
-        let work_items = work_items.max(1);
-        let outer = if pool_devices == 0 {
-            threads.min(work_items)
-        } else {
-            let per_group = pool_devices.min(threads);
-            (threads / per_group).min(work_items).max(1)
-        };
+        let outer = threads.min(work_items.max(1));
         let base = threads / outer;
         let rem = threads % outer;
         (0..outer).map(|i| base + usize::from(i < rem)).collect()
@@ -676,7 +663,7 @@ impl Campaign {
     /// group's [`DevicePool`]. The baseline pass runs through the full
     /// fleet the same way. Records, `total_inferences` and record order are
     /// bit-identical to the single-device, single-threaded path for every
-    /// `threads`, `pool_devices` and shard granularity.
+    /// `threads` and mini-batch size (the shard granularity).
     ///
     /// # Errors
     ///
@@ -703,7 +690,7 @@ impl Campaign {
         let max_shards = images
             .div_ceil(DevicePool::granularity(&self.config))
             .max(1);
-        let mut layout = Self::pool_layout(spec.threads, items - 1, spec.pool_devices);
+        let mut layout = Self::pool_layout(spec.threads, items - 1);
         for size in &mut layout {
             *size = (*size).min(max_shards);
         }
@@ -863,33 +850,27 @@ mod tests {
     fn pool_layout_conserves_the_thread_budget() {
         for threads in 1..=9usize {
             for work_items in 1..=9usize {
-                for pool_devices in 0..=12usize {
-                    let layout = Campaign::pool_layout(threads, work_items, pool_devices);
-                    let total: usize = layout.iter().sum();
-                    assert_eq!(
-                        total, threads,
-                        "layout {layout:?} must use the whole budget \
-                         (threads={threads} work={work_items} pool={pool_devices})"
-                    );
-                    assert!(
-                        layout.len() <= work_items,
-                        "never more groups than work items"
-                    );
-                    assert!(layout.iter().all(|&s| s > 0));
-                    // Even spread: group sizes differ by at most one.
-                    let (lo, hi) = (layout.iter().min(), layout.iter().max());
-                    assert!(hi.unwrap() - lo.unwrap() <= 1);
-                }
+                let layout = Campaign::pool_layout(threads, work_items);
+                let total: usize = layout.iter().sum();
+                assert_eq!(
+                    total, threads,
+                    "layout {layout:?} must use the whole budget \
+                     (threads={threads} work={work_items})"
+                );
+                assert!(
+                    layout.len() <= work_items,
+                    "never more groups than work items"
+                );
+                assert!(layout.iter().all(|&s| s > 0));
+                // Even spread: group sizes differ by at most one.
+                let (lo, hi) = (layout.iter().min(), layout.iter().max());
+                assert!(hi.unwrap() - lo.unwrap() <= 1);
             }
         }
-        // Auto layout: wide work list => one device per group.
-        assert_eq!(Campaign::pool_layout(3, 10, 0), vec![1, 1, 1]);
+        // Wide work list => one device per group.
+        assert_eq!(Campaign::pool_layout(3, 10), vec![1, 1, 1]);
         // Narrow work list: the budget folds into wide pools.
-        assert_eq!(Campaign::pool_layout(8, 1, 0), vec![8]);
-        // Requested group size is honoured when it divides the budget...
-        assert_eq!(Campaign::pool_layout(8, 4, 4), vec![4, 4]);
-        // ...and clamped to the budget when it exceeds it.
-        assert_eq!(Campaign::pool_layout(1, 3, 32), vec![1]);
+        assert_eq!(Campaign::pool_layout(8, 1), vec![8]);
     }
 
     #[test]

@@ -47,12 +47,6 @@ pub struct ExperimentConfig {
     pub max_k: usize,
     /// Campaign worker threads.
     pub threads: usize,
-    /// Devices per fault configuration (0 = auto; see
-    /// [`crate::campaign::CampaignSpec::pool_devices`]).
-    pub pool_devices: usize,
-    /// Device-pool shard granularity in images (0 = one mini-batch; see
-    /// [`crate::PlatformConfig::shard_images`]).
-    pub shard_images: usize,
     /// Byte budget of the golden-prefix activation cache for windowed
     /// campaigns (see [`crate::campaign::CampaignSpec::golden_cache_bytes`];
     /// default 256 MiB, `usize::MAX` = unbounded, `0` = disabled).
@@ -110,8 +104,6 @@ impl Default for ExperimentConfig {
             trials_per_k: 10,
             max_k: 7,
             threads: 1,
-            pool_devices: 0,
-            shard_images: 0,
             golden_cache_bytes: crate::campaign::GOLDEN_CACHE_DEFAULT_BYTES,
             workers: 0,
             dist_addr: None,
@@ -142,8 +134,6 @@ impl ExperimentConfig {
             trials_per_k: 2,
             max_k: 3,
             threads: 1,
-            pool_devices: 0,
-            shard_images: 0,
             golden_cache_bytes: crate::campaign::GOLDEN_CACHE_DEFAULT_BYTES,
             workers: 0,
             dist_addr: None,
@@ -157,8 +147,8 @@ impl ExperimentConfig {
 
     /// The default configuration with `NVFI_*` environment overrides:
     /// `NVFI_WIDTH`, `NVFI_EPOCHS`, `NVFI_TRAIN`, `NVFI_TEST`, `NVFI_NOISE`,
-    /// `NVFI_EVAL`, `NVFI_TRIALS`, `NVFI_MAX_K`, `NVFI_TABLE1_WIDTH`,
-    /// `NVFI_THREADS`, `NVFI_POOL`, `NVFI_SHARD`, `NVFI_GOLDEN_CACHE`,
+    /// `NVFI_LABEL_NOISE`, `NVFI_EVAL`, `NVFI_TRIALS`, `NVFI_MAX_K`,
+    /// `NVFI_TABLE1_WIDTH`, `NVFI_THREADS`, `NVFI_GOLDEN_CACHE`,
     /// `NVFI_WORKERS`, `NVFI_DIST_ADDR`, `NVFI_TASK_TIMEOUT` (seconds;
     /// unset = wait forever), `NVFI_CHECKPOINT` (checkpoint file path),
     /// `NVFI_AUDIT_RATE` (fraction of distributed shards silently
@@ -187,8 +177,6 @@ impl ExperimentConfig {
         cfg.max_k = get("NVFI_MAX_K", cfg.max_k);
         cfg.table1_width = get("NVFI_TABLE1_WIDTH", cfg.table1_width);
         cfg.threads = get("NVFI_THREADS", cfg.threads);
-        cfg.pool_devices = get("NVFI_POOL", cfg.pool_devices);
-        cfg.shard_images = get("NVFI_SHARD", cfg.shard_images);
         cfg.golden_cache_bytes = get("NVFI_GOLDEN_CACHE", cfg.golden_cache_bytes);
         cfg.workers = get("NVFI_WORKERS", cfg.workers);
         if let Ok(addr) = std::env::var("NVFI_DIST_ADDR") {
@@ -210,16 +198,6 @@ impl ExperimentConfig {
             cfg.out_dir = PathBuf::from(dir);
         }
         cfg
-    }
-
-    /// The platform configuration campaign experiments run with (the
-    /// default device plus this config's pool scheduling knobs).
-    #[must_use]
-    pub fn platform(&self) -> PlatformConfig {
-        PlatformConfig {
-            shard_images: self.shard_images,
-            ..Default::default()
-        }
     }
 }
 
@@ -416,14 +394,14 @@ pub fn run_fig2_with<E>(
                 kinds: vec![FaultKind::Constant(value)],
                 eval_images: cfg.eval_images,
                 threads: cfg.threads,
-                pool_devices: cfg.pool_devices,
                 workers: cfg.workers,
                 golden_cache_bytes: cfg.golden_cache_bytes,
                 checkpoint_path: cfg.checkpoint.clone(),
                 verbose: cfg.verbose,
                 ..Default::default()
             };
-            let result = runner.run_campaign(&qmodel, cfg.platform(), &spec, &data.test)?;
+            let result =
+                runner.run_campaign(&qmodel, PlatformConfig::default(), &spec, &data.test)?;
             let drops = result.drops_pct();
             total += drops.len();
             if cfg.verbose {
@@ -576,14 +554,13 @@ pub fn run_fig3_with<E>(
             kinds: vec![FaultKind::Constant(value)],
             eval_images: cfg.eval_images,
             threads: cfg.threads,
-            pool_devices: cfg.pool_devices,
             workers: cfg.workers,
             golden_cache_bytes: cfg.golden_cache_bytes,
             checkpoint_path: cfg.checkpoint.clone(),
             verbose: cfg.verbose,
             ..Default::default()
         };
-        let result = runner.run_campaign(&qmodel, cfg.platform(), &spec, &data.test)?;
+        let result = runner.run_campaign(&qmodel, PlatformConfig::default(), &spec, &data.test)?;
         let mut map = HeatMap::new(MAC_UNITS, MULTS_PER_MAC);
         for rec in &result.records {
             let m = rec.targets[0];

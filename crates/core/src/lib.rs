@@ -43,8 +43,7 @@
 //!     selection: TargetSelection::RandomSubsets { k: 3, trials: 10, seed: 42 },
 //!     kinds: vec![FaultKind::StuckAtZero],
 //!     eval_images: 100,
-//!     threads: 8,          // two-level: 10 trials share 8 devices...
-//!     pool_devices: 0,     // ...grouped automatically (0 = auto)
+//!     threads: 8, // two-level: 10 trials share 8 devices, one per group
 //!     ..Default::default()
 //! };
 //! let result = Campaign::new(&qmodel, platform.config()).run(&spec, &data)?;

@@ -11,15 +11,10 @@ use nvfi_tensor::Tensor;
 /// room for platform-level knobs).
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct PlatformConfig {
-    /// The emulated device configuration.
+    /// The emulated device configuration. Its mini-batch
+    /// ([`AccelConfig::batch`]) is also the shard granularity of a
+    /// [`crate::pool::DevicePool`], so a shard never truncates a mini-batch.
     pub accel: AccelConfig,
-    /// Shard granularity of a [`crate::pool::DevicePool`]: the minimum
-    /// number of images per device shard when one evaluation batch is split
-    /// across pool members. `0` (the default) means one fast-path mini-batch
-    /// ([`AccelConfig::batch`]), so a shard never truncates a mini-batch.
-    /// Purely a scheduling knob — merged predictions are bit-identical for
-    /// every value.
-    pub shard_images: usize,
 }
 
 /// Errors from platform assembly or operation.

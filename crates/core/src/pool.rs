@@ -14,8 +14,8 @@
 //! (transient fault windows gate on per-inference cycle numbering, see
 //! [`nvfi_accel::Accelerator::set_fault_window`]), and shards are contiguous
 //! and ordered — so the merged prediction vector is bit-identical to running
-//! the whole batch on a single device, for every pool size and shard
-//! granularity.
+//! the whole batch on a single device, for every pool size and mini-batch
+//! (the shard granularity).
 //!
 //! Input movement: campaigns quantize their evaluation split to i8 once, up
 //! front, into a [`QuantizedEvalSet`]; [`DevicePool::classify_i8`] shards
@@ -408,9 +408,9 @@ impl DevicePool {
     /// # Errors
     ///
     /// Propagates the engine's window validation
-    /// ([`nvfi_accel::Accelerator::set_fault_window`]): `ExecMode::Fast`
-    /// devices reject windows outright, and a window that cannot overlap
-    /// any MAC cycle of the loaded plan is rejected as a silent no-op.
+    /// ([`nvfi_accel::Accelerator::set_fault_window`]): a window that cannot
+    /// overlap any MAC cycle of the loaded plan is rejected as a silent
+    /// no-op.
     pub fn set_fault_window(&mut self, window: Option<Range<u64>>) -> Result<(), PlatformError> {
         for d in &mut self.devices {
             d.accel_mut().set_fault_window(window.clone())?;
@@ -418,14 +418,11 @@ impl DevicePool {
         Ok(())
     }
 
-    /// The shard granularity a pool under `config` uses: an explicit
-    /// [`PlatformConfig::shard_images`], else one fast-path mini-batch.
+    /// The shard granularity a pool under `config` uses: one device
+    /// mini-batch ([`nvfi_accel::AccelConfig::batch`]).
     #[must_use]
     pub fn granularity(config: &PlatformConfig) -> usize {
-        match config.shard_images {
-            0 => config.accel.batch.max(1),
-            g => g,
-        }
+        config.accel.batch.max(1)
     }
 
     /// The deterministic shard layout: `images` images split into at most
@@ -482,15 +479,14 @@ impl DevicePool {
     /// # Ragged tails
     ///
     /// The image count does not have to be a multiple of the shard
-    /// granularity (or of the device mini-batch): [`DevicePool::shard_plan`]
+    /// granularity (the device mini-batch): [`DevicePool::shard_plan`]
     /// keeps every shard except the last a whole number of granules, and
     /// only the **last** shard may carry the ragged tail. An image count
     /// that *is* a multiple of the granularity has an empty tail (every
     /// shard whole); one that is not ends in a final shard smaller than a
-    /// granule — possibly smaller than one device mini-batch, which the
-    /// engine's mini-batch loop handles as a short final batch. Either way
-    /// predictions are bit-identical to the unsharded run (covered
-    /// explicitly by the ragged-tail tests below).
+    /// granule, which the engine's mini-batch loop handles as a short final
+    /// batch. Either way predictions are bit-identical to the unsharded run
+    /// (covered explicitly by the ragged-tail tests below).
     ///
     /// # Errors
     ///
@@ -746,18 +742,16 @@ mod tests {
         );
     }
 
-    /// The ragged-tail contract of [`DevicePool::classify_i8`]: with an
-    /// explicit granularity, only the *last* shard may be a partial granule.
-    /// Both tail shapes — empty (count divisible by the granularity) and a
-    /// tail smaller than one granule / device mini-batch — must merge to the
+    /// The ragged-tail contract of [`DevicePool::classify_i8`]: with a
+    /// mini-batch of 4 as the granularity, only the *last* shard may be a
+    /// partial granule. Both tail shapes — empty (count divisible by the
+    /// granularity) and a tail smaller than one granule — must merge to the
     /// same predictions as the unsharded device.
     #[test]
     fn ragged_tail_is_explicit_and_bit_identical() {
         let q = crate::experiments::untrained_quant_model(4, 31);
-        let config = PlatformConfig {
-            shard_images: 4,
-            ..Default::default()
-        };
+        let mut config = PlatformConfig::default();
+        config.accel.batch = 4;
         let mut single = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
         let mut pool = DevicePool::assemble(&q, config, 3).unwrap();
 
@@ -781,8 +775,8 @@ mod tests {
             pool.classify(&even.images).unwrap()
         );
 
-        // Ragged tail smaller than a granule (and than the default
-        // mini-batch): 11 images -> shards of 4, 4 and a 3-image tail.
+        // Ragged tail smaller than a granule (one mini-batch): 11 images ->
+        // shards of 4, 4 and a 3-image tail.
         let ragged = SynthCifar::new(SynthCifarConfig {
             train: 0,
             test: 11,
@@ -817,17 +811,15 @@ mod tests {
     #[test]
     fn pool_is_shard_granularity_invariant() {
         let (q, eval) = setup();
-        let classify_with = |shard_images: usize| {
-            let config = PlatformConfig {
-                shard_images,
-                ..Default::default()
-            };
+        let classify_with = |batch: usize| {
+            let mut config = PlatformConfig::default();
+            config.accel.batch = batch;
             DevicePool::assemble(&q, config, 4)
                 .unwrap()
                 .classify(&eval.images)
                 .unwrap()
         };
-        let a = classify_with(0);
+        let a = classify_with(8);
         let b = classify_with(1);
         let c = classify_with(5);
         assert_eq!(a, b);

@@ -45,7 +45,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"NVFC";
 
 /// Checkpoint format version. Bump on any change to the layout or to how
 /// shard keys are derived; a log with another version loads empty.
-pub const CHECKPOINT_VERSION: u32 = 2;
+///
+/// v3: the plan hash inside every shard key no longer covers a shard
+/// granularity (wire v6 dropped the field), so every key changed.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// One landed shard: its content key and its predictions.
 #[derive(Clone, Debug, PartialEq, Eq)]

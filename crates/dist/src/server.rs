@@ -197,7 +197,6 @@ fn hash_plan(config: &WireConfig, local_devices: u32, words: &[u32]) -> u64 {
     h.write_u64(config.clock_hz.to_bits());
     h.write_u64(config.dram_capacity);
     h.write_u64(config.batch);
-    h.write_u64(config.shard_images);
     h.write_u64(u64::from(local_devices));
     h.write_u64(words.len() as u64);
     for &w in words {
@@ -360,7 +359,7 @@ pub(crate) fn prepare(
     // list is at least as wide as the fleet (pure item-level parallelism),
     // wider shard fan-out when the fleet outnumbers the items. Provably
     // masked items get no shards.
-    let layout = Campaign::pool_layout(total_workers, plan.work().len(), 0);
+    let layout = Campaign::pool_layout(total_workers, plan.work().len());
     let granularity = DevicePool::granularity(&config);
     let mut tasks: Vec<Task> = Vec::new();
     for (i, is_masked) in plan.masked().iter().enumerate() {

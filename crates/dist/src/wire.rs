@@ -58,7 +58,12 @@ use crate::coordinator::DistError;
 /// The message set gains [`Msg::StatsQuery`]/[`Msg::Stats`], a one-shot
 /// Prometheus text-exposition poll any peer can issue to a campaign
 /// server after the hello exchange.
-pub const WIRE_VERSION: u32 = 5;
+///
+/// v6: [`Msg::Plan`] drops the shard-granularity field (a pool's shard
+/// granularity is its mini-batch, [`WireConfig::batch`]), and exec-mode
+/// tag 1 is retired: a frame carrying it decodes to
+/// [`WireError::BadTag`] rather than to another mode.
+pub const WIRE_VERSION: u32 = 6;
 
 /// `Hello` magic: the bytes `NVFI`, read as a little-endian u32.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"NVFI");
@@ -173,8 +178,8 @@ pub struct WireSpan {
 }
 
 /// The platform configuration as it travels on the wire — what a worker
-/// needs to clone the coordinator's device exactly (fast/exact execution
-/// mode included: an `ExecMode::Exact` campaign must stay exact remotely).
+/// needs to clone the coordinator's device exactly (execution mode
+/// included: an `ExecMode::Exact` campaign must stay exact remotely).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WireConfig {
     /// Functional execution mode (`ExecMode` as a tag byte).
@@ -185,10 +190,8 @@ pub struct WireConfig {
     pub clock_hz: f64,
     /// Emulated DRAM capacity in bytes.
     pub dram_capacity: u64,
-    /// Fast-path mini-batch.
+    /// Mini-batch, which is also the device-pool shard granularity.
     pub batch: u64,
-    /// Device-pool shard granularity in images.
-    pub shard_images: u64,
 }
 
 impl From<PlatformConfig> for WireConfig {
@@ -199,7 +202,6 @@ impl From<PlatformConfig> for WireConfig {
             clock_hz: c.accel.clock_hz,
             dram_capacity: c.accel.dram_capacity,
             batch: c.accel.batch as u64,
-            shard_images: c.shard_images as u64,
         }
     }
 }
@@ -214,7 +216,6 @@ impl From<WireConfig> for PlatformConfig {
                 dram_capacity: w.dram_capacity,
                 batch: w.batch as usize,
             },
-            shard_images: w.shard_images as usize,
         }
     }
 }
@@ -432,7 +433,6 @@ impl Msg {
                 e.f64(config.clock_hz);
                 e.u64(config.dram_capacity);
                 e.u64(config.batch);
-                e.u64(config.shard_images);
                 e.u32(*local_devices);
                 e.u32_slice(words);
             }
@@ -586,7 +586,6 @@ impl Msg {
                     return Err(WireError::Invalid("dram capacity"));
                 }
                 let batch = d.u64("mini-batch")?;
-                let shard_images = d.u64("shard granularity")?;
                 let local_devices = d.u32("local devices")?;
                 if local_devices == 0 {
                     return Err(WireError::Invalid("zero local devices"));
@@ -599,7 +598,6 @@ impl Msg {
                         clock_hz,
                         dram_capacity,
                         batch,
-                        shard_images,
                     },
                     local_devices,
                     words,
@@ -872,7 +870,6 @@ pub fn shard_attestation(
 pub(crate) fn mode_tag(m: ExecMode) -> u8 {
     match m {
         ExecMode::Exact => 0,
-        ExecMode::Fast => 1,
         ExecMode::Auto => 2,
     }
 }
@@ -880,7 +877,6 @@ pub(crate) fn mode_tag(m: ExecMode) -> u8 {
 fn mode_from_tag(t: u8) -> Result<ExecMode, WireError> {
     match t {
         0 => Ok(ExecMode::Exact),
-        1 => Ok(ExecMode::Fast),
         2 => Ok(ExecMode::Auto),
         t => Err(WireError::BadTag {
             what: "exec mode",

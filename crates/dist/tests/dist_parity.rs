@@ -128,6 +128,40 @@ fn windowed_campaign_matches_in_process() {
     assert_identical(&in_process, &dist, "windowed");
 }
 
+/// A non-default mini-batch over the wire: the server's task cut and the
+/// worker's heartbeat wave both derive from `accel.batch`. With batch 3, 10
+/// images, two work items and 3 workers of 2 devices, the baseline is cut
+/// into shards `0..6` and `6..10`, and the fault item runs as one shard in
+/// waves of 6 images with a 4-image tail — bit-identical to the in-process
+/// run.
+#[test]
+fn non_default_batch_shards_and_waves_identically() {
+    let (q, eval) = setup();
+    let mut config = PlatformConfig::default();
+    config.accel.batch = 3;
+    let spec = CampaignSpec {
+        selection: TargetSelection::Fixed(vec![vec![MultId::new(1, 2)]]),
+        kinds: vec![FaultKind::Constant(1)],
+        eval_images: 10,
+        threads: 2,
+        ..Default::default()
+    };
+    assert_eq!(Campaign::pool_layout(3, 2), vec![2, 1]);
+    assert_eq!(
+        nvfi::DevicePool::shard_plan(10, 2, nvfi::DevicePool::granularity(&config)),
+        vec![0..6, 6..10]
+    );
+    let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
+    assert_eq!(in_process.masked_static, 0, "the fault item must execute");
+    let fleet = FleetSpec {
+        local_devices: 2,
+        ..worker_fleet()
+    };
+    let dist_spec = CampaignSpec { workers: 3, ..spec };
+    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    assert_identical(&in_process, &dist, "batch 3");
+}
+
 /// Worker-death fault tolerance: worker 0 is told (via the
 /// `NVFI_WORKER_EXIT_AFTER` test hook) to die without replying when its
 /// second shard arrives. The coordinator must requeue the lost shard onto

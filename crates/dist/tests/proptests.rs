@@ -42,9 +42,8 @@ fn exercise(msg: &Msg) {
 }
 
 fn mode_of(tag: u8) -> nvfi_accel::ExecMode {
-    match tag % 3 {
+    match tag % 2 {
         0 => nvfi_accel::ExecMode::Exact,
-        1 => nvfi_accel::ExecMode::Fast,
         _ => nvfi_accel::ExecMode::Auto,
     }
 }
@@ -68,12 +67,11 @@ proptest! {
 
     #[test]
     fn plan_roundtrips(
-        mode in 0u8..3,
+        mode in 0u8..2,
         idle in 0u8..2,
         clock in 1.0f64..1e10,
         dram in 1u64..wire::MAX_WIRE_DRAM_CAPACITY + 1,
         batch in 1u64..256,
-        shard in 0u64..256,
         devices in 1u32..64,
         words in collection::vec(any::<u32>(), 0..256usize),
     ) {
@@ -88,7 +86,6 @@ proptest! {
                 clock_hz: clock,
                 dram_capacity: dram,
                 batch,
-                shard_images: shard,
             },
             local_devices: devices,
             words,
@@ -426,7 +423,6 @@ fn oversized_dram_capacity_rejected() {
             clock_hz: 1e9,
             dram_capacity,
             batch: 8,
-            shard_images: 16,
         },
         local_devices: 1,
         words: vec![1, 2, 3],
@@ -439,4 +435,32 @@ fn oversized_dram_capacity_rejected() {
             Err(WireError::Invalid("dram capacity"))
         );
     }
+}
+
+/// A retired exec-mode tag is refused, not aliased to a live mode: a plan
+/// frame whose mode byte (right after the message tag) is patched to 1 —
+/// the tag the removed fast-only mode used — fails to decode.
+#[test]
+fn retired_exec_mode_tag_is_refused() {
+    let mut bytes = Msg::Plan {
+        config: WireConfig {
+            mode: nvfi_accel::ExecMode::Auto,
+            idle_lanes: nvfi_accel::IdleLanePolicy::ZeroFed,
+            clock_hz: 1e9,
+            dram_capacity: 1 << 20,
+            batch: 8,
+        },
+        local_devices: 1,
+        words: vec![1, 2, 3],
+    }
+    .encode();
+    assert_eq!(bytes[1], 2, "the mode byte follows the message tag");
+    bytes[1] = 1;
+    assert_eq!(
+        Msg::decode(bytes),
+        Err(WireError::BadTag {
+            what: "exec mode",
+            tag: 1
+        })
+    );
 }

@@ -60,31 +60,26 @@ fn sharded_pool_matches_single_device() {
         ..Default::default()
     })
     .generate();
-    let mk = |threads, pool_devices| CampaignSpec {
+    let mk = |threads| CampaignSpec {
         selection: TargetSelection::Fixed(vec![vec![
             zynq_nvdla_fi::nvfi_compiler::regmap::MultId::new(1, 3),
         ]]),
         kinds: vec![FaultKind::Constant(-1)],
         eval_images: 24,
         threads,
-        pool_devices,
         ..Default::default()
     };
     let campaign = Campaign::new(&q, PlatformConfig::default());
-    let single = campaign.run(&mk(1, 0), &data.test).unwrap();
+    let single = campaign.run(&mk(1), &data.test).unwrap();
     // threads > work items: all 8 devices shard the one configuration.
-    let sharded = campaign.run(&mk(8, 0), &data.test).unwrap();
-    // Explicit pool sizing must agree too.
-    let pinned = campaign.run(&mk(8, 3), &data.test).unwrap();
+    let sharded = campaign.run(&mk(8), &data.test).unwrap();
     assert_eq!(single.baseline_accuracy, sharded.baseline_accuracy);
     assert_eq!(single.records, sharded.records);
-    assert_eq!(single.records, pinned.records);
     assert_eq!(single.total_inferences, sharded.total_inferences);
-    assert_eq!(single.total_inferences, pinned.total_inferences);
 }
 
-/// Shard granularity is a pure scheduling knob: any `shard_images` value
-/// merges to the same records.
+/// Shard granularity (the device mini-batch) is a pure scheduling knob:
+/// any `accel.batch` merges to the same records.
 #[test]
 fn shard_granularity_does_not_change_results() {
     let q = zynq_nvdla_fi::nvfi::experiments::untrained_quant_model(4, 21);
@@ -105,14 +100,12 @@ fn shard_granularity_does_not_change_results() {
         threads: 5,
         ..Default::default()
     };
-    let run_with_granularity = |shard_images| {
-        let config = PlatformConfig {
-            shard_images,
-            ..Default::default()
-        };
+    let run_with_granularity = |batch| {
+        let mut config = PlatformConfig::default();
+        config.accel.batch = batch;
         Campaign::new(&q, config).run(&spec, &data.test).unwrap()
     };
-    let a = run_with_granularity(0);
+    let a = run_with_granularity(8);
     let b = run_with_granularity(1);
     let c = run_with_granularity(7);
     assert_eq!(a.records, b.records);
@@ -139,9 +132,9 @@ fn transient_window_campaign_is_shard_invariant() {
         kinds: vec![FaultKind::Constant(131071)],
         eval_images: 10,
         threads,
-        // A mid-inference pulse: forces the exact engine (the fast path
-        // cannot honour windows), so this drives the batched-classify
-        // degradation end-to-end through Campaign::run.
+        // A mid-inference pulse: the window's ops run lane-delta and the
+        // rest the clean GEMM, image by image (a windowed batch is split
+        // into one-image launches), end-to-end through Campaign::run.
         fault_window: Some(50..5_000),
         ..Default::default()
     };
@@ -185,11 +178,9 @@ fn i8_path_matches_f32_path_across_shards_and_kinds() {
         Some(FaultKind::Constant(-1)),
         Some(FaultKind::Constant(131071)),
     ];
-    for shard_images in [0usize, 1, 5] {
-        let config = PlatformConfig {
-            shard_images,
-            ..Default::default()
-        };
+    for batch in [8usize, 1, 5] {
+        let mut config = PlatformConfig::default();
+        config.accel.batch = batch;
         let mut pool = DevicePool::assemble(&q, config, 3).unwrap();
         let qset = QuantizedEvalSet::build(&q, &data.test.images);
         for kind in kinds {
@@ -204,7 +195,7 @@ fn i8_path_matches_f32_path_across_shards_and_kinds() {
             let via_i8 = pool.classify_i8(&qset).unwrap();
             assert_eq!(
                 via_f32, via_i8,
-                "i8/f32 parity broke (shard_images={shard_images}, kind={kind:?})"
+                "i8/f32 parity broke (batch={batch}, kind={kind:?})"
             );
         }
     }
@@ -216,8 +207,8 @@ fn i8_path_matches_f32_path_across_shards_and_kinds() {
 ///
 /// 1. **all-exact** (`ExecMode::Exact`): every op of every inference
 ///    through the per-product engine, the pre-PR behaviour;
-/// 2. **op-scoped** (`ExecMode::Auto`, cache disabled): fast prefix, exact
-///    window ops, fast suffix, prefix recomputed per work item;
+/// 2. **op-scoped** (`ExecMode::Auto`, cache disabled): clean prefix,
+///    lane-delta window ops, clean suffix, prefix recomputed per work item;
 /// 3. **op-scoped + golden cache** (the default): the fault-free prefix is
 ///    captured once per image and restored per work item.
 #[test]
@@ -247,7 +238,6 @@ fn windowed_campaign_three_paths_are_bit_identical() {
                 mode,
                 ..Default::default()
             },
-            ..Default::default()
         };
         let spec = CampaignSpec {
             selection: TargetSelection::Fixed(vec![
