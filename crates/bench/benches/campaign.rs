@@ -11,7 +11,7 @@ use nvfi_accel::{AccelConfig, ExecMode, FaultConfig, FaultKind};
 use nvfi_bench::{medium_fixture, small_fixture};
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
-use nvfi_dist::{run_campaign, CampaignServer, FleetSpec};
+use nvfi_dist::{CampaignServer, FleetSpec};
 use nvfi_obs::trace;
 use nvfi_quant::QuantModel;
 
@@ -286,7 +286,7 @@ fn bench_dist_campaign(c: &mut Criterion) {
     .generate()
     .test;
     let config = PlatformConfig::default();
-    let mk = |workers| CampaignSpec {
+    let spec = CampaignSpec {
         selection: TargetSelection::Fixed(
             (0..4)
                 .map(|i| vec![MultId::new(i as u8, (7 - i) as u8)])
@@ -295,12 +295,18 @@ fn bench_dist_campaign(c: &mut Criterion) {
         kinds: vec![FaultKind::StuckAtZero],
         eval_images: 128,
         threads: 2,
-        workers,
         ..Default::default()
     };
     let fleet = FleetSpec::self_exec();
-    let run = |workers: usize| run_campaign(&q, config, &mk(workers), &eval, &fleet).unwrap();
-    let inproc = Campaign::new(&q, config).run(&mk(0), &eval).unwrap();
+    let run = |workers: usize| {
+        CampaignServer::start(&fleet, workers)
+            .unwrap()
+            .submit(&q, config, &spec, &eval)
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    let inproc = Campaign::new(&q, config).run(&spec, &eval).unwrap();
     assert_eq!(
         inproc.records,
         run(1).records,
@@ -314,7 +320,7 @@ fn bench_dist_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign");
     g.sample_size(5);
     g.bench_function("dist_4cfg_128img_inproc", |b| {
-        b.iter(|| Campaign::new(&q, config).run(&mk(0), &eval).unwrap())
+        b.iter(|| Campaign::new(&q, config).run(&spec, &eval).unwrap())
     });
     g.bench_function("dist_4cfg_128img_1worker", |b| b.iter(|| run(1)));
     g.bench_function("dist_4cfg_128img_2workers", |b| b.iter(|| run(2)));
@@ -324,7 +330,7 @@ fn bench_dist_campaign(c: &mut Criterion) {
 /// The session-cache acceptance pair: the same 2-configuration x 64-image
 /// campaign shape against a **cold** session (every iteration raises a
 /// one-worker fleet, ships plan + weights + eval set, runs, tears down —
-/// the `run_campaign` cost) and a **warm** one (a persistent
+/// the cost of a one-campaign server) and a **warm** one (a persistent
 /// [`CampaignServer`] submit/wait against an already-programmed fleet —
 /// only the few-byte artifact delta and the work frames travel). Each
 /// iteration uses fresh fault targets so the warm rows measure real fleet

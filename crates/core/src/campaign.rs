@@ -108,17 +108,6 @@ pub struct CampaignSpec {
     /// front: a window that cannot overlap any retired MAC cycle is
     /// rejected instead of silently running a fault-free campaign.
     pub fault_window: Option<Range<u64>>,
-    /// Worker **processes** of a distributed campaign (`NVFI_WORKERS` in
-    /// the experiment drivers). `0` (the default) runs in-process. This
-    /// knob is consumed by the `nvfi-dist` coordinator
-    /// (`nvfi_dist::run_campaign`), which spawns/attaches that many worker
-    /// processes, ships them the compiled plan + DRAM weight image once,
-    /// and schedules work items (and, when the work list is narrower than
-    /// the worker fleet, image shards of each item) across them —
-    /// bit-identical to the in-process path. [`Campaign::run`] itself
-    /// always executes in-process, whatever this field says: it is the
-    /// fallback the coordinator delegates to when `workers == 0`.
-    pub workers: usize,
     /// Byte budget of the golden-prefix activation cache used by windowed
     /// campaigns (`NVFI_GOLDEN_CACHE` in the experiment drivers). Defaults
     /// to [`GOLDEN_CACHE_DEFAULT_BYTES`] (256 MiB — far more than any
@@ -129,14 +118,16 @@ pub struct CampaignSpec {
     /// disables the cache entirely; `usize::MAX` removes the bound.
     pub golden_cache_bytes: usize,
     /// Checkpoint file of a **distributed** campaign (`NVFI_CHECKPOINT` in
-    /// the experiment drivers). When set, the `nvfi-dist` coordinator
+    /// the experiment drivers). When set, the `nvfi-dist` campaign server
     /// appends each shard there as it lands, as an append-only log of
-    /// `(shard key, predictions)` records, and a restarted coordinator
-    /// resumes the campaign, redoing only unfinished shards — with records
+    /// `(shard key, predictions)` records, and a restarted server resumes
+    /// the campaign, redoing only unfinished shards — with records
     /// bit-identical to an uninterrupted run. Records another campaign left
     /// at the path serve only the shards the two share. The file is
-    /// removed once the campaign completes. Ignored by the in-process
-    /// [`Campaign::run`], which has no coordinator process to lose.
+    /// removed once the campaign completes. It lives on the spec, not on
+    /// the fleet, because one server serves many campaigns and each client
+    /// brings its own log. Ignored by the in-process [`Campaign::run`],
+    /// which has no coordinator process to lose.
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Static verification at plan load ([`VerifyMode::Warn`] by default):
     /// the compiled plan is checked against the `nvfi_compiler::verify`
@@ -163,7 +154,6 @@ impl Default for CampaignSpec {
             kinds: vec![FaultKind::StuckAtZero],
             eval_images: 100,
             threads: 1,
-            workers: 0,
             fault_window: None,
             golden_cache_bytes: GOLDEN_CACHE_DEFAULT_BYTES,
             checkpoint_path: None,

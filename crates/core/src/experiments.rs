@@ -51,11 +51,11 @@ pub struct ExperimentConfig {
     /// campaigns (see [`crate::campaign::CampaignSpec::golden_cache_bytes`];
     /// default 256 MiB, `usize::MAX` = unbounded, `0` = disabled).
     pub golden_cache_bytes: usize,
-    /// Worker processes of a distributed campaign (`NVFI_WORKERS`; see
-    /// [`crate::campaign::CampaignSpec::workers`]). `0` (the default) runs
-    /// in-process. Honoured by the `nvfi-bench` experiment binaries (fig2,
-    /// fig3, all), which schedule through the `nvfi-dist` coordinator via
-    /// [`run_fig2_with`] / [`run_fig3_with`] when this is non-zero: without
+    /// Worker processes of a distributed campaign (`NVFI_WORKERS`). `0`
+    /// (the default) runs in-process. Honoured by the `nvfi-bench`
+    /// experiment binaries (fig2, fig3, all), which then hold one
+    /// `nvfi-dist` campaign server of this many workers and submit every
+    /// campaign of [`run_fig2_with`] / [`run_fig3_with`] to it: without
     /// [`ExperimentConfig::dist_addr`] the workers are spawned locally
     /// (self-exec); with it they are expected to attach from other hosts.
     pub workers: usize,
@@ -117,7 +117,9 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A very small configuration for tests and smoke runs.
+    /// A very small configuration for tests and smoke runs. It is a smoke
+    /// config, not a parity config: its model trains to chance level, so
+    /// every fault's accuracy drop is 0 and a wrong record can go unseen.
     #[must_use]
     pub fn quick() -> Self {
         ExperimentConfig {
@@ -394,7 +396,6 @@ pub fn run_fig2_with<E>(
                 kinds: vec![FaultKind::Constant(value)],
                 eval_images: cfg.eval_images,
                 threads: cfg.threads,
-                workers: cfg.workers,
                 golden_cache_bytes: cfg.golden_cache_bytes,
                 checkpoint_path: cfg.checkpoint.clone(),
                 verbose: cfg.verbose,
@@ -554,7 +555,6 @@ pub fn run_fig3_with<E>(
             kinds: vec![FaultKind::Constant(value)],
             eval_images: cfg.eval_images,
             threads: cfg.threads,
-            workers: cfg.workers,
             golden_cache_bytes: cfg.golden_cache_bytes,
             checkpoint_path: cfg.checkpoint.clone(),
             verbose: cfg.verbose,

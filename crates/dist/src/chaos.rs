@@ -33,8 +33,8 @@
 //! # Env knobs
 //!
 //! Worker session entry points ([`crate::worker::maybe_serve`],
-//! [`crate::worker::serve_addr`], [`crate::worker::serve_forever`]) wrap
-//! their sockets via [`ChaosStream::wrap_env`]:
+//! [`crate::worker::serve_forever`]) wrap their sockets via
+//! [`ChaosStream::wrap_env`]:
 //!
 //! * [`ENV_CHAOS_PLAN`] (`NVFI_CHAOS_PLAN`) — an explicit plan, e.g.
 //!   `flip:2:8:3,stall:3:500,drop:4` (see [`ChaosPlan::parse`]);

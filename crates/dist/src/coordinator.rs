@@ -1,68 +1,15 @@
-//! The coordinator façade: fleet/raise configuration ([`FleetSpec`]), the
-//! fabric's error type ([`DistError`]), and the one-shot [`run_campaign`]
-//! entry point — raise a fleet, run one campaign, tear the fleet down.
-//!
-//! Since wire v3 the machinery behind [`run_campaign`] is the persistent
-//! multiplexing [`CampaignServer`]: this
-//! function is now sugar for *start a server, submit one campaign, wait,
-//! shut down*. Everything it guaranteed still holds — scheduling reuses
-//! the two-level shape of the in-process campaign loop
-//! ([`Campaign::pool_layout`] × [`DevicePool::shard_plan`](nvfi::DevicePool::shard_plan)), predictions
-//! merge by `(work item, shard range)` rather than arrival order, and the
-//! result is **bit-identical** to the in-process [`Campaign::run`] for
-//! every fleet size. Callers that run *many* campaigns should hold a
-//! [`CampaignServer`] instead: workers then
-//! keep their programmed plan / weight image / quantized evaluation set
-//! across campaigns (content-addressed session cache), so repeat
-//! campaigns re-ship zero artifact bytes.
-//!
-//! # Failure model
-//!
-//! The fabric assumes a **hostile transport** and, since wire v4, hostile
-//! *workers* too — a worker may return wrong answers, not just crash:
-//!
-//! * a broken socket, a timed-out shard, a CRC-failed frame, or an
-//!   out-of-lifecycle message costs one **requeue** — the connection is
-//!   dropped and the shard goes back on the owning client's queue;
-//! * a reply whose [`wire::shard_attestation`](crate::wire::shard_attestation)
-//!   does not match the assigned session (stale cached artifacts, post-CRC
-//!   corruption) is a named [`WireError::Integrity`] — rejected, requeued,
-//!   and a trust strike against the worker; a **self-consistent lie** is
-//!   caught by audit re-execution ([`FleetSpec::audit_rate`]; every
-//!   executed baseline shard is sampled), arbitrated by an authoritative in-process
-//!   re-run, and punished by quarantining the convicted worker
-//!   ([`Trust`](crate::trust::Trust)) while its unverified shards are
-//!   re-checked — conviction is fatal only to the worker, never a client;
-//! * the listener stays open for the whole campaign: a late or
-//!   *reconnecting* worker is **re-admitted** mid-flight (handshake +
-//!   cache advertisement, then a session delta ships only what it lacks),
-//!   or turned away with a versioned [`Msg::Goodbye`](crate::wire::Msg)
-//!   once the re-admission cap is reached — never left hanging in TCP
-//!   limbo;
-//! * losing **every** worker, for longer than
-//!   [`FleetSpec::readmission_grace`], fails the campaign with
-//!   [`DistError::FleetLost`] and leaves its checkpoint log, if any, on
-//!   disk for a resume;
-//! * with a checkpoint path ([`CampaignSpec::checkpoint_path`]), every
-//!   shard is appended to a log there as it lands (and again if an audit
-//!   repairs it), keyed by the shard's content, and a **restarted
-//!   coordinator resumes**: artifacts are re-shipped, logged shards are
-//!   replayed, only unfinished ones are redone. Records another campaign
-//!   left at the path match only the shards the two share;
-//! * a worker-*reported* error ([`Msg::WorkerErr`](crate::wire::Msg))
-//!   stays **fatal**: it is deterministic and would reproduce on any
-//!   other worker.
+//! The fabric's configuration and error types: how a worker fleet is
+//! raised ([`FleetSpec`], [`WorkerSpawn`]) and what can go wrong on it
+//! ([`DistError`]). Campaigns run on the fleet through
+//! [`CampaignServer`](crate::CampaignServer); its module docs hold the
+//! failure model.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use nvfi::campaign::{Campaign, CampaignResult, CampaignSpec};
-use nvfi::{PlatformConfig, PlatformError};
-use nvfi_dataset::Dataset;
-use nvfi_quant::QuantModel;
+use nvfi::PlatformError;
 
 use crate::codec::WireError;
-use crate::server::{self, CampaignServer, Prepared};
 
 /// Errors of the distributed campaign fabric.
 #[derive(Debug)]
@@ -151,11 +98,13 @@ pub enum WorkerSpawn {
     Exe(PathBuf),
 }
 
-/// How the worker fleet is raised for one campaign (or one
-/// [`CampaignServer`]).
+/// How the worker fleet of a [`CampaignServer`](crate::CampaignServer) is
+/// raised.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSpec {
-    /// Spawn method for the [`CampaignSpec::workers`] local processes.
+    /// Spawn method for the local worker processes; how many is
+    /// [`CampaignServer::start`](crate::CampaignServer::start)'s `workers`
+    /// argument.
     pub spawn: WorkerSpawn,
     /// Devices of each worker's local `DevicePool`. `0` (the default)
     /// spreads the campaign's `threads` budget evenly over the fleet
@@ -238,63 +187,4 @@ impl FleetSpec {
             ..FleetSpec::default()
         }
     }
-}
-
-/// Runs `spec` as a distributed campaign: [`CampaignSpec::workers`] local
-/// worker processes (spawned per [`FleetSpec::spawn`]) plus
-/// [`FleetSpec::external_workers`] cross-host ones, each session
-/// programmed by content-addressed artifact delta (compiled plan + DRAM
-/// weight image + quantized evaluation set, plus the golden activation
-/// cache for windowed campaigns), then fed `(work item, image shard)`
-/// tasks until the work list is drained. Predictions are merged by
-/// `(work item, shard range)` — never by arrival order — so the result is
-/// **bit-identical** to the in-process [`Campaign::run`] for every fleet
-/// size, whatever faults the transport injects (see the module docs for
-/// the failure model).
-///
-/// One-shot sugar for [`CampaignServer`]:
-/// start, submit, wait, shut down. Hold a server yourself to amortize the
-/// fleet and its artifact caches over many campaigns.
-///
-/// With an empty fleet (`spec.workers == 0` and no external workers) this
-/// simply delegates to the in-process path.
-///
-/// # Errors
-///
-/// [`DistError::Spawn`] if the fleet cannot be raised,
-/// [`DistError::Worker`] if a worker reports a deterministic error,
-/// [`DistError::FleetLost`] if every worker stays gone past the
-/// re-admission grace; platform and socket errors propagate as their
-/// variants.
-///
-/// # Panics
-///
-/// Panics on the same spec violations as [`Campaign::run`] (no kinds, zero
-/// evaluation images, empty expanded work list).
-pub fn run_campaign(
-    model: &QuantModel,
-    config: PlatformConfig,
-    spec: &CampaignSpec,
-    eval: &Dataset,
-    fleet: &FleetSpec,
-) -> Result<CampaignResult, DistError> {
-    let total_workers = spec.workers + fleet.external_workers;
-    if total_workers == 0 {
-        return Ok(Campaign::new(model, config).run(spec, eval)?);
-    }
-    let local_devices = if fleet.local_devices > 0 {
-        fleet.local_devices
-    } else {
-        (spec.threads / total_workers).max(1)
-    };
-    // Prepare (compile, verify, prune, hash, shard) before raising any
-    // fleet: an all-masked campaign must never spawn a process.
-    let prepared = match server::prepare(model, config, spec, eval, total_workers, local_devices)? {
-        Prepared::Immediate(result) => return Ok(result),
-        Prepared::Scheduled(p) => p,
-    };
-    let srv = CampaignServer::start(fleet, spec.workers)?;
-    let outcome = srv.submit_prepared(*prepared).wait();
-    srv.shutdown();
-    outcome
 }

@@ -103,7 +103,7 @@
 //! `Goodbye`), total fleet loss fails the campaign with
 //! [`DistError::FleetLost`] (its checkpoint log stays on disk), and a
 //! killed coordinator **resumes** from a [`checkpoint`] log of CRC-sealed
-//! shard records, redoing only unfinished shards. See `crates/dist/README.md` and the [`coordinator`]
+//! shard records, redoing only unfinished shards. See `crates/dist/README.md` and the [`server`]
 //! module docs for the full failure model.
 //!
 //! Since wire v4 the fabric also survives **wrong answers**, which a CRC
@@ -137,7 +137,7 @@
 //!
 //! # Entry points
 //!
-//! * [`CampaignServer`] — the persistent multiplexing campaign server: one
+//! * [`CampaignServer`] — the one way to run a campaign on the fabric: one
 //!   long-lived worker fleet serving many concurrent client campaigns,
 //!   fair-share interleaved, behind one shard store that maps each
 //!   shard's content key (session artifacts, fault program, image range)
@@ -145,10 +145,8 @@
 //!   Each
 //!   [`CampaignServer::submit`] returns a [`ClientHandle`] streaming
 //!   per-shard [`Progress`]; [`ServerStats`] counts submissions, cache
-//!   hits, dispatches and shipped artifact frames.
-//! * [`run_campaign`] — one-shot sugar over the server: raise a fleet, run
-//!   one campaign, tear down; falls back to the in-process path when the
-//!   fleet is empty.
+//!   hits, dispatches and shipped artifact frames. A single campaign is
+//!   `CampaignServer::start(&fleet, n)?.submit(..)?.wait()`.
 //! * [`FleetSpec`] — how to raise the fleet: self-exec subprocesses
 //!   ([`WorkerSpawn::SelfExec`] — re-executes the current binary, which
 //!   must call [`worker::maybe_serve`] first thing in `main`), an explicit
@@ -173,7 +171,7 @@ pub mod worker;
 pub use chaos::{ChaosPlan, ChaosStream};
 pub use checkpoint::Checkpoint;
 pub use codec::WireError;
-pub use coordinator::{run_campaign, DistError, FleetSpec, WorkerSpawn};
+pub use coordinator::{DistError, FleetSpec, WorkerSpawn};
 pub use server::{query_stats, CampaignServer, ClientHandle, Progress, ServerStats};
 pub use trust::Trust;
 pub use worker::ServeEnd;

@@ -2,14 +2,12 @@
 //! serving many client campaigns concurrently over content-addressed
 //! sessions.
 //!
-//! [`run_campaign`](crate::run_campaign) raises a fleet, runs one campaign
-//! and tears the fleet down. A [`CampaignServer`] decouples those
-//! lifetimes: the fleet is raised once ([`CampaignServer::start`]) and then
-//! any number of campaigns are [`submit`](CampaignServer::submit)ted
-//! against it — concurrently, from any thread — each returning a
-//! [`ClientHandle`] whose [`wait`](ClientHandle::wait) yields a
-//! [`CampaignResult`] **bit-identical** to the in-process
-//! [`Campaign::run`].
+//! [`CampaignServer::start`] raises the fleet once; any number of
+//! campaigns are then [`submit`](CampaignServer::submit)ted against it —
+//! concurrently, from any thread — each returning a [`ClientHandle`] whose
+//! [`wait`](ClientHandle::wait) yields a [`CampaignResult`]
+//! **bit-identical** to the in-process [`Campaign::run`]. A single
+//! campaign is `CampaignServer::start(&fleet, n)?.submit(..)?.wait()`.
 //!
 //! # Content-addressed sessions (wire v3)
 //!
@@ -50,18 +48,35 @@
 //!
 //! # Failure model
 //!
-//! Identical to [`run_campaign`](crate::run_campaign)'s, per client: a
-//! broken socket, CRC-failed frame or timed-out shard requeues **only the
-//! owning client's shard**; reconnecting workers are re-admitted (their
-//! advertisement trims re-shipping to the delta); a fleet empty past
-//! [`FleetSpec::readmission_grace`] fails every unfinished client with
-//! [`DistError::FleetLost`] while the server itself stays up for later
-//! submissions; worker-*reported* errors stay fatal to their client.
-//! A client with a [`CampaignSpec::checkpoint_path`] appends each landed
-//! (or repaired) shard to a log of `(key, predictions)` records there, so
-//! a restarted server (or coordinator) resumes it. The log uses the shard
-//! store's keys: records a foreign campaign left at the path match only
-//! the shards the two share.
+//! The fabric assumes a **hostile transport** and, since wire v4, hostile
+//! *workers* too — a worker may return wrong answers, not just crash. Every
+//! failure is isolated to the client whose shard it touched:
+//!
+//! * a broken socket, a timed-out shard, a CRC-failed frame, or an
+//!   out-of-lifecycle message costs one **requeue** — the connection is
+//!   dropped and the shard goes back on the owning client's queue;
+//! * a reply whose attestation does not match the assigned session, or a
+//!   self-consistent lie caught by an audit, is handled as described under
+//!   *Result integrity* below — conviction is fatal only to the worker,
+//!   never a client;
+//! * the listener stays open for the server's life: a late or
+//!   *reconnecting* worker is **re-admitted** mid-flight (handshake + cache
+//!   advertisement, then a session delta ships only what it lacks), or
+//!   turned away with a versioned [`Msg::Goodbye`] once
+//!   [`FleetSpec::max_readmissions`] is reached — never left hanging in TCP
+//!   limbo;
+//! * a fleet empty for longer than [`FleetSpec::readmission_grace`] fails
+//!   every unfinished client with [`DistError::FleetLost`], leaving its
+//!   checkpoint log, if any, on disk for a resume; the server itself stays
+//!   up for later submissions;
+//! * a client with a [`CampaignSpec::checkpoint_path`] appends each landed
+//!   (or repaired) shard to a log of `(key, predictions)` records there,
+//!   so a restarted server **resumes** it: artifacts are re-shipped, logged
+//!   shards are replayed, only unfinished ones are redone. The log uses the
+//!   shard store's keys: records a foreign campaign left at the path match
+//!   only the shards the two share;
+//! * a worker-*reported* error ([`Msg::WorkerErr`]) stays **fatal** to its
+//!   client: it is deterministic and would reproduce on any other worker.
 //!
 //! # Result integrity (wire v4)
 //!
@@ -137,22 +152,6 @@ pub(crate) struct Task {
     /// Content key in the shard store and the checkpoint log (see
     /// [`shard_key`]).
     pub(crate) key: u64,
-}
-
-/// Reaps (and on early exit, kills) the spawned worker processes.
-struct FleetGuard {
-    children: Vec<Child>,
-}
-
-impl Drop for FleetGuard {
-    fn drop(&mut self) {
-        for child in &mut self.children {
-            // A cleanly shut-down worker has already exited; kill is a no-op
-            // race loser then. Either way, wait() reaps.
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,112 +281,6 @@ fn shard_key(
     h.write_u64(session.3);
     h.write(&work_msg(plan, 0, work_id, range).encode());
     h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Campaign preparation
-// ---------------------------------------------------------------------------
-
-/// What [`prepare`] decided about a campaign.
-pub(crate) enum Prepared {
-    /// The campaign resolved without the fleet (every fault item provably
-    /// masked): here is the finished result.
-    Immediate(CampaignResult),
-    /// The campaign needs fleet time; submit this to a server.
-    Scheduled(Box<PreparedCampaign>),
-}
-
-/// A [`CampaignPlan`] plus what only the fabric needs: the exported plan
-/// words and weight image, their content hashes and the keyed task layout
-/// — nothing borrowed from the caller, and no programmed device.
-pub(crate) struct PreparedCampaign {
-    plan: Arc<CampaignPlan>,
-    config: PlatformConfig,
-    local_devices: usize,
-    /// `(plan, weights, eval, golden)` artifact hashes; `golden` is `0`
-    /// when the campaign ships no golden cache.
-    session: (u64, u64, u64, u64),
-    plan_words: Vec<u32>,
-    weight_image: Vec<(u64, Vec<i8>)>,
-    tasks: Vec<Task>,
-    verbose: bool,
-    checkpoint_path: Option<PathBuf>,
-}
-
-/// Prepares one campaign for the fabric — the fleet-free front half shared
-/// by [`CampaignServer::submit`] and [`crate::run_campaign`]:
-/// [`CampaignPlan::prepare`] (the same preparation as the in-process
-/// [`Campaign::run`]), then the artifact export, content hashes and the
-/// keyed task layout. An all-masked campaign is folded from its
-/// baseline on the prototype right here and never engages the fleet.
-pub(crate) fn prepare(
-    model: &QuantModel,
-    config: PlatformConfig,
-    spec: &CampaignSpec,
-    eval: &Dataset,
-    total_workers: usize,
-    local_devices: usize,
-) -> Result<Prepared, DistError> {
-    let (plan, mut proto) = CampaignPlan::prepare(model, config, spec, eval)?;
-    let images = plan.qset().len();
-    if plan.all_masked() {
-        if spec.verbose {
-            progress::note("  every work item provably masked; fleet not engaged");
-        }
-        let baseline = plan.execute(&mut DevicePool::from_device(proto, 1), 0, 0..images)?;
-        let mut per_item = vec![baseline];
-        per_item.resize(plan.work().len(), Vec::new());
-        if let Some(path) = &spec.checkpoint_path {
-            Checkpoint::remove(path);
-        }
-        return Ok(Prepared::Immediate(plan.fold(per_item)));
-    }
-    let plan_words = nvfi_compiler::plan::encode_words(proto.plan());
-    let weight_image = proto.accel_mut().export_weight_image()?;
-    drop(proto);
-
-    let wire_config: WireConfig = config.into();
-    let session = (
-        hash_plan(&wire_config, local_devices as u32, &plan_words),
-        hash_weights(&weight_image),
-        hash_eval(plan.qset()),
-        plan.golden().map_or(0, hash_golden),
-    );
-
-    // The task list: each work item cut into as many contiguous shards as
-    // the two-level layout gives its scheduling slot — all 1s when the work
-    // list is at least as wide as the fleet (pure item-level parallelism),
-    // wider shard fan-out when the fleet outnumbers the items. Provably
-    // masked items get no shards.
-    let layout = Campaign::pool_layout(total_workers, plan.work().len());
-    let granularity = DevicePool::granularity(&config);
-    let mut tasks: Vec<Task> = Vec::new();
-    for (i, is_masked) in plan.masked().iter().enumerate() {
-        if *is_masked {
-            continue;
-        }
-        let shards = layout.get(i % layout.len().max(1)).copied().unwrap_or(1);
-        for range in DevicePool::shard_plan(images, shards, granularity) {
-            let key = shard_key(session, &plan, i, &range);
-            tasks.push(Task {
-                work_id: i,
-                range,
-                key,
-            });
-        }
-    }
-
-    Ok(Prepared::Scheduled(Box::new(PreparedCampaign {
-        plan: Arc::new(plan),
-        config,
-        local_devices,
-        session,
-        plan_words,
-        weight_image,
-        tasks,
-        verbose: spec.verbose,
-        checkpoint_path: spec.checkpoint_path.clone(),
-    })))
 }
 
 // ---------------------------------------------------------------------------
@@ -533,6 +426,9 @@ struct ServerState {
     trust: HashMap<u64, Trust>,
     /// Connection count per worker identity currently serving.
     active_idents: HashMap<u64, u32>,
+    /// Workers admitted so far, the initial fleet included: the next
+    /// admission's worker id.
+    admitted: usize,
     stats: ServerStats,
 }
 
@@ -540,7 +436,8 @@ struct ServerState {
 /// share.
 struct ServerInner {
     state: Mutex<ServerState>,
-    /// Notified whenever a client finishes (success, fatal, fleet lost).
+    /// Notified whenever a client finishes (success, fatal, fleet lost)
+    /// and whenever a worker is admitted.
     completion: Condvar,
     shutting_down: AtomicBool,
     /// Currently connected workers (initial fleet + re-admissions − losses).
@@ -1421,9 +1318,12 @@ fn connection_thread(
     inner.active.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Keeps the listener open for the life of the server: re-admits
-/// reconnecting or late workers (handshake + advertisement, then the
-/// shared scheduler) and fails every unfinished client when the fleet
+/// Keeps the listener open for the life of the server and is the only
+/// code that admits a worker: the initial fleet, then late or reconnecting
+/// workers (handshake + advertisement, then the shared scheduler). A
+/// failed hello or a missing advertisement drops that connection and keeps
+/// accepting — a chaos-mangled handshake costs the worker a clean
+/// reconnect, not the fleet. Fails every unfinished client when the fleet
 /// stays empty past the re-admission grace — the server itself survives a
 /// fleet loss and serves later submissions if workers return.
 fn acceptor_thread(
@@ -1431,7 +1331,6 @@ fn acceptor_thread(
     listener: &TcpListener,
     conn_threads: &Mutex<Vec<JoinHandle<()>>>,
 ) {
-    let mut admitted = 0usize;
     let mut empty_since: Option<Instant> = None;
     // `NVFI_METRICS=top`: one periodic fleet-summary line instead of the
     // raw per-shard verbose stream.
@@ -1521,7 +1420,31 @@ fn acceptor_thread(
                     }
                     _ => continue,
                 };
-                if admitted >= inner.max_readmissions {
+                if s.set_read_timeout(None).is_err() {
+                    continue;
+                }
+                // The first `total_workers` admissions are the initial
+                // fleet (worker ids `0..total_workers`); the cap counts
+                // only the re-admissions after it.
+                let worker_id = {
+                    let mut st = lock(&inner.state);
+                    let id = st.admitted;
+                    if id >= inner.total_workers.saturating_add(inner.max_readmissions) {
+                        None
+                    } else {
+                        st.admitted += 1;
+                        // A quarantined identity coming back is re-admitted
+                        // on probation: it serves again, but every shard it
+                        // completes is audited until it earns trust back.
+                        st.trust.entry(ident).or_default().readmit();
+                        trace::event("worker.admitted");
+                        if st.clients.values().any(|c| c.verbose) {
+                            progress::emit(&progress::Event::WorkerAdmitted { worker: id });
+                        }
+                        Some(id)
+                    }
+                };
+                let Some(worker_id) = worker_id else {
                     // Versioned, explicit rejection *after* the handshake:
                     // the worker's serve loop reads a clean `Goodbye` and
                     // stands down, instead of hanging in TCP limbo or
@@ -1536,25 +1459,10 @@ fn acceptor_thread(
                         },
                     );
                     continue;
-                }
-                if s.set_read_timeout(None).is_err() {
-                    continue;
-                }
-                admitted += 1;
+                };
                 inner.active.fetch_add(1, Ordering::SeqCst);
                 empty_since = None;
-                let worker_id = inner.total_workers + admitted;
-                {
-                    let mut st = lock(&inner.state);
-                    // A quarantined identity coming back is re-admitted on
-                    // probation: it serves again, but every shard it
-                    // completes is audited until it earns trust back.
-                    st.trust.entry(ident).or_default().readmit();
-                    trace::event("worker.admitted");
-                    if st.clients.values().any(|c| c.verbose) {
-                        progress::emit(&progress::Event::WorkerAdmitted { worker: worker_id });
-                    }
-                }
+                inner.completion.notify_all();
                 let inner2 = Arc::clone(inner);
                 lock(conn_threads).push(std::thread::spawn(move || {
                     connection_thread(&inner2, worker_id, ident, s, hashes)
@@ -1590,68 +1498,6 @@ fn rescue_open_audits(inner: &ServerInner) {
     }
 }
 
-/// Accepts and handshakes `n` workers within `timeout` (the initial fleet
-/// raise; afterwards the acceptor thread owns the listener, which it
-/// leaves in the non-blocking mode set here). Returns each worker's stream
-/// with its [`Msg::HaveArtifacts`] advertisement. Tolerant of bad peers:
-/// a failed hello or a missing advertisement drops that connection and
-/// keeps accepting — a chaos-mangled handshake costs the worker a clean
-/// reconnect, not the fleet.
-fn accept_fleet(
-    listener: &TcpListener,
-    n: usize,
-    timeout: Duration,
-) -> Result<Vec<(TcpStream, u64, Vec<u64>)>, DistError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| DistError::Spawn(e.to_string()))?;
-    let deadline = Instant::now() + timeout;
-    let mut streams = Vec::with_capacity(n);
-    while streams.len() < n {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                // The handshake read is bounded by the remaining accept
-                // deadline: a connected-but-silent peer (half-open link,
-                // port scanner, stalled worker) must time the fleet out,
-                // not hang the coordinator on a blocking recv forever.
-                let remaining = deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                if stream.set_read_timeout(Some(remaining)).is_err() {
-                    continue;
-                }
-                if wire::accept_hello(&mut stream).is_err() {
-                    continue;
-                }
-                let Ok(Msg::HaveArtifacts { ident, hashes }) = wire::recv(&mut stream) else {
-                    continue;
-                };
-                if stream.set_read_timeout(None).is_err() {
-                    continue;
-                }
-                streams.push((stream, ident, hashes));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(DistError::Spawn(format!(
-                        "only {}/{} workers connected within {:?}",
-                        streams.len(),
-                        n,
-                        timeout
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(DistError::Spawn(format!("accept: {e}"))),
-        }
-    }
-    Ok(streams)
-}
-
 // ---------------------------------------------------------------------------
 // The server
 // ---------------------------------------------------------------------------
@@ -1670,20 +1516,21 @@ pub struct CampaignServer {
 }
 
 impl CampaignServer {
-    /// Raises the fleet and starts the server: spawns `workers` local
-    /// worker processes (per [`FleetSpec::spawn`]), waits for them plus
-    /// [`FleetSpec::external_workers`] cross-host ones to connect and
-    /// advertise their caches, and hands every connection to the shared
-    /// scheduler. The listener stays open for the server's life, so
-    /// workers raised later (or reconnecting after a crash) join the same
-    /// fleet.
+    /// Raises the fleet and starts the server: binds the listener, starts
+    /// the acceptor, spawns `workers` local worker processes (per
+    /// [`FleetSpec::spawn`]) and returns once `workers` +
+    /// [`FleetSpec::external_workers`] workers have shaken hands and
+    /// advertised their caches. The acceptor keeps the listener open for
+    /// the server's life, so workers raised later (or reconnecting after a
+    /// crash) join the same fleet.
     ///
     /// # Errors
     ///
     /// [`DistError::Spawn`] when the fleet is empty
     /// (`workers + external_workers == 0`), a worker process cannot be
     /// spawned, or the fleet does not complete its handshakes within
-    /// [`FleetSpec::accept_timeout`].
+    /// [`FleetSpec::accept_timeout`]; every process spawned so far is
+    /// stopped and reaped first.
     pub fn start(fleet: &FleetSpec, workers: usize) -> Result<CampaignServer, DistError> {
         let total_workers = workers + fleet.external_workers;
         if total_workers == 0 {
@@ -1695,13 +1542,12 @@ impl CampaignServer {
         // previous server of the same experiment, so AddrInUse is retried
         // within the accept budget rather than failing the experiment.
         let bind_addr = fleet.listen.as_deref().unwrap_or("127.0.0.1:0");
-        let bind_deadline = Instant::now() + fleet.accept_timeout;
+        let deadline = Instant::now() + fleet.accept_timeout;
         let listener = loop {
             match TcpListener::bind(bind_addr) {
                 Ok(l) => break l,
                 Err(e)
-                    if e.kind() == std::io::ErrorKind::AddrInUse
-                        && Instant::now() < bind_deadline =>
+                    if e.kind() == std::io::ErrorKind::AddrInUse && Instant::now() < deadline =>
                 {
                     std::thread::sleep(Duration::from_millis(50));
                 }
@@ -1710,6 +1556,9 @@ impl CampaignServer {
         };
         let local = listener
             .local_addr()
+            .map_err(|e| DistError::Spawn(e.to_string()))?;
+        listener
+            .set_nonblocking(true)
             .map_err(|e| DistError::Spawn(e.to_string()))?;
         // Spawned (same-host) workers connect to loopback when the listener
         // is on loopback or a wildcard; a concrete non-loopback bind
@@ -1720,8 +1569,42 @@ impl CampaignServer {
         } else {
             local.to_string()
         };
-        let mut guard = FleetGuard {
-            children: Vec::new(),
+
+        let inner = Arc::new(ServerInner {
+            state: Mutex::new(ServerState {
+                artifacts: HashMap::new(),
+                clients: BTreeMap::new(),
+                next_client: 0,
+                shards: HashMap::new(),
+                trust: HashMap::new(),
+                active_idents: HashMap::new(),
+                admitted: 0,
+                stats: ServerStats::default(),
+            }),
+            completion: Condvar::new(),
+            shutting_down: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            task_timeout: fleet.task_timeout,
+            readmission_grace: fleet.readmission_grace,
+            max_readmissions: fleet.max_readmissions,
+            total_workers,
+            audit_rate: fleet.audit_rate,
+        });
+        let conn_threads = Arc::new(Mutex::new(Vec::new()));
+        let acceptor = {
+            let inner2 = Arc::clone(&inner);
+            let reg = Arc::clone(&conn_threads);
+            std::thread::spawn(move || acceptor_thread(&inner2, &listener, &reg))
+        };
+        // From here on an early return drops the server, which stops the
+        // acceptor and kills + reaps every process spawned so far.
+        let server = CampaignServer {
+            inner,
+            children: Mutex::new(Vec::new()),
+            conn_threads,
+            acceptor: Mutex::new(Some(acceptor)),
+            addr: local,
+            local_devices_cfg: fleet.local_devices,
         };
         for i in 0..workers {
             let exe = match &fleet.spawn {
@@ -1735,59 +1618,32 @@ impl CampaignServer {
             for (k, v) in fleet.worker_env.get(i).map_or(&[][..], Vec::as_slice) {
                 cmd.env(k, v);
             }
-            guard.children.push(
-                cmd.spawn()
-                    .map_err(|e| DistError::Spawn(format!("spawn {}: {e}", exe.display())))?,
-            );
+            let child = cmd
+                .spawn()
+                .map_err(|e| DistError::Spawn(format!("spawn {}: {e}", exe.display())))?;
+            lock(&server.children).push(child);
         }
-        // Early returns above drop the guard, which kills + reaps what was
-        // spawned so far.
-        let streams = accept_fleet(&listener, total_workers, fleet.accept_timeout)?;
-        let children = std::mem::take(&mut guard.children);
-        drop(guard);
-
-        let inner = Arc::new(ServerInner {
-            state: Mutex::new(ServerState {
-                artifacts: HashMap::new(),
-                clients: BTreeMap::new(),
-                next_client: 0,
-                shards: HashMap::new(),
-                trust: HashMap::new(),
-                active_idents: HashMap::new(),
-                stats: ServerStats::default(),
-            }),
-            completion: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            active: AtomicUsize::new(streams.len()),
-            task_timeout: fleet.task_timeout,
-            readmission_grace: fleet.readmission_grace,
-            max_readmissions: fleet.max_readmissions,
-            total_workers,
-            audit_rate: fleet.audit_rate,
-        });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        {
-            let mut reg = lock(&conn_threads);
-            for (worker_id, (stream, ident, hashes)) in streams.into_iter().enumerate() {
-                let inner2 = Arc::clone(&inner);
-                reg.push(std::thread::spawn(move || {
-                    connection_thread(&inner2, worker_id, ident, stream, hashes)
-                }));
+        // The acceptor counts admissions and notifies `completion` on each.
+        let mut st = lock(&server.inner.state);
+        while st.admitted < total_workers {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let admitted = st.admitted;
+                drop(st);
+                return Err(DistError::Spawn(format!(
+                    "only {admitted}/{total_workers} workers connected within {:?}",
+                    fleet.accept_timeout
+                )));
             }
+            st = server
+                .inner
+                .completion
+                .wait_timeout(st, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let acceptor = {
-            let inner2 = Arc::clone(&inner);
-            let reg = Arc::clone(&conn_threads);
-            std::thread::spawn(move || acceptor_thread(&inner2, &listener, &reg))
-        };
-        Ok(CampaignServer {
-            inner,
-            children: Mutex::new(children),
-            conn_threads,
-            acceptor: Mutex::new(Some(acceptor)),
-            addr: local,
-            local_devices_cfg: fleet.local_devices,
-        })
+        drop(st);
+        Ok(server)
     }
 
     /// The address the server listens on — what cross-host `nvfi_worker`
@@ -1805,13 +1661,16 @@ impl CampaignServer {
 
     /// Submits one campaign to the shared fleet and returns immediately
     /// with a [`ClientHandle`]; the campaign runs concurrently with every
-    /// other submitted one, interleaved fair-share. `spec.workers` is
-    /// ignored — the fleet was sized at [`CampaignServer::start`] — but
-    /// `spec.threads` still means "total device budget" when the fleet's
-    /// [`FleetSpec::local_devices`] was 0.
+    /// other submitted one, interleaved fair-share. `spec.threads` means
+    /// "total device budget" when the fleet's [`FleetSpec::local_devices`]
+    /// is 0: each worker then drives `max(1, threads / fleet size)` devices.
     ///
-    /// An all-masked campaign, or one whose every shard is already in the
-    /// shard store, resolves without any fleet work.
+    /// The campaign is prepared by [`CampaignPlan::prepare`] — the same
+    /// preparation as the in-process [`Campaign::run`] — then its artifacts
+    /// are exported and content-hashed and its work items cut into keyed
+    /// shards. An all-masked campaign is folded from its baseline on the
+    /// prepared prototype; one whose every shard is already in the shard
+    /// store is folded from the store. Neither dispatches any fleet work.
     ///
     /// # Errors
     ///
@@ -1828,64 +1687,96 @@ impl CampaignServer {
         spec: &CampaignSpec,
         eval: &Dataset,
     ) -> Result<ClientHandle, DistError> {
+        let (plan, mut proto) = CampaignPlan::prepare(model, config, spec, eval)?;
+        let images = plan.qset().len();
+        if plan.all_masked() {
+            if spec.verbose {
+                progress::note("  every work item provably masked; fleet not engaged");
+            }
+            let baseline = plan.execute(&mut DevicePool::from_device(proto, 1), 0, 0..images)?;
+            let mut per_item = vec![baseline];
+            per_item.resize(plan.work().len(), Vec::new());
+            if let Some(path) = &spec.checkpoint_path {
+                Checkpoint::remove(path);
+            }
+            return Ok(ClientHandle::ready(plan.fold(per_item)));
+        }
+        let total_workers = self.inner.total_workers;
         let local_devices = if self.local_devices_cfg > 0 {
             self.local_devices_cfg
         } else {
-            (spec.threads / self.inner.total_workers).max(1)
+            (spec.threads / total_workers).max(1)
         };
-        match prepare(
-            model,
-            config,
-            spec,
-            eval,
-            self.inner.total_workers,
-            local_devices,
-        )? {
-            Prepared::Immediate(result) => Ok(ClientHandle::ready(result)),
-            Prepared::Scheduled(p) => Ok(self.submit_prepared(*p)),
-        }
-    }
+        let plan_words = nvfi_compiler::plan::encode_words(proto.plan());
+        let weight_image = proto.accel_mut().export_weight_image()?;
+        drop(proto);
+        let session = (
+            hash_plan(&config.into(), local_devices as u32, &plan_words),
+            hash_weights(&weight_image),
+            hash_eval(plan.qset()),
+            plan.golden().map_or(0, hash_golden),
+        );
 
-    /// Registers a [`PreparedCampaign`] with the scheduler: one shard-store
-    /// lookup per task (all present: fold on the spot, a cache hit), then
-    /// artifact registration (each distinct hash encoded exactly once per
-    /// server), checkpoint prefill, and the client queue.
-    pub(crate) fn submit_prepared(&self, p: PreparedCampaign) -> ClientHandle {
+        // The task list: each work item cut into as many contiguous shards
+        // as the two-level layout gives its scheduling slot — all 1s when
+        // the work list is at least as wide as the fleet (pure item-level
+        // parallelism), wider shard fan-out when the fleet outnumbers the
+        // items. Provably masked items get no shards.
+        let layout = Campaign::pool_layout(total_workers, plan.work().len());
+        let granularity = DevicePool::granularity(&config);
+        let mut tasks: Vec<Task> = Vec::new();
+        for (i, is_masked) in plan.masked().iter().enumerate() {
+            if *is_masked {
+                continue;
+            }
+            let shards = layout.get(i % layout.len().max(1)).copied().unwrap_or(1);
+            for range in DevicePool::shard_plan(images, shards, granularity) {
+                let key = shard_key(session, &plan, i, &range);
+                tasks.push(Task {
+                    work_id: i,
+                    range,
+                    key,
+                });
+            }
+        }
+        let plan = Arc::new(plan);
+
+        // One shard-store lookup per task: all present folds on the spot (a
+        // cache hit).
         let mut st = lock(&self.inner.state);
         st.stats.campaigns_submitted += 1;
-        let mut results: Vec<Option<Vec<u8>>> = p
-            .tasks
+        let mut results: Vec<Option<Vec<u8>>> = tasks
             .iter()
             .map(|t| st.shards.get(&t.key).cloned())
             .collect();
         let stored = results.iter().flatten().count();
-        if stored == p.tasks.len() {
+        if stored == tasks.len() {
             st.stats.cache_hits += 1;
             drop(st);
-            if let Some(path) = &p.checkpoint_path {
+            if let Some(path) = &spec.checkpoint_path {
                 // The store completes this campaign; a stale log must not
                 // donate shards to a later run.
                 Checkpoint::remove(path);
             }
-            return ClientHandle::ready(fold_shards(
-                &p.plan,
-                &p.tasks,
+            return Ok(ClientHandle::ready(fold_shards(
+                &plan,
+                &tasks,
                 results.into_iter().flatten(),
-            ));
+            )));
         }
         // The decoded artifacts live on (shared) behind the audit arbiter:
         // an authoritative in-process re-execution needs exactly what a
         // worker would be shipped.
-        let plan_words = Arc::new(p.plan_words);
-        let weight_image = Arc::new(p.weight_image);
-        let (plan_hash, weights_hash, eval_hash, golden_hash) = p.session;
+        let plan_words = Arc::new(plan_words);
+        let weight_image = Arc::new(weight_image);
+        let (plan_hash, weights_hash, eval_hash, golden_hash) = session;
         // Register the artifact frames. Encoding happens at most once per
         // distinct content hash for the server's whole life — the
         // serialize-once probes count these.
         ensure_artifact(&mut st, plan_hash, || {
             Msg::Plan {
-                config: p.config.into(),
-                local_devices: p.local_devices as u32,
+                config: config.into(),
+                local_devices: local_devices as u32,
                 words: plan_words.as_ref().clone(),
             }
             .encode()
@@ -1896,7 +1787,7 @@ impl CampaignServer {
             }
             .encode()
         });
-        let qset = p.plan.qset();
+        let qset = plan.qset();
         let shape = qset.shape();
         ensure_artifact(&mut st, eval_hash, || {
             // Encoded straight from the borrowed pixel slice: no owned copy
@@ -1909,7 +1800,7 @@ impl CampaignServer {
                 qset.images().as_slice(),
             )
         });
-        if let Some(g) = p.plan.golden() {
+        if let Some(g) = plan.golden() {
             ensure_artifact(&mut st, golden_hash, || {
                 Msg::Golden {
                     boundary: g.boundary() as u64,
@@ -1926,7 +1817,7 @@ impl CampaignServer {
         // log, prefill the shards it holds that the store did not, and
         // keep appending as new shards land.
         let mut resumed = 0usize;
-        let ckpt = p.checkpoint_path.as_ref().and_then(|path| {
+        let ckpt = spec.checkpoint_path.as_ref().and_then(|path| {
             let (log, cp) = match CheckpointLog::open(path) {
                 Ok(opened) => opened,
                 Err(e) => {
@@ -1939,7 +1830,7 @@ impl CampaignServer {
             };
             let logged: HashMap<u64, Vec<u8>> =
                 cp.entries.into_iter().map(|e| (e.key, e.preds)).collect();
-            for (slot, task) in results.iter_mut().zip(p.tasks.iter()) {
+            for (slot, task) in results.iter_mut().zip(tasks.iter()) {
                 if slot.is_none() {
                     if let Some(preds) = logged.get(&task.key) {
                         *slot = Some(preds.clone());
@@ -1947,11 +1838,11 @@ impl CampaignServer {
                     }
                 }
             }
-            if p.verbose && resumed > 0 {
+            if spec.verbose && resumed > 0 {
                 progress::emit(&progress::Event::Resumed {
                     path: path.display().to_string(),
                     done: stored + resumed,
-                    total: p.tasks.len(),
+                    total: tasks.len(),
                 });
             }
             Some(Arc::new(log))
@@ -1959,7 +1850,7 @@ impl CampaignServer {
         let prefilled = stored + resumed;
 
         let (progress_tx, progress_rx) = channel();
-        let tasks = Arc::new(p.tasks);
+        let tasks = Arc::new(tasks);
         let queue: Vec<QueueEntry> = (0..tasks.len())
             .rev()
             .filter(|&i| results.get(i).is_some_and(Option::is_none))
@@ -1971,8 +1862,8 @@ impl CampaignServer {
         // producer left to audit.
         let verified: Vec<bool> = results.iter().map(Option::is_some).collect();
         let arbiter = Arc::new(Arbiter {
-            config: p.config,
-            plan: Arc::clone(&p.plan),
+            config,
+            plan: Arc::clone(&plan),
             plan_words,
             weight_image,
             pool: Mutex::new(None),
@@ -1983,8 +1874,8 @@ impl CampaignServer {
         st.clients.insert(
             id,
             ClientState {
-                session: p.session,
-                plan: Arc::clone(&p.plan),
+                session,
+                plan: Arc::clone(&plan),
                 tasks: Arc::clone(&tasks),
                 queue,
                 producer: vec![None; tasks.len()],
@@ -1996,7 +1887,7 @@ impl CampaignServer {
                 dispatched: 0,
                 fatal: None,
                 finished,
-                verbose: p.verbose,
+                verbose: spec.verbose,
                 ckpt,
                 arbiter,
                 progress: progress_tx,
@@ -2006,16 +1897,16 @@ impl CampaignServer {
             self.inner.completion.notify_all();
         }
         drop(st);
-        ClientHandle {
+        Ok(ClientHandle {
             inner: HandleInner::Pending {
                 server: Arc::clone(&self.inner),
                 id,
-                plan: p.plan,
+                plan,
                 tasks,
-                checkpoint_path: p.checkpoint_path,
+                checkpoint_path: spec.checkpoint_path.clone(),
             },
             progress: progress_rx,
-        }
+        })
     }
 
     /// Shuts the server down: fails unfinished clients with a named error,
@@ -2237,16 +2128,38 @@ mod tests {
     /// blocking handshake read.
     #[test]
     fn silent_peer_times_the_fleet_accept_out() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _silent = TcpStream::connect(addr).unwrap();
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let (release, released) = channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let _stream = loop {
+                match TcpStream::connect(addr) {
+                    Ok(s) => break s,
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            let _ = released.recv();
+        });
+        let fleet = FleetSpec {
+            listen: Some(addr.to_string()),
+            external_workers: 1,
+            accept_timeout: Duration::from_millis(300),
+            ..FleetSpec::default()
+        };
         let t = Instant::now();
-        let r = accept_fleet(&listener, 1, Duration::from_millis(300));
-        assert!(r.is_err(), "a silent peer must not count as a worker");
+        let r = CampaignServer::start(&fleet, 0);
+        assert!(
+            matches!(&r, Err(DistError::Spawn(m)) if m.starts_with("only 0/1 workers")),
+            "a silent peer must not count as a worker"
+        );
         assert!(
             t.elapsed() < Duration::from_secs(30),
             "accept must observe the deadline instead of blocking"
         );
+        drop(release);
+        silent.join().unwrap();
     }
 
     #[test]

@@ -1279,6 +1279,24 @@ mod tests {
         assert_eq!(base, shard_attestation((1, 2, 3, 4), 5, 0, 3, &[7, 8, 9]));
     }
 
+    /// A `Work` frame whose shard starts past its end must be refused by the
+    /// decoder: a worker sizing its prediction buffer by `end - start` would
+    /// otherwise underflow.
+    #[test]
+    fn inverted_work_range_rejected() {
+        let msg = Msg::Work {
+            work_id: 1,
+            start: 5,
+            end: 2,
+            fault: None,
+            window: None,
+        };
+        assert_eq!(
+            Msg::decode(msg.encode()),
+            Err(WireError::Invalid("inverted shard range"))
+        );
+    }
+
     #[test]
     fn zero_worker_ident_rejected() {
         let mut e = Enc::new();

@@ -277,21 +277,6 @@ pub fn maybe_serve() {
     }
 }
 
-/// Connects to a coordinator and serves one session (chaos-wrapped; see the
-/// module docs).
-///
-/// # Errors
-///
-/// [`DistError::Spawn`] if the coordinator is unreachable; session errors
-/// per [`serve`].
-pub fn serve_addr(addr: &str) -> Result<ServeEnd, DistError> {
-    // The coordinator binds before spawning, so the first attempt usually
-    // lands; the retry window covers slow cross-host starts.
-    let stream = connect_retry(addr, Duration::from_secs(5))?;
-    let mut stream = ChaosStream::wrap_env(stream);
-    serve(&mut stream)
-}
-
 /// Serves coordinator sessions **in a loop**: after a clean shutdown the
 /// worker reconnects and waits for the next session, so one long-lived
 /// `nvfi_worker` process can carry a whole multi-campaign experiment, its

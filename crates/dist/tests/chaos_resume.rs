@@ -14,13 +14,13 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
+use nvfi::campaign::{Campaign, CampaignResult, CampaignSpec, TargetSelection};
 use nvfi::PlatformConfig;
 use nvfi_accel::FaultKind;
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{Dataset, SynthCifar, SynthCifarConfig};
 use nvfi_dist::chaos::{ENV_CHAOS_PLAN, ENV_CHAOS_SEED};
-use nvfi_dist::{run_campaign, worker, CampaignServer, Checkpoint, DistError, FleetSpec};
+use nvfi_dist::{worker, CampaignServer, Checkpoint, DistError, FleetSpec};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
@@ -46,6 +46,21 @@ fn setup() -> (QuantModel, Dataset) {
     let deploy = fold_resnet(&net, 32);
     let q = quantize(&deploy, &data.train.images, &QuantConfig::default()).unwrap();
     (q, data.test)
+}
+
+/// Runs one campaign on a fresh server of `workers` spawned workers, then
+/// shuts the server down.
+fn served(
+    fleet: &FleetSpec,
+    workers: usize,
+    q: &QuantModel,
+    config: PlatformConfig,
+    spec: &CampaignSpec,
+    eval: &Dataset,
+) -> Result<CampaignResult, DistError> {
+    CampaignServer::start(fleet, workers)?
+        .submit(q, config, spec, eval)?
+        .wait()
 }
 
 /// Seven work items (baseline + 3 target sets × 2 kinds), one shard each.
@@ -94,8 +109,7 @@ fn corrupt_frame_is_requeued_and_worker_readmitted() {
         worker_env: chaos_on_worker_0("flip:2:9:3"),
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "after corrupt frame");
 }
 
@@ -113,8 +127,7 @@ fn connection_drop_mid_frame_reconnects_and_readmits() {
         worker_env: chaos_on_worker_0("drop:2:5"),
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "after mid-frame drop");
 }
 
@@ -133,8 +146,7 @@ fn stalled_shard_is_timed_out_and_requeued() {
         task_timeout: Some(Duration::from_secs(2)),
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "after stalled shard");
 }
 
@@ -152,8 +164,7 @@ fn seeded_chaos_plan_campaign_is_bit_identical() {
         task_timeout: Some(Duration::from_secs(10)),
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "under seeded chaos");
 }
 
@@ -175,7 +186,6 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt: PathBuf = dir.join("campaign.ckpt");
     let spec = CampaignSpec {
-        workers: 1,
         checkpoint_path: Some(ckpt.clone()),
         ..base_spec()
     };
@@ -186,7 +196,7 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "3".to_string())]],
         ..worker_fleet()
     };
-    match run_campaign(&q, config, &spec, &eval, &fleet) {
+    match served(&fleet, 1, &q, config, &spec, &eval) {
         Err(DistError::FleetLost { incomplete }) => assert_eq!(incomplete, 4),
         other => panic!("expected FleetLost, got {other:?}"),
     }
@@ -198,7 +208,7 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "4".to_string())]],
         ..worker_fleet()
     };
-    let resumed = run_campaign(&q, config, &spec, &eval, &fleet).unwrap();
+    let resumed = served(&fleet, 1, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &resumed, "resumed campaign");
     assert!(
         Checkpoint::load(&ckpt).is_none(),
@@ -223,7 +233,6 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt: PathBuf = dir.join("campaign.ckpt");
     let spec_a = CampaignSpec {
-        workers: 1,
         checkpoint_path: Some(ckpt.clone()),
         ..base_spec()
     };
@@ -233,7 +242,7 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "3".to_string())]],
         ..worker_fleet()
     };
-    match run_campaign(&q, config, &spec_a, &eval, &fleet) {
+    match served(&fleet, 1, &q, config, &spec_a, &eval) {
         Err(DistError::FleetLost { incomplete }) => assert_eq!(incomplete, 4),
         other => panic!("expected FleetLost, got {other:?}"),
     }
@@ -285,7 +294,6 @@ fn reconnect_beyond_cap_is_turned_away_and_campaign_completes() {
         max_readmissions: 0,
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "with re-admission capped at 0");
 }

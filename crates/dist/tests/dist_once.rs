@@ -14,7 +14,7 @@ use nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
 use nvfi::PlatformConfig;
 use nvfi_accel::FaultKind;
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
-use nvfi_dist::{run_campaign, wire, FleetSpec};
+use nvfi_dist::{wire, CampaignServer, FleetSpec};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig};
@@ -45,7 +45,6 @@ fn plan_weights_and_eval_set_serialize_once_per_campaign() {
         kinds: vec![FaultKind::StuckAtZero, FaultKind::Constant(1)],
         eval_images: 10,
         threads: 2,
-        workers: 2,
         ..Default::default()
     };
     let fleet = FleetSpec {
@@ -56,7 +55,12 @@ fn plan_weights_and_eval_set_serialize_once_per_campaign() {
     let plan0 = wire::plan_serializations();
     let weights0 = wire::weight_serializations();
     let eval0 = wire::eval_serializations();
-    let dist = run_campaign(&q, config, &spec, &data.test, &fleet).unwrap();
+    let dist = CampaignServer::start(&fleet, 2)
+        .unwrap()
+        .submit(&q, config, &spec, &data.test)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(
         wire::plan_serializations() - plan0,
         1,

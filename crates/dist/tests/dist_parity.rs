@@ -11,13 +11,15 @@ use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
+use nvfi::artifacts::ModelSpec;
+use nvfi::campaign::{Campaign, CampaignResult, CampaignSpec, TargetSelection};
+use nvfi::experiments::{run_fig2, run_fig2_with, ExperimentConfig};
 use nvfi::PlatformConfig;
 use nvfi_accel::FaultKind;
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{Dataset, SynthCifar, SynthCifarConfig};
 use nvfi_dist::wire::{self, Msg, WIRE_VERSION};
-use nvfi_dist::{run_campaign, worker, DistError, FleetSpec, WireError};
+use nvfi_dist::{worker, CampaignServer, DistError, FleetSpec, WireError};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
@@ -41,6 +43,21 @@ fn setup() -> (QuantModel, Dataset) {
     let deploy = fold_resnet(&net, 32);
     let q = quantize(&deploy, &data.train.images, &QuantConfig::default()).unwrap();
     (q, data.test)
+}
+
+/// Runs one campaign on a fresh server of `workers` spawned workers, then
+/// shuts the server down.
+fn served(
+    fleet: &FleetSpec,
+    workers: usize,
+    q: &QuantModel,
+    config: PlatformConfig,
+    spec: &CampaignSpec,
+    eval: &Dataset,
+) -> Result<CampaignResult, DistError> {
+    CampaignServer::start(fleet, workers)?
+        .submit(q, config, spec, eval)?
+        .wait()
 }
 
 fn base_spec() -> CampaignSpec {
@@ -75,8 +92,7 @@ fn two_worker_campaign_matches_in_process() {
     let config = PlatformConfig::default();
     let spec = base_spec();
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &worker_fleet()).unwrap();
+    let dist = served(&worker_fleet(), 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "2-worker");
     assert!(dist.wall_seconds > 0.0);
 }
@@ -96,8 +112,7 @@ fn single_item_shards_across_workers_identically() {
         ..Default::default()
     };
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &worker_fleet()).unwrap();
+    let dist = served(&worker_fleet(), 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "sharded single item");
 }
 
@@ -123,8 +138,7 @@ fn windowed_campaign_matches_in_process() {
         ..Default::default()
     };
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &worker_fleet()).unwrap();
+    let dist = served(&worker_fleet(), 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "windowed");
 }
 
@@ -157,8 +171,7 @@ fn non_default_batch_shards_and_waves_identically() {
         local_devices: 2,
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 3, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 3, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "batch 3");
 }
 
@@ -176,8 +189,7 @@ fn worker_death_mid_shard_is_requeued_bit_identically() {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.into(), "1".into())]],
         ..worker_fleet()
     };
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 2, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "after worker death");
 }
 
@@ -195,11 +207,7 @@ fn losing_every_worker_is_a_clear_error() {
         readmission_grace: Duration::from_millis(400),
         ..worker_fleet()
     };
-    let spec = CampaignSpec {
-        workers: 2,
-        ..base_spec()
-    };
-    match run_campaign(&q, config, &spec, &eval, &fleet) {
+    match served(&fleet, 2, &q, config, &base_spec(), &eval) {
         Err(DistError::FleetLost { incomplete }) => assert!(incomplete > 0),
         other => panic!("expected FleetLost, got {other:?}"),
     }
@@ -331,10 +339,12 @@ fn external_workers_serve_consecutive_campaigns_on_a_fixed_port() {
         accept_timeout: Duration::from_secs(120),
         ..FleetSpec::self_exec()
     };
-    let spec = base_spec(); // workers: 0 — the whole fleet attaches
+    let spec = base_spec();
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let first = run_campaign(&q, config, &spec, &eval, &fleet).unwrap();
-    let second = run_campaign(&q, config, &spec, &eval, &fleet).unwrap();
+    // Nothing is spawned: the whole fleet attaches. Each campaign gets its
+    // own server on the same port.
+    let first = served(&fleet, 0, &q, config, &spec, &eval).unwrap();
+    let second = served(&fleet, 0, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &first, "external campaign 1");
     assert_identical(&in_process, &second, "external campaign 2");
     for c in &mut children {
@@ -394,19 +404,70 @@ fn stalled_worker_is_timed_out_and_shard_requeued() {
     };
     let spec = base_spec();
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let dist = run_campaign(&q, config, &spec, &eval, &fleet).unwrap();
+    let dist = served(&fleet, 0, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &dist, "after stalled worker timeout");
     let _ = child.kill();
     let _ = child.wait();
 }
 
-/// `workers: 0` with no external fleet falls back to the in-process path.
+/// A whole Fig. 2 experiment served over one held two-worker server is
+/// identical to the in-process run. The model is trained (not chance-level)
+/// so the drops differ from zero and a wrong prediction moves a record.
 #[test]
-fn empty_fleet_falls_back_to_in_process() {
-    let (q, eval) = setup();
-    let config = PlatformConfig::default();
-    let spec = base_spec();
-    let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
-    let fallback = run_campaign(&q, config, &spec, &eval, &worker_fleet()).unwrap();
-    assert_identical(&in_process, &fallback, "fallback");
+fn served_fig2_matches_in_process() {
+    let dir = std::env::temp_dir().join(format!("nvfi-served-fig2-{}", std::process::id()));
+    let cfg = ExperimentConfig {
+        model: ModelSpec {
+            width: 4,
+            epochs: 3,
+            train: 300,
+            test: 60,
+            artifact_dir: dir.clone(),
+            ..Default::default()
+        },
+        eval_images: 30,
+        trials_per_k: 2,
+        max_k: 2,
+        threads: 2,
+        out_dir: dir.clone(),
+        ..ExperimentConfig::quick()
+    };
+    let in_process = run_fig2(&cfg).unwrap();
+    assert!(
+        in_process.baseline_pct > 10.0,
+        "the model must beat chance: {}",
+        in_process.baseline_pct
+    );
+    assert!(
+        in_process
+            .groups
+            .iter()
+            .any(|g| g.drops.iter().any(|&d| d != 0.0)),
+        "some fault must move the accuracy"
+    );
+    let server = CampaignServer::start(&worker_fleet(), 2).unwrap();
+    let served = run_fig2_with(&cfg, |m: &QuantModel, c, s: &CampaignSpec, e: &Dataset| {
+        server.submit(m, c, s, e)?.wait()
+    })
+    .unwrap();
+    server.shutdown();
+    assert_eq!(served.baseline_pct, in_process.baseline_pct, "baseline");
+    assert_eq!(served.total_fis, in_process.total_fis, "fault injections");
+    assert_eq!(served.groups.len(), in_process.groups.len(), "groups");
+    for (a, b) in served.groups.iter().zip(&in_process.groups) {
+        assert_eq!((a.k, a.value), (b.k, b.value), "group order");
+        assert_eq!(a.drops, b.drops, "k={} value={}: drops", b.k, b.value);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server needs a fleet: no spawned and no external workers is refused
+/// with a spawn error.
+#[test]
+fn empty_fleet_is_refused_by_start() {
+    match CampaignServer::start(&worker_fleet(), 0) {
+        Err(DistError::Spawn(_)) => {}
+        Err(e) => panic!("expected a spawn error, got {e:?}"),
+        Ok(_) => panic!("an empty fleet must be refused"),
+    }
 }

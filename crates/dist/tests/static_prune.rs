@@ -2,9 +2,9 @@
 //!
 //! The contract: work items the static fault-reachability analysis proves
 //! masked are never scheduled on the fleet — a campaign of *only* masked
-//! items completes without even spawning workers — and everything reachable
-//! stays bit-identical to the in-process run, with `masked_static` counted
-//! the same on both paths.
+//! items completes without dispatching a single shard — and everything
+//! reachable stays bit-identical to the in-process run, with
+//! `masked_static` counted the same on both paths.
 
 use std::time::Duration;
 
@@ -13,7 +13,7 @@ use nvfi::PlatformConfig;
 use nvfi_accel::FaultKind;
 use nvfi_compiler::regmap::MultId;
 use nvfi_dataset::{Dataset, SynthCifar, SynthCifarConfig};
-use nvfi_dist::{run_campaign, FleetSpec};
+use nvfi_dist::{CampaignServer, FleetSpec};
 use nvfi_nn::fold::fold_resnet;
 use nvfi_nn::resnet::ResNet;
 use nvfi_quant::{quantize, QuantConfig, QuantModel};
@@ -42,10 +42,8 @@ fn narrow_setup() -> (QuantModel, Dataset) {
     (q, data.test)
 }
 
-/// Every fault item provably masked: the campaign must complete without
-/// touching the fleet at all. The fleet spec points at a binary that does
-/// not exist, so any spawn attempt would fail the run — success *is* the
-/// proof that no worker was raised.
+/// Every fault item provably masked: the campaign must complete on a live
+/// server without touching its fleet — not one shard dispatched.
 #[test]
 fn all_masked_campaign_never_touches_the_fleet() {
     let (q, eval) = narrow_setup();
@@ -57,11 +55,21 @@ fn all_masked_campaign_never_touches_the_fleet() {
         ]),
         kinds: vec![FaultKind::StuckAtZero],
         eval_images: 6,
-        workers: 2,
         ..Default::default()
     };
-    let unspawnable = FleetSpec::exe("/nonexistent/nvfi-worker-that-must-not-run");
-    let result = run_campaign(&q, config, &spec, &eval, &unspawnable).unwrap();
+    let server = CampaignServer::start(&worker_fleet(), 2).unwrap();
+    let dispatched = server.stats().tasks_dispatched;
+    let result = server
+        .submit(&q, config, &spec, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        server.stats().tasks_dispatched,
+        dispatched,
+        "an all-masked campaign dispatches nothing"
+    );
+    server.shutdown();
     assert_eq!(result.masked_static, 2, "both items statically masked");
     assert_eq!(result.records.len(), 2);
     for r in &result.records {
@@ -91,30 +99,37 @@ fn partially_masked_campaign_matches_in_process() {
     };
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
     assert_eq!(in_process.masked_static, 1);
-    let dist_spec = CampaignSpec { workers: 2, ..spec };
-    let dist = run_campaign(&q, config, &dist_spec, &eval, &worker_fleet()).unwrap();
+    let dist = CampaignServer::start(&worker_fleet(), 2)
+        .unwrap()
+        .submit(&q, config, &spec, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(dist.masked_static, in_process.masked_static, "masked count");
     assert_eq!(dist.baseline_accuracy, in_process.baseline_accuracy);
     assert_eq!(dist.records, in_process.records, "records bit-identical");
     assert_eq!(dist.total_inferences, in_process.total_inferences);
 }
 
-/// A no-op fault kind is rejected before any worker is spawned, on the
-/// distributed path too.
+/// A no-op fault kind is refused by `submit`, on the distributed path too,
+/// and nothing is dispatched.
 #[test]
-fn no_op_kind_is_rejected_before_spawning() {
+fn no_op_kind_is_rejected_before_dispatch() {
     let (q, eval) = narrow_setup();
     let spec = CampaignSpec {
         kinds: vec![FaultKind::FlipBits { mask: 0 }],
         eval_images: 2,
-        workers: 2,
         ..Default::default()
     };
-    let unspawnable = FleetSpec::exe("/nonexistent/nvfi-worker-that-must-not-run");
-    let err = run_campaign(&q, PlatformConfig::default(), &spec, &eval, &unspawnable)
-        .expect_err("no-op kind must be rejected");
+    let server = CampaignServer::start(&worker_fleet(), 2).unwrap();
+    let dispatched = server.stats().tasks_dispatched;
+    let Err(err) = server.submit(&q, PlatformConfig::default(), &spec, &eval) else {
+        panic!("no-op kind must be rejected");
+    };
     assert!(
         err.to_string().contains("no-op"),
         "error names the rejection: {err}"
     );
+    assert_eq!(server.stats().tasks_dispatched, dispatched);
+    server.shutdown();
 }

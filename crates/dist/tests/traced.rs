@@ -49,7 +49,6 @@ fn traced_distributed_campaign_is_bit_identical_and_timeline_is_complete() {
         kinds: vec![FaultKind::StuckAtZero, FaultKind::Constant(1)],
         eval_images: 10,
         threads: 2,
-        workers: 2,
         ..Default::default()
     };
     let fleet = FleetSpec {
@@ -63,7 +62,7 @@ fn traced_distributed_campaign_is_bit_identical_and_timeline_is_complete() {
 
     trace::set_enabled(true);
     trace::clear();
-    let server = CampaignServer::start(&fleet, spec.workers).unwrap();
+    let server = CampaignServer::start(&fleet, 2).unwrap();
     let traced = server
         .submit(&q, config, &spec, &data.test)
         .unwrap()

@@ -1,23 +1,25 @@
 //! A distributed fault-injection campaign: this one binary is both the
-//! coordinator *and* (via self-exec) its two worker processes.
+//! campaign server *and* (via self-exec) its two worker processes.
 //!
-//! The coordinator compiles the plan once, ships it with the DRAM weight
-//! image and the quantized evaluation set to each worker over localhost
-//! sockets, schedules `(fault configuration × image shard)` tasks across
-//! the fleet, and merges the records — asserted bit-identical to the
-//! in-process [`Campaign::run`] at the end.
+//! `CampaignServer::start` raises the fleet; `submit` compiles the plan
+//! once, ships it with the DRAM weight image and the quantized evaluation
+//! set to each worker over localhost sockets, and schedules
+//! `(fault configuration × image shard)` tasks across the fleet; `wait`
+//! merges the records — asserted bit-identical to the in-process
+//! [`Campaign::run`] at the end. Dropping the server releases the workers.
 //!
 //! Run with: `cargo run --release --example distributed_campaign`
 //!
-//! For cross-host campaigns, the same coordinator listens on
-//! `NVFI_DIST_ADDR` and remote machines attach with
-//! `nvfi_worker <coordinator-addr>` instead of being spawned locally.
+//! For cross-host campaigns, the server listens on a fixed address
+//! (`FleetSpec::listen`, `NVFI_DIST_ADDR` in the experiment binaries) and
+//! remote machines attach with `nvfi_worker <server-addr>` instead of being
+//! spawned locally.
 
 use nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
 use nvfi::PlatformConfig;
 use nvfi_accel::FaultKind;
 use nvfi_dataset::{SynthCifar, SynthCifarConfig};
-use nvfi_dist::{run_campaign, FleetSpec};
+use nvfi_dist::{CampaignServer, FleetSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Self-exec hook FIRST: when the coordinator below re-executes this
@@ -53,13 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kinds: vec![FaultKind::StuckAtZero, FaultKind::Constant(-1)],
         eval_images: 16,
         threads: 4,
-        workers: 2,
         verbose: true,
         ..Default::default()
     };
 
     eprintln!("running distributed: 2 self-exec workers over localhost...");
-    let dist = run_campaign(&q, config, &spec, &data.test, &FleetSpec::self_exec())?;
+    let dist = CampaignServer::start(&FleetSpec::self_exec(), 2)?
+        .submit(&q, config, &spec, &data.test)?
+        .wait()?;
     eprintln!("running the same campaign in-process for comparison...");
     let local = Campaign::new(&q, config).run(&spec, &data.test)?;
 

@@ -9,14 +9,16 @@
 //! serialize on [`PROBE`]: no concurrently running test can quantize in
 //! between the two counter reads.
 
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use zynq_nvdla_fi::nvfi::campaign::{Campaign, CampaignSpec, TargetSelection};
 use zynq_nvdla_fi::nvfi::PlatformConfig;
 use zynq_nvdla_fi::nvfi_accel::FaultKind;
 use zynq_nvdla_fi::nvfi_compiler::regmap::MultId;
 use zynq_nvdla_fi::nvfi_dataset::{SynthCifar, SynthCifarConfig};
-use zynq_nvdla_fi::nvfi_dist::{run_campaign, FleetSpec};
+use zynq_nvdla_fi::nvfi_dist::{worker, CampaignServer, FleetSpec, ServeEnd};
 use zynq_nvdla_fi::nvfi_nn::fold::fold_resnet;
 use zynq_nvdla_fi::nvfi_nn::resnet::ResNet;
 use zynq_nvdla_fi::nvfi_quant::batch::quantization_passes;
@@ -74,8 +76,10 @@ fn campaign_quantizes_the_eval_set_exactly_once() {
 }
 
 /// A distributed campaign whose every fault item is provably masked folds
-/// its baseline on the prototype it prepared, without raising the fleet —
-/// and without preparing (and quantizing) the campaign a second time.
+/// its baseline on the prototype it prepared, without dispatching to the
+/// fleet — and without preparing (and quantizing) the campaign a second
+/// time. The server's one worker serves from a thread of this process; it
+/// is shipped no evaluation set, so it quantizes nothing either.
 #[test]
 fn all_masked_distributed_campaign_quantizes_once() {
     let _probe = PROBE
@@ -95,25 +99,46 @@ fn all_masked_distributed_campaign_quantizes_once() {
         selection: TargetSelection::Fixed(vec![vec![MultId::new(0, 5)], vec![]]),
         kinds: vec![FaultKind::StuckAtZero],
         eval_images: 6,
-        workers: 2,
         ..Default::default()
     };
-    // Any spawn attempt fails the run: success proves no worker was raised.
-    let unspawnable = FleetSpec::exe("/nonexistent/nvfi-worker-that-must-not-run");
+    // A free port (bind, read, drop) for the server to listen on.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let in_thread_worker = std::thread::spawn(move || {
+        let mut stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => break s,
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        worker::serve(&mut stream)
+    });
+    let fleet = FleetSpec {
+        listen: Some(addr.to_string()),
+        external_workers: 1,
+        ..FleetSpec::default()
+    };
+    let server = CampaignServer::start(&fleet, 0).unwrap();
 
     let before = quantization_passes();
-    let result = run_campaign(
-        &q,
-        PlatformConfig::default(),
-        &spec,
-        &data.test,
-        &unspawnable,
-    )
-    .unwrap();
+    let result = server
+        .submit(&q, PlatformConfig::default(), &spec, &data.test)
+        .unwrap()
+        .wait()
+        .unwrap();
     let after = quantization_passes();
+    let dispatched = server.stats().tasks_dispatched;
+    server.shutdown();
+    assert!(matches!(
+        in_thread_worker.join().unwrap(),
+        Ok(ServeEnd::Shutdown)
+    ));
 
     assert_eq!(result.masked_static, 2);
     assert_eq!(result.total_inferences, 6, "only the baseline ran");
+    assert_eq!(dispatched, 0, "the fleet was not engaged");
     assert_eq!(
         after - before,
         1,
