@@ -49,7 +49,9 @@ pub fn medium_fixture() -> (QuantModel, TrainTest) {
 /// raised by the first campaign and held for the experiment, so the fleet
 /// is spawned once and each artifact shipped once. Honours
 /// [`nvfi::experiments::ExperimentConfig::workers`] (`NVFI_WORKERS`) and
-/// [`nvfi::experiments::ExperimentConfig::dist_addr`] (`NVFI_DIST_ADDR`).
+/// [`nvfi::experiments::ExperimentConfig::dist_addr`] (`NVFI_DIST_ADDR`)
+/// and [`nvfi::experiments::ExperimentConfig::checkpoint`]
+/// (`NVFI_CHECKPOINT`).
 ///
 /// Two fleet shapes:
 ///
@@ -76,10 +78,11 @@ impl DistRunner {
         // silence in both fleet shapes — heartbeating workers never trip it.
         // NVFI_AUDIT_RATE plumbs the result-integrity layer's audit
         // sampling of completed shards (every executed baseline shard is
-        // audited).
+        // audited). NVFI_CHECKPOINT is the shard store's log.
         let fleet = nvfi_dist::FleetSpec {
             task_timeout: cfg.task_timeout.map(std::time::Duration::from_secs),
             audit_rate: cfg.audit_rate,
+            checkpoint_path: cfg.checkpoint.clone(),
             ..nvfi_dist::FleetSpec::self_exec()
         };
         match &cfg.dist_addr {

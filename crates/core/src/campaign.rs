@@ -117,18 +117,6 @@ pub struct CampaignSpec {
     /// the rest recompute their prefix (bit-identical, slower); `0`
     /// disables the cache entirely; `usize::MAX` removes the bound.
     pub golden_cache_bytes: usize,
-    /// Checkpoint file of a **distributed** campaign (`NVFI_CHECKPOINT` in
-    /// the experiment drivers). When set, the `nvfi-dist` campaign server
-    /// appends each shard there as it lands, as an append-only log of
-    /// `(shard key, predictions)` records, and a restarted server resumes
-    /// the campaign, redoing only unfinished shards — with records
-    /// bit-identical to an uninterrupted run. Records another campaign left
-    /// at the path serve only the shards the two share. The file is
-    /// removed once the campaign completes. It lives on the spec, not on
-    /// the fleet, because one server serves many campaigns and each client
-    /// brings its own log. Ignored by the in-process [`Campaign::run`],
-    /// which has no coordinator process to lose.
-    pub checkpoint_path: Option<std::path::PathBuf>,
     /// Static verification at plan load ([`VerifyMode::Warn`] by default):
     /// the compiled plan is checked against the `nvfi_compiler::verify`
     /// invariant catalogue (strict mode turns diagnostics into
@@ -156,7 +144,6 @@ impl Default for CampaignSpec {
             threads: 1,
             fault_window: None,
             golden_cache_bytes: GOLDEN_CACHE_DEFAULT_BYTES,
-            checkpoint_path: None,
             verify: VerifyMode::default(),
             verbose: false,
         }

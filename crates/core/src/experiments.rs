@@ -77,11 +77,13 @@ pub struct ExperimentConfig {
     /// detected immediately anyway; set it for cross-host fleets behind
     /// links that can stall silently.
     pub task_timeout: Option<u64>,
-    /// Checkpoint file for distributed campaigns (`NVFI_CHECKPOINT`; see
-    /// [`crate::campaign::CampaignSpec::checkpoint_path`]). Sequential
-    /// campaigns of one experiment may share the path: each campaign
-    /// removes the file when it completes, and a leftover log from a
-    /// killed run resumes only the shards a later campaign shares with it.
+    /// Shard-store log of the distributed experiment binaries
+    /// (`NVFI_CHECKPOINT`; plumbed into the coordinator's
+    /// `FleetSpec::checkpoint_path`). Every campaign of the experiment's
+    /// one server appends its shards there, and the file is never
+    /// removed. Re-running a killed experiment at the same path skips every
+    /// campaign that had finished and runs only the missing shards of the
+    /// one that had not.
     pub checkpoint: Option<PathBuf>,
     /// Fraction of completed distributed shards silently re-dispatched to
     /// a second worker and compared byte-for-byte (`NVFI_AUDIT_RATE`,
@@ -152,7 +154,7 @@ impl ExperimentConfig {
     /// `NVFI_LABEL_NOISE`, `NVFI_EVAL`, `NVFI_TRIALS`, `NVFI_MAX_K`,
     /// `NVFI_TABLE1_WIDTH`, `NVFI_THREADS`, `NVFI_GOLDEN_CACHE`,
     /// `NVFI_WORKERS`, `NVFI_DIST_ADDR`, `NVFI_TASK_TIMEOUT` (seconds;
-    /// unset = wait forever), `NVFI_CHECKPOINT` (checkpoint file path),
+    /// unset = wait forever), `NVFI_CHECKPOINT` (shard-store log path),
     /// `NVFI_AUDIT_RATE` (fraction of distributed shards silently
     /// re-checked on a second worker), `NVFI_OUT_DIR`, `NVFI_VERBOSE`.
     #[must_use]
@@ -397,7 +399,6 @@ pub fn run_fig2_with<E>(
                 eval_images: cfg.eval_images,
                 threads: cfg.threads,
                 golden_cache_bytes: cfg.golden_cache_bytes,
-                checkpoint_path: cfg.checkpoint.clone(),
                 verbose: cfg.verbose,
                 ..Default::default()
             };
@@ -556,7 +557,6 @@ pub fn run_fig3_with<E>(
             eval_images: cfg.eval_images,
             threads: cfg.threads,
             golden_cache_bytes: cfg.golden_cache_bytes,
-            checkpoint_path: cfg.checkpoint.clone(),
             verbose: cfg.verbose,
             ..Default::default()
         };

@@ -1,22 +1,19 @@
-//! Durable campaign progress: an append-only log of landed shards, so a
-//! killed-and-restarted coordinator resumes a campaign — re-shipping
-//! artifacts to a fresh fleet but **redoing only the shards that never
-//! finished** — and still merges records bit-identical to an
-//! uninterrupted run.
+//! The shard store's durable half: one append-only log of landed shards
+//! per campaign server, never removed. A server restarted at the same path
+//! loads every record into its store, so a killed campaign **redoes only
+//! the shards that never landed** and still merges records bit-identical
+//! to an uninterrupted run.
 //!
-//! Every record is keyed by the shard's **content key**: a hash of the
-//! session's artifact hashes, the work item's wire fault program and window,
-//! and the image range (the server's shard store uses the same key). A
-//! record therefore carries its own identity. A log left by another
-//! campaign at the same path needs no fingerprint check: its records
-//! simply never match a key of this campaign, except those of shards the
-//! two campaigns share, which are interchangeable.
+//! Every record is keyed by the shard's **content key** (the shard store's
+//! own: session artifact hashes, wire fault program and window, image
+//! range), so it carries its own identity: records a foreign campaign left
+//! at the path match only the shards the two campaigns share.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! ```text
 //! magic    "NVFC"                      4 bytes
-//! version  u32 LE                      = 2
+//! version  u32 LE                      = 3
 //! records, each:
 //!   key    u64 LE                      the shard's content key
 //!   preds  u64 length + bytes          predicted classes of the shard
@@ -24,11 +21,12 @@
 //! ```
 //!
 //! A record is appended when a shard lands, and again when an audit
-//! repairs it; on load the **last record per key wins**. Loading stops at
-//! the first record that is torn or fails its CRC, so a coordinator killed
-//! mid-append, or a corrupt tail, loses only the records from there on —
-//! never a wrong merge. A header with another magic or version loads as an
-//! empty log.
+//! repairs it. Every client of the server appends to the same log, one
+//! whole record at a time, and on load the **last record per key wins**.
+//! Loading stops at the first record that is torn or fails its CRC, so a
+//! coordinator killed mid-append, or a corrupt tail, loses only the records
+//! from there on — never a wrong merge. A header with another magic or
+//! version loads as an empty log.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -94,12 +92,6 @@ impl Checkpoint {
     pub fn load(path: &Path) -> Option<Checkpoint> {
         Some(Checkpoint::decode(&fs::read(path).ok()?))
     }
-
-    /// Removes the log after a campaign completes: a finished campaign
-    /// leaves nothing behind at its path.
-    pub fn remove(path: &Path) {
-        let _ = fs::remove_file(path);
-    }
 }
 
 /// The log header: magic and version.
@@ -152,7 +144,7 @@ fn decode_prefix(bytes: &[u8]) -> (Checkpoint, usize) {
     (cp, valid)
 }
 
-/// One campaign's open checkpoint log, appended to as its shards land.
+/// A server's open shard-store log, appended to as shards land.
 #[derive(Debug)]
 pub struct CheckpointLog {
     path: PathBuf,
@@ -188,8 +180,8 @@ impl CheckpointLog {
         Ok((log, cp))
     }
 
-    /// Appends one shard's record. A failing write must not fail the
-    /// campaign — it only weakens a future resume — so it is reported as a
+    /// Appends one shard's record, whole: appends from many threads never
+    /// interleave. A failing write must not fail the campaign — it only weakens a future resume — so it is reported as a
     /// note, not an error.
     pub fn append(&self, key: u64, preds: &[u8]) {
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
@@ -376,8 +368,39 @@ mod tests {
             preds: vec![0],
         });
         assert_eq!(Checkpoint::load(&path), Some(more));
-        Checkpoint::remove(&path);
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(Checkpoint::load(&path), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_from_two_threads_load_whole() {
+        let dir = std::env::temp_dir().join(format!("nvfi-ckpt-threads-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("server.ckpt");
+        let (log, _) = CheckpointLog::open(&path).unwrap();
+        // Record sizes differ per key, so a torn or interleaved write would
+        // fail a CRC or a length and cut the load short.
+        let preds = |key: u64| vec![key as u8; 1 + (key % 37) as usize];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (log, start) = (&log, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500 {
+                        let key = t * 1000 + i;
+                        log.append(key, &preds(key));
+                    }
+                });
+            }
+        });
+        drop(log);
+        let loaded = Checkpoint::load(&path).unwrap();
+        assert_eq!(loaded.entries.len(), 1000, "every record loads");
+        for e in &loaded.entries {
+            assert_eq!(e.preds, preds(e.key), "record {} loads whole", e.key);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

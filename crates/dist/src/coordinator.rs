@@ -148,10 +148,15 @@ pub struct FleetSpec {
     /// not random) so a rerun audits the same shards. Every **executed**
     /// baseline shard (work item 0) is audited whatever the rate — every
     /// record's fault-free reference deserves the double-check; a baseline
-    /// served from the shard store or a checkpoint log was audited by the
-    /// campaign that ran it. Suspect and probationary workers are audited
-    /// at 100 % regardless. Default `0.0` (baseline-only).
+    /// served from the shard store (or its log) was audited by the campaign
+    /// that ran it. Suspect and probationary workers are audited at 100 %
+    /// regardless. Default `0.0` (baseline-only).
     pub audit_rate: f64,
+    /// The shard store's append-only log (`NVFI_CHECKPOINT`), never
+    /// removed. Resume means restarting a server at the same path: logged
+    /// shards load as verified, so only missing ones run. An unusable file
+    /// is a note and no log. `None` keeps the store in memory only.
+    pub checkpoint_path: Option<PathBuf>,
 }
 
 impl Default for FleetSpec {
@@ -167,6 +172,7 @@ impl Default for FleetSpec {
             readmission_grace: Duration::from_secs(5),
             max_readmissions: 64,
             audit_rate: 0.0,
+            checkpoint_path: None,
         }
     }
 }

@@ -101,10 +101,12 @@
 //! stalled ones, crashed workers reconnect with capped-backoff and are
 //! **re-admitted** mid-campaign (or turned away with a versioned
 //! `Goodbye`), total fleet loss fails the campaign with
-//! [`DistError::FleetLost`] (its checkpoint log stays on disk), and a
-//! killed coordinator **resumes** from a [`checkpoint`] log of CRC-sealed
-//! shard records, redoing only unfinished shards. See `crates/dist/README.md` and the [`server`]
-//! module docs for the full failure model.
+//! [`DistError::FleetLost`], and a killed coordinator **resumes** on a
+//! server restarted at the same [`FleetSpec::checkpoint_path`], whose
+//! [`checkpoint`] log (one per server, never removed, last record per key
+//! wins) refills the shard store, so only unfinished shards are redone.
+//! See `crates/dist/README.md` and the [`server`] module docs for the full
+//! failure model.
 //!
 //! Since wire v4 the fabric also survives **wrong answers**, which a CRC
 //! cannot catch: every `ShardDone` carries a [`wire::shard_attestation`]
@@ -141,8 +143,8 @@
 //!   long-lived worker fleet serving many concurrent client campaigns,
 //!   fair-share interleaved, behind one shard store that maps each
 //!   shard's content key (session artifacts, fault program, image range)
-//!   to its predictions, so campaigns that share shards run them once.
-//!   Each
+//!   to its predictions, so campaigns that share shards run them once, and
+//!   whose log at [`FleetSpec::checkpoint_path`] outlives the server. Each
 //!   [`CampaignServer::submit`] returns a [`ClientHandle`] streaming
 //!   per-shard [`Progress`]; [`ServerStats`] counts submissions, cache
 //!   hits, dispatches and shipped artifact frames. A single campaign is

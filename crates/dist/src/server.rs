@@ -46,6 +46,10 @@
 //! rest run. A sweep over one model therefore executes its fault-free
 //! baseline shard once per server, not once per campaign.
 //!
+//! With a [`FleetSpec::checkpoint_path`], `start` loads the map from one
+//! [`CheckpointLog`] there, never removed, and every accepted landing and
+//! audit repair is appended to it. Logged shards load as verified.
+//!
 //! # Failure model
 //!
 //! The fabric assumes a **hostile transport** and, since wire v4, hostile
@@ -66,15 +70,14 @@
 //!   [`FleetSpec::max_readmissions`] is reached — never left hanging in TCP
 //!   limbo;
 //! * a fleet empty for longer than [`FleetSpec::readmission_grace`] fails
-//!   every unfinished client with [`DistError::FleetLost`], leaving its
-//!   checkpoint log, if any, on disk for a resume; the server itself stays
-//!   up for later submissions;
-//! * a client with a [`CampaignSpec::checkpoint_path`] appends each landed
-//!   (or repaired) shard to a log of `(key, predictions)` records there,
-//!   so a restarted server **resumes** it: artifacts are re-shipped, logged
-//!   shards are replayed, only unfinished ones are redone. The log uses the
-//!   shard store's keys: records a foreign campaign left at the path match
-//!   only the shards the two share;
+//!   every unfinished client with [`DistError::FleetLost`]; the server
+//!   stays up for later submissions;
+//! * a campaign **resumes** on a server restarted at the same
+//!   [`FleetSpec::checkpoint_path`]: a fully logged campaign is a cache
+//!   hit, a partial one runs only its missing shards, and a foreign log
+//!   serves only the shards the two campaigns share. Resubmitting to the
+//!   same live server after `FleetLost` redoes the failed client's shards
+//!   (no caller does);
 //! * a worker-*reported* error ([`Msg::WorkerErr`]) stays **fatal** to its
 //!   client: it is deterministic and would reproduce on any other worker.
 //!
@@ -113,7 +116,6 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -127,7 +129,7 @@ use nvfi_dataset::Dataset;
 use nvfi_obs::{progress, trace};
 use nvfi_quant::QuantModel;
 
-use crate::checkpoint::{Checkpoint, CheckpointLog, Fnv64};
+use crate::checkpoint::{CheckpointLog, Fnv64};
 use crate::codec::WireError;
 use crate::coordinator::{DistError, FleetSpec, WorkerSpawn};
 use crate::trust::Trust;
@@ -149,8 +151,7 @@ pub(crate) struct Task {
     pub(crate) work_id: usize,
     /// Image range of the evaluation set.
     pub(crate) range: Range<usize>,
-    /// Content key in the shard store and the checkpoint log (see
-    /// [`shard_key`]).
+    /// Content key in the shard store and its log (see [`shard_key`]).
     pub(crate) key: u64,
 }
 
@@ -304,8 +305,8 @@ fn fair_share_pick(clients: impl Iterator<Item = (u64, u64, bool)>) -> Option<u6
 /// [`ClientHandle::progress`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Progress {
-    /// Shards completed so far (ones prefilled from the shard store or the
-    /// checkpoint log included).
+    /// Shards completed so far (ones prefilled from the shard store
+    /// included).
     pub done: usize,
     /// Total shards of this campaign.
     pub total: usize,
@@ -405,8 +406,6 @@ struct ClientState {
     fatal: Option<DistError>,
     finished: bool,
     verbose: bool,
-    /// This client's checkpoint log, if it asked for one.
-    ckpt: Option<Arc<CheckpointLog>>,
     /// In-process authoritative re-executor for audit arbitration.
     arbiter: Arc<Arbiter>,
     progress: Sender<Progress>,
@@ -420,7 +419,7 @@ struct ServerState {
     clients: BTreeMap<u64, ClientState>,
     next_client: u64,
     /// The shard store: predictions of every shard of every finished
-    /// campaign, by content key (see [`shard_key`]).
+    /// campaign (or in the log at start), by content key (see [`shard_key`]).
     shards: HashMap<u64, Vec<u8>>,
     /// Reputation per worker identity — survives reconnects and drains.
     trust: HashMap<u64, Trust>,
@@ -449,6 +448,10 @@ struct ServerInner {
     /// Fraction of non-baseline completed shards audited (every executed
     /// baseline shard is). See [`FleetSpec::audit_rate`].
     audit_rate: f64,
+    /// The shard store's log ([`FleetSpec::checkpoint_path`]).
+    log: Option<CheckpointLog>,
+    /// Sockets still in their handshake, for `stop` to unblock.
+    handshakes: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// The in-process authoritative re-executor behind audit arbitration: the
@@ -536,7 +539,6 @@ struct Ticket {
     task_idx: usize,
     arbiter: Arc<Arbiter>,
     tasks: Arc<Vec<Task>>,
-    ckpt: Option<Arc<CheckpointLog>>,
 }
 
 impl ClientState {
@@ -547,7 +549,6 @@ impl ClientState {
             task_idx,
             arbiter: Arc::clone(&self.arbiter),
             tasks: Arc::clone(&self.tasks),
-            ckpt: self.ckpt.clone(),
         }
     }
 
@@ -701,7 +702,7 @@ fn settle_audit(inner: &ServerInner, t: &Ticket, replica: Option<(u64, Vec<u8>)>
         }
     };
     if repaired {
-        if let Some(log) = &t.ckpt {
+        if let Some(log) = &inner.log {
             log.append(task.key, &auth);
         }
     }
@@ -1021,12 +1022,12 @@ fn land_run(inner: &ServerInner, a: &Assignment, worker_id: usize, ident: u64, p
         c.queue.push(QueueEntry::Run(t.task_idx));
         return;
     }
-    // Log only what lands: a resumed campaign takes a logged shard as
+    // Log only what lands: a restarted server takes a logged shard as
     // verified and never audits it, so a discarded lie must not reach the
     // log. The append happens under the lock that lands the shard, so an
     // audit of it (queued under this same hold) can only log its repair
     // after this record, and the last record per key wins on load.
-    if let (Some(log), Some(task)) = (&t.ckpt, t.tasks.get(t.task_idx)) {
+    if let (Some(log), Some(task)) = (&inner.log, t.tasks.get(t.task_idx)) {
         log.append(task.key, &preds);
     }
     if let Some(slot) = c.results.get_mut(t.task_idx) {
@@ -1318,12 +1319,9 @@ fn connection_thread(
     inner.active.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Keeps the listener open for the life of the server and is the only
-/// code that admits a worker: the initial fleet, then late or reconnecting
-/// workers (handshake + advertisement, then the shared scheduler). A
-/// failed hello or a missing advertisement drops that connection and keeps
-/// accepting — a chaos-mangled handshake costs the worker a clean
-/// reconnect, not the fleet. Fails every unfinished client when the fleet
+/// Keeps the listener open for the life of the server and hands every
+/// connection to its own [`admit`] thread: the initial fleet, then late or
+/// reconnecting workers. Fails every unfinished client when the fleet
 /// stays empty past the re-admission grace — the server itself survives a
 /// fleet loss and serves later submissions if workers return.
 fn acceptor_thread(
@@ -1336,6 +1334,7 @@ fn acceptor_thread(
     // raw per-shard verbose stream.
     let metrics_top = matches!(std::env::var("NVFI_METRICS").as_deref(), Ok("top"));
     let mut last_top = Instant::now();
+    let mut next_conn = 0u64;
     loop {
         if inner.shutting_down.load(Ordering::Relaxed) {
             break;
@@ -1377,8 +1376,8 @@ fn acceptor_thread(
                     let mut st = lock(&inner.state);
                     for c in st.clients.values_mut() {
                         if !c.finished {
-                            // Fail the rest (their checkpoint logs, if
-                            // any, stay on disk for a resume). The server
+                            // Fail the rest (the shards they landed stay
+                            // in the store's log, if any). The server
                             // stays up.
                             c.fatal = Some(DistError::FleetLost {
                                 incomplete: c.tasks.len() - c.done,
@@ -1397,82 +1396,92 @@ fn acceptor_thread(
             empty_since = None;
         }
         match listener.accept() {
-            Ok((mut s, _)) => {
+            Ok((s, _)) => {
+                // A silent peer holds up only its own handshake thread.
                 if s.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let _ = s.set_nodelay(true);
-                // The handshake reads are bounded: a connected-but-silent
-                // peer (half-open link, port scanner) is dropped, never
-                // allowed to hang the acceptor.
-                let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                if wire::accept_hello(&mut s).is_err() {
-                    continue;
-                }
-                let (ident, hashes) = match wire::recv(&mut s) {
-                    Ok(Msg::HaveArtifacts { ident, hashes }) => (ident, hashes),
-                    // One-shot observability poll (wire v5): answer with
-                    // the Prometheus exposition and drop the connection.
-                    Ok(Msg::StatsQuery) => {
-                        let text = lock(&inner.state).stats.render_prometheus();
-                        let _ = wire::send(&mut s, &Msg::Stats { text });
-                        continue;
-                    }
-                    _ => continue,
-                };
-                if s.set_read_timeout(None).is_err() {
-                    continue;
-                }
-                // The first `total_workers` admissions are the initial
-                // fleet (worker ids `0..total_workers`); the cap counts
-                // only the re-admissions after it.
-                let worker_id = {
-                    let mut st = lock(&inner.state);
-                    let id = st.admitted;
-                    if id >= inner.total_workers.saturating_add(inner.max_readmissions) {
-                        None
-                    } else {
-                        st.admitted += 1;
-                        // A quarantined identity coming back is re-admitted
-                        // on probation: it serves again, but every shard it
-                        // completes is audited until it earns trust back.
-                        st.trust.entry(ident).or_default().readmit();
-                        trace::event("worker.admitted");
-                        if st.clients.values().any(|c| c.verbose) {
-                            progress::emit(&progress::Event::WorkerAdmitted { worker: id });
-                        }
-                        Some(id)
-                    }
-                };
-                let Some(worker_id) = worker_id else {
-                    // Versioned, explicit rejection *after* the handshake:
-                    // the worker's serve loop reads a clean `Goodbye` and
-                    // stands down, instead of hanging in TCP limbo or
-                    // misreading the frame.
-                    let _ = wire::send(
-                        &mut s,
-                        &Msg::Goodbye {
-                            reason: format!(
-                                "re-admission cap ({}) reached",
-                                inner.max_readmissions
-                            ),
-                        },
-                    );
+                let Ok(clone) = s.try_clone() else {
                     continue;
                 };
-                inner.active.fetch_add(1, Ordering::SeqCst);
-                empty_since = None;
-                inner.completion.notify_all();
+                let conn = next_conn;
+                next_conn += 1;
+                lock(&inner.handshakes).insert(conn, clone);
                 let inner2 = Arc::clone(inner);
-                lock(conn_threads).push(std::thread::spawn(move || {
-                    connection_thread(&inner2, worker_id, ident, s, hashes)
-                }));
+                lock(conn_threads).push(std::thread::spawn(move || admit(&inner2, conn, s)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+/// Admits one accepted connection on its own thread, then runs
+/// [`connection_thread`] on it. A failed handshake drops the connection —
+/// a chaos-mangled one costs the worker a clean reconnect, not the fleet.
+fn admit(inner: &Arc<ServerInner>, conn: u64, mut s: TcpStream) {
+    let hello = handshake(inner, &mut s);
+    lock(&inner.handshakes).remove(&conn);
+    let Some((ident, hashes)) = hello else {
+        return;
+    };
+    // Worker ids `0..total_workers` are the initial fleet; the cap counts
+    // only the re-admissions after it.
+    let worker_id = {
+        let mut st = lock(&inner.state);
+        let id = st.admitted;
+        if id >= inner.total_workers.saturating_add(inner.max_readmissions) {
+            None
+        } else {
+            st.admitted += 1;
+            // A quarantined identity coming back is re-admitted on
+            // probation: it serves again, but every shard it completes is
+            // audited until it earns trust back.
+            st.trust.entry(ident).or_default().readmit();
+            inner.active.fetch_add(1, Ordering::SeqCst);
+            trace::event("worker.admitted");
+            if st.clients.values().any(|c| c.verbose) {
+                progress::emit(&progress::Event::WorkerAdmitted { worker: id });
+            }
+            inner.completion.notify_all();
+            Some(id)
+        }
+    };
+    let Some(worker_id) = worker_id else {
+        // Versioned, explicit rejection *after* the handshake: the worker's
+        // serve loop reads a clean `Goodbye` and stands down, instead of
+        // hanging in TCP limbo or misreading the frame.
+        let _ = wire::send(
+            &mut s,
+            &Msg::Goodbye {
+                reason: format!("re-admission cap ({}) reached", inner.max_readmissions),
+            },
+        );
+        return;
+    };
+    connection_thread(inner, worker_id, ident, s, hashes);
+}
+
+/// Reads a connection's hello and cache advertisement: the worker's
+/// identity and hashes. The reads are bounded, so a silent peer is dropped;
+/// a stats poll is answered and dropped.
+fn handshake(inner: &ServerInner, s: &mut TcpStream) -> Option<(u64, Vec<u64>)> {
+    let _ = s.set_nodelay(true);
+    s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+    wire::accept_hello(s).ok()?;
+    match wire::recv(s) {
+        Ok(Msg::HaveArtifacts { ident, hashes }) => {
+            s.set_read_timeout(None).ok()?;
+            Some((ident, hashes))
+        }
+        Ok(Msg::StatsQuery) => {
+            let text = lock(&inner.state).stats.render_prometheus();
+            let _ = wire::send(s, &Msg::Stats { text });
+            None
+        }
+        _ => None,
     }
 }
 
@@ -1516,8 +1525,8 @@ pub struct CampaignServer {
 }
 
 impl CampaignServer {
-    /// Raises the fleet and starts the server: binds the listener, starts
-    /// the acceptor, spawns `workers` local worker processes (per
+    /// Raises the fleet and starts the server: loads the shard store's
+    /// log, binds the listener, starts the acceptor, spawns `workers` local worker processes (per
     /// [`FleetSpec::spawn`]) and returns once `workers` +
     /// [`FleetSpec::external_workers`] workers have shaken hands and
     /// advertised their caches. The acceptor keeps the listener open for
@@ -1570,12 +1579,29 @@ impl CampaignServer {
             local.to_string()
         };
 
+        let mut shards = HashMap::new();
+        let log = fleet
+            .checkpoint_path
+            .as_ref()
+            .and_then(|path| match CheckpointLog::open(path) {
+                Ok((log, cp)) => {
+                    shards.extend(cp.entries.into_iter().map(|e| (e.key, e.preds)));
+                    Some(log)
+                }
+                Err(e) => {
+                    progress::note(format!(
+                        "nvfi server: checkpoint {} unusable: {e}",
+                        path.display()
+                    ));
+                    None
+                }
+            });
         let inner = Arc::new(ServerInner {
             state: Mutex::new(ServerState {
                 artifacts: HashMap::new(),
                 clients: BTreeMap::new(),
                 next_client: 0,
-                shards: HashMap::new(),
+                shards,
                 trust: HashMap::new(),
                 active_idents: HashMap::new(),
                 admitted: 0,
@@ -1589,6 +1615,8 @@ impl CampaignServer {
             max_readmissions: fleet.max_readmissions,
             total_workers,
             audit_rate: fleet.audit_rate,
+            log,
+            handshakes: Mutex::new(HashMap::new()),
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -1696,9 +1724,6 @@ impl CampaignServer {
             let baseline = plan.execute(&mut DevicePool::from_device(proto, 1), 0, 0..images)?;
             let mut per_item = vec![baseline];
             per_item.resize(plan.work().len(), Vec::new());
-            if let Some(path) = &spec.checkpoint_path {
-                Checkpoint::remove(path);
-            }
             return Ok(ClientHandle::ready(plan.fold(per_item)));
         }
         let total_workers = self.inner.total_workers;
@@ -1741,23 +1766,24 @@ impl CampaignServer {
         }
         let plan = Arc::new(plan);
 
-        // One shard-store lookup per task: all present folds on the spot (a
-        // cache hit).
+        // One shard-store lookup per task: the present ones are prefilled,
+        // and all present folds on the spot (a cache hit).
         let mut st = lock(&self.inner.state);
         st.stats.campaigns_submitted += 1;
-        let mut results: Vec<Option<Vec<u8>>> = tasks
+        let results: Vec<Option<Vec<u8>>> = tasks
             .iter()
             .map(|t| st.shards.get(&t.key).cloned())
             .collect();
-        let stored = results.iter().flatten().count();
-        if stored == tasks.len() {
+        let prefilled = results.iter().flatten().count();
+        if spec.verbose && prefilled > 0 {
+            progress::emit(&progress::Event::Resumed {
+                done: prefilled,
+                total: tasks.len(),
+            });
+        }
+        if prefilled == tasks.len() {
             st.stats.cache_hits += 1;
             drop(st);
-            if let Some(path) = &spec.checkpoint_path {
-                // The store completes this campaign; a stale log must not
-                // donate shards to a later run.
-                Checkpoint::remove(path);
-            }
             return Ok(ClientHandle::ready(fold_shards(
                 &plan,
                 &tasks,
@@ -1811,43 +1837,6 @@ impl CampaignServer {
                 .encode()
             });
         }
-        drop(st);
-
-        // Checkpoint/resume (file I/O outside the state lock): open the
-        // log, prefill the shards it holds that the store did not, and
-        // keep appending as new shards land.
-        let mut resumed = 0usize;
-        let ckpt = spec.checkpoint_path.as_ref().and_then(|path| {
-            let (log, cp) = match CheckpointLog::open(path) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    progress::note(format!(
-                        "nvfi server: checkpoint {} unusable: {e}",
-                        path.display()
-                    ));
-                    return None;
-                }
-            };
-            let logged: HashMap<u64, Vec<u8>> =
-                cp.entries.into_iter().map(|e| (e.key, e.preds)).collect();
-            for (slot, task) in results.iter_mut().zip(tasks.iter()) {
-                if slot.is_none() {
-                    if let Some(preds) = logged.get(&task.key) {
-                        *slot = Some(preds.clone());
-                        resumed += 1;
-                    }
-                }
-            }
-            if spec.verbose && resumed > 0 {
-                progress::emit(&progress::Event::Resumed {
-                    path: path.display().to_string(),
-                    done: stored + resumed,
-                    total: tasks.len(),
-                });
-            }
-            Some(Arc::new(log))
-        });
-        let prefilled = stored + resumed;
 
         let (progress_tx, progress_rx) = channel();
         let tasks = Arc::new(tasks);
@@ -1856,7 +1845,6 @@ impl CampaignServer {
             .filter(|&i| results.get(i).is_some_and(Option::is_none))
             .map(QueueEntry::Run)
             .collect();
-        let finished = prefilled == tasks.len();
         // Prefilled shards count as verified: they were landed (and
         // possibly audited) by the run that recorded them, and there is no
         // producer left to audit.
@@ -1868,7 +1856,6 @@ impl CampaignServer {
             weight_image,
             pool: Mutex::new(None),
         });
-        let mut st = lock(&self.inner.state);
         let id = st.next_client;
         st.next_client += 1;
         st.clients.insert(
@@ -1886,16 +1873,12 @@ impl CampaignServer {
                 done: prefilled,
                 dispatched: 0,
                 fatal: None,
-                finished,
+                finished: false,
                 verbose: spec.verbose,
-                ckpt,
                 arbiter,
                 progress: progress_tx,
             },
         );
-        if finished {
-            self.inner.completion.notify_all();
-        }
         drop(st);
         Ok(ClientHandle {
             inner: HandleInner::Pending {
@@ -1903,7 +1886,6 @@ impl CampaignServer {
                 id,
                 plan,
                 tasks,
-                checkpoint_path: spec.checkpoint_path.clone(),
             },
             progress: progress_rx,
         })
@@ -1938,6 +1920,14 @@ impl CampaignServer {
         // threads, so after this join the registry is final.
         if let Some(h) = lock(&self.acceptor).take() {
             let _ = h.join();
+        }
+        // Unblock every connection still in its handshake read.
+        let pending: Vec<TcpStream> = lock(&self.inner.handshakes)
+            .drain()
+            .map(|(_, s)| s)
+            .collect();
+        for s in pending {
+            let _ = s.shutdown(std::net::Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> = lock(&self.conn_threads).drain(..).collect();
         for h in handles {
@@ -2007,7 +1997,6 @@ enum HandleInner {
         id: u64,
         plan: Arc<CampaignPlan>,
         tasks: Arc<Vec<Task>>,
-        checkpoint_path: Option<PathBuf>,
     },
 }
 
@@ -2048,20 +2037,19 @@ impl ClientHandle {
     /// # Errors
     ///
     /// [`DistError::FleetLost`] when every worker stayed gone past the
-    /// re-admission grace (the checkpoint log, if any, is left on disk for a
-    /// resume); [`DistError::Worker`] for worker-reported deterministic
+    /// re-admission grace (the shards it landed stay in the store's log, if
+    /// any, for a restarted server); [`DistError::Worker`] for worker-reported deterministic
     /// failures; [`DistError::Protocol`] when the server was shut down
     /// with this campaign unfinished.
     pub fn wait(self) -> Result<CampaignResult, DistError> {
-        let (server, id, plan, tasks, checkpoint_path) = match self.inner {
+        let (server, id, plan, tasks) = match self.inner {
             HandleInner::Ready(result) => return Ok(result),
             HandleInner::Pending {
                 server,
                 id,
                 plan,
                 tasks,
-                checkpoint_path,
-            } => (server, id, plan, tasks, checkpoint_path),
+            } => (server, id, plan, tasks),
         };
         let mut st = lock(&server.state);
         loop {
@@ -2086,16 +2074,12 @@ impl ClientHandle {
         let Some(shards) = client.results.into_iter().collect::<Option<Vec<_>>>() else {
             return Err(DistError::Protocol("finished campaign left a shard hole"));
         };
-        // The campaign is complete: its shards serve later campaigns, and
-        // its log retires — a finished run leaves nothing at its path.
+        // The campaign is complete: its shards serve later campaigns.
         {
             let mut st = lock(&server.state);
             for (task, preds) in tasks.iter().zip(&shards) {
                 st.shards.insert(task.key, preds.clone());
             }
-        }
-        if let Some(path) = &checkpoint_path {
-            Checkpoint::remove(path);
         }
         Ok(fold_shards(&plan, &tasks, shards))
     }
@@ -2158,6 +2142,53 @@ mod tests {
             t.elapsed() < Duration::from_secs(30),
             "accept must observe the deadline instead of blocking"
         );
+        drop(release);
+        silent.join().unwrap();
+    }
+
+    /// A silent peer that connects before a real worker must not hold up
+    /// the worker's admission: each handshake runs on its own thread.
+    #[test]
+    fn a_silent_peer_does_not_delay_a_real_worker() {
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let connect = move || loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => break s,
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        let (connected, silent_is_in) = channel::<()>();
+        let (release, released) = channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let _stream = connect();
+            let _ = connected.send(());
+            let _ = released.recv();
+        });
+        let worker = std::thread::spawn(move || {
+            let _ = silent_is_in.recv();
+            worker::serve(&mut connect())
+        });
+        let fleet = FleetSpec {
+            listen: Some(addr.to_string()),
+            external_workers: 1,
+            ..FleetSpec::default()
+        };
+        let t = Instant::now();
+        let server = CampaignServer::start(&fleet, 0);
+        let took = t.elapsed();
+        assert!(server.is_ok(), "the real worker is admitted");
+        assert!(
+            took < Duration::from_secs(2),
+            "the silent peer delayed the worker's admission by {took:?}"
+        );
+        drop(server);
+        assert!(matches!(
+            worker.join().unwrap(),
+            Ok(worker::ServeEnd::Shutdown)
+        ));
         drop(release);
         silent.join().unwrap();
     }

@@ -11,7 +11,7 @@
 //! which arms the worker-side `ChaosStream` for its first session only —
 //! the reconnected session runs clean, exactly like a real transient fault.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use nvfi::campaign::{Campaign, CampaignResult, CampaignSpec, TargetSelection};
@@ -176,8 +176,8 @@ fn seeded_chaos_plan_campaign_is_bit_identical() {
 /// shards. The proof is in the worker budget: run 2's worker dies on its
 /// *fifth* `Work` frame, so if the coordinator re-dispatched even one
 /// already-checkpointed shard the fleet would be lost again. Records must
-/// be bit-identical to an uninterrupted run and the checkpoint deleted on
-/// completion.
+/// be bit-identical to an uninterrupted run, and the log must keep every
+/// shard: a fresh server at the path dispatches none of them.
 #[test]
 fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
     let (q, eval) = setup();
@@ -185,15 +185,13 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
     let dir = std::env::temp_dir().join(format!("nvfi-chaos-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt: PathBuf = dir.join("campaign.ckpt");
-    let spec = CampaignSpec {
-        checkpoint_path: Some(ckpt.clone()),
-        ..base_spec()
-    };
+    let spec = base_spec();
     let in_process = Campaign::new(&q, config).run(&spec, &eval).unwrap();
 
     // Run 1: the sole worker completes 3 of the 7 shards, then dies.
     let fleet = FleetSpec {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "3".to_string())]],
+        checkpoint_path: Some(ckpt.clone()),
         ..worker_fleet()
     };
     match served(&fleet, 1, &q, config, &spec, &eval) {
@@ -206,14 +204,12 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
     // Run 2: a fresh worker with budget for exactly the 4 unfinished shards.
     let fleet = FleetSpec {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "4".to_string())]],
+        checkpoint_path: Some(ckpt.clone()),
         ..worker_fleet()
     };
     let resumed = served(&fleet, 1, &q, config, &spec, &eval).unwrap();
     assert_identical(&in_process, &resumed, "resumed campaign");
-    assert!(
-        Checkpoint::load(&ckpt).is_none(),
-        "a completed campaign must remove its checkpoint"
-    );
+    assert_log_answers_all(&ckpt, 7, &q, config, &spec, &eval);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -223,8 +219,8 @@ fn coordinator_kill_and_resume_redoes_only_unfinished_shards() {
 /// second fault kind differs, then runs at P on a fresh server. Log records
 /// are keyed by shard content, so B must take from A's log exactly the
 /// two shards they share (the baseline and target set 0 stuck at zero),
-/// run its other five, finish bit-identical to its in-process run and
-/// remove P.
+/// run its other five and finish bit-identical to its in-process run. P
+/// keeps the shards of both, so a fresh server there dispatches none of B's.
 #[test]
 fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
     let (q, eval) = setup();
@@ -232,14 +228,12 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
     let dir = std::env::temp_dir().join(format!("nvfi-foreign-log-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt: PathBuf = dir.join("campaign.ckpt");
-    let spec_a = CampaignSpec {
-        checkpoint_path: Some(ckpt.clone()),
-        ..base_spec()
-    };
+    let spec_a = base_spec();
 
     // Campaign A: the sole worker completes 3 of the 7 shards, then dies.
     let fleet = FleetSpec {
         worker_env: vec![vec![(worker::ENV_EXIT_AFTER.to_string(), "3".to_string())]],
+        checkpoint_path: Some(ckpt.clone()),
         ..worker_fleet()
     };
     match served(&fleet, 1, &q, config, &spec_a, &eval) {
@@ -255,7 +249,11 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
         ..spec_a
     };
     let in_process = Campaign::new(&q, config).run(&spec_b, &eval).unwrap();
-    let server = CampaignServer::start(&worker_fleet(), 1).unwrap();
+    let at_ckpt = FleetSpec {
+        checkpoint_path: Some(ckpt.clone()),
+        ..worker_fleet()
+    };
+    let server = CampaignServer::start(&at_ckpt, 1).unwrap();
     let resumed = server
         .submit(&q, config, &spec_b, &eval)
         .unwrap()
@@ -272,11 +270,94 @@ fn foreign_log_at_the_checkpoint_path_serves_only_shared_shards() {
         stats.audits_dispatched, 0,
         "B's baseline came from the log, so no executed baseline needs an audit"
     );
-    assert!(
-        Checkpoint::load(&ckpt).is_none(),
-        "a completed campaign must remove the log at its path"
-    );
+    // A's three shards and B's five: the two they share are logged once.
+    assert_log_answers_all(&ckpt, 8, &q, config, &spec_b, &eval);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// **Restart at the log.** Server 1 at path P finishes campaign A and shuts
+/// down. Server 2 at P answers A from its store without dispatching a
+/// shard (a cache hit), then runs campaign B, which shares A's baseline and
+/// A's stuck-at-zero shards, and dispatches only B's other three. Every
+/// result is bit-identical to the in-process run.
+#[test]
+fn a_restarted_server_answers_finished_and_partial_campaigns_from_its_log() {
+    let (q, eval) = setup();
+    let config = PlatformConfig::default();
+    let dir = std::env::temp_dir().join(format!("nvfi-restart-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt: PathBuf = dir.join("server.ckpt");
+    let fleet = FleetSpec {
+        checkpoint_path: Some(ckpt.clone()),
+        ..worker_fleet()
+    };
+    let spec_a = base_spec();
+    let spec_b = CampaignSpec {
+        kinds: vec![FaultKind::StuckAtZero, FaultKind::Constant(1)],
+        ..base_spec()
+    };
+    let in_process_a = Campaign::new(&q, config).run(&spec_a, &eval).unwrap();
+    let in_process_b = Campaign::new(&q, config).run(&spec_b, &eval).unwrap();
+
+    let first = served(&fleet, 1, &q, config, &spec_a, &eval).unwrap();
+    assert_identical(&in_process_a, &first, "campaign A on server 1");
+
+    let server = CampaignServer::start(&fleet, 1).unwrap();
+    let again = server
+        .submit(&q, config, &spec_a, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let after_a = server.stats();
+    let b = server
+        .submit(&q, config, &spec_b, &eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let after_b = server.stats();
+    server.shutdown();
+    assert_identical(&in_process_a, &again, "campaign A from the log");
+    assert_eq!(after_a.tasks_dispatched, 0, "A is wholly in the log");
+    assert_eq!(after_a.cache_hits, 1, "A is a cache hit");
+    assert_identical(&in_process_b, &b, "campaign B over A's log");
+    assert_eq!(
+        after_b.tasks_dispatched, 3,
+        "B runs only its three Constant(1) shards"
+    );
+    assert_eq!(after_b.cache_hits, 1, "B is not a cache hit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that the log at `ckpt` holds `shards` shards and that a fresh
+/// server there answers `spec` without dispatching any.
+fn assert_log_answers_all(
+    ckpt: &Path,
+    shards: usize,
+    q: &QuantModel,
+    config: PlatformConfig,
+    spec: &CampaignSpec,
+    eval: &Dataset,
+) {
+    let logged = Checkpoint::load(ckpt).expect("a finished campaign keeps its log");
+    assert_eq!(logged.entries.len(), shards, "the log holds every shard");
+    let fleet = FleetSpec {
+        checkpoint_path: Some(ckpt.to_path_buf()),
+        ..worker_fleet()
+    };
+    let server = CampaignServer::start(&fleet, 1).unwrap();
+    let expect = Campaign::new(q, config).run(spec, eval).unwrap();
+    let got = server
+        .submit(q, config, spec, eval)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let stats = server.stats();
+    server.shutdown();
+    assert_identical(&expect, &got, "a fresh server at the log");
+    assert_eq!(
+        stats.tasks_dispatched, 0,
+        "a fresh server at the log dispatches nothing"
+    );
 }
 
 /// **Versioned rejection.** With the re-admission cap at zero, worker 0's

@@ -51,12 +51,9 @@ pub enum Event {
     },
     /// A worker joined an already-running campaign.
     WorkerAdmitted { worker: usize },
-    /// A campaign resumed from a checkpoint file.
-    Resumed {
-        path: String,
-        done: usize,
-        total: usize,
-    },
+    /// A submitted campaign found shards in the server's shard store (a
+    /// warm server, or one restarted at its log's path).
+    Resumed { done: usize, total: usize },
     /// One `nvfi-top` line summarizing the fleet (periodic, `NVFI_METRICS=top`).
     FleetSummary {
         workers: usize,
@@ -110,8 +107,8 @@ fn render(e: &Event) -> String {
         Event::WorkerAdmitted { worker } => {
             format!("  worker {worker} admitted mid-campaign")
         }
-        Event::Resumed { path, done, total } => {
-            format!("  resuming from {path}: {done}/{total} shards already done")
+        Event::Resumed { done, total } => {
+            format!("  {done}/{total} shards already in the shard store")
         }
         Event::FleetSummary {
             workers,
