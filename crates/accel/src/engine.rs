@@ -23,26 +23,32 @@
 //!
 //! # One executor
 //!
-//! Every launch — one image ([`Accelerator::run_inference_i8_view`], the
-//! golden prefix and suffix) or a mini-batch
-//! ([`Accelerator::run_batch_i8_view`]) — runs one executor per op kind
-//! over the launch's `b_n` images, held **batch-innermost** in the surface
-//! map: `[C][H][W][B]`, plain CHW at `B = 1` (what DRAM packs and the exact
-//! oracle reads). A conv or linear op is one im2col + GEMM with columns in
-//! `(oy, ox, b)` order, so its `K x (OH·OW·B)` output is already the next
-//! surface, and the SDP, residual add and pooling are flat loops over it.
-//! Per-column independence of the GEMM makes a mini-batch bit-identical to
-//! its images run alone. Each launch starts with every surface-map entry
-//! stale. The image count selects the DRAM contract:
+//! Every launch — one image ([`Accelerator::run_inference_i8_view`]) or a
+//! mini-batch ([`Accelerator::run_batch_i8_view`], and the golden prefix
+//! and suffix of [`Accelerator::run_prefix_i8_view`] and
+//! [`Accelerator::run_suffix_i8_view`], windowed or not) — runs one
+//! executor per op kind over the launch's `b_n` images, held
+//! **batch-innermost** in the surface map: `[C][H][W][B]`, plain CHW at
+//! `B = 1` (what DRAM packs and the exact oracle reads). A conv or linear
+//! op is one im2col + GEMM with columns in `(oy, ox, b)` order, so its
+//! `K x (OH·OW·B)` output is already the next surface, and the SDP,
+//! residual add and pooling are flat loops over it. Per-column
+//! independence of the GEMM makes a mini-batch bit-identical to its images
+//! run alone. Each launch starts with every surface-map entry stale. The
+//! image count selects the DRAM contract:
 //!
 //! * a **one-image launch** writes every surface it produces to DRAM,
 //!   packed, and reads a surface it has not produced (the golden suffix's
-//!   live-ins) from DRAM, so `dma_read` and golden captures see exactly the
+//!   restored live-ins) from DRAM, so `dma_read` sees exactly the
 //!   per-inference traffic;
 //! * a **mini-batch launch** keeps its surfaces off DRAM and writes only
-//!   the last image's logits. An op reading a surface the launch has not
-//!   written fails with [`AccelError::BadPlan`]. It transposes its CHW
-//!   input images into the batch-innermost input surface once.
+//!   the last image's logits. It transposes its CHW input images into the
+//!   batch-innermost input surface once; a golden suffix instead unpacks
+//!   each image's restored live-in record straight into the surface map
+//!   when an op first reads it. An op reading any other surface the launch
+//!   has not written fails with [`AccelError::BadPlan`].
+//!
+//! Only [`ExecMode::Exact`] splits a mini-batch into one-image launches.
 //!
 //! # Lane-delta fault execution
 //!
@@ -74,16 +80,18 @@
 //! * **windowed**: MAC cycles are numbered lexicographically in
 //!   `(kg, oy, ox, cb, r, s)` from the op's schedule-table span start, so a
 //!   window is one contiguous cycle range per op and only the selected
-//!   lanes' products inside it are visited — O(window × lanes). The base
-//!   comes from the span table, not the running counter, so one-image,
-//!   mini-batch and golden-suffix launches agree.
+//!   lanes' products inside it are visited — O(window × lanes), each
+//!   product once per image of the launch (image `b`'s pixel `px` is column
+//!   `px · B + b`). The base comes from the span table, not the running
+//!   counter, so one-image, mini-batch and golden-suffix launches agree.
 //!
 //! The per-product `conv_exact_into` survives only as the
 //! [`ExecMode::Exact`] arm of the accumulation, which runs one-image
 //! launches. The `engine_path_*` counters of one-image launches say which
 //! arm ran per op: `engine_path_fast` when no selected lane observes the
 //! op, `engine_path_fast_corrected` when lane-delta ran, and
-//! `engine_path_exact` for the oracle.
+//! `engine_path_exact` for the oracle. Mini-batch launches, windowed ones
+//! included, leave them untouched.
 //!
 //! # Phase timing
 //!
@@ -143,20 +151,21 @@ enum OpPath {
     Exact,
 }
 
-/// Process-wide count of golden-prefix captures
-/// ([`Accelerator::run_prefix_i8_view`] calls), backed by the `nvfi_obs`
-/// metrics registry under `golden_prefix_passes`. A test probe in the
-/// spirit of `nvfi_quant::batch::quantization_passes`: a campaign must
-/// capture the golden prefix of each image exactly once, however many
-/// windowed work items later restore it.
+/// Process-wide count of golden-prefix captures, in images (a
+/// [`Accelerator::run_prefix_i8_view`] call of `b` images adds `b`),
+/// backed by the `nvfi_obs` metrics registry under `golden_prefix_passes`.
+/// A test probe in the spirit of `nvfi_quant::batch::quantization_passes`:
+/// a campaign must capture the golden prefix of each image exactly once,
+/// however many windowed work items later restore it.
 fn golden_prefix_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| metrics::counter("golden_prefix_passes"))
 }
 
-/// Process-wide count of golden restores
-/// ([`Accelerator::run_suffix_i8_view`] calls) — the cheap half of the
-/// golden-prefix protocol. Registry name: `golden_restores`.
+/// Process-wide count of golden restores, in images (a
+/// [`Accelerator::run_suffix_i8_view`] call of `b` records adds `b`) — the
+/// cheap half of the golden-prefix protocol. Registry name:
+/// `golden_restores`.
 fn golden_restore_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| metrics::counter("golden_restores"))
@@ -286,7 +295,7 @@ impl WeightArena {
     /// Marks every entry overlapping `[addr, addr + len)` dirty.
     fn invalidate_overlap(&mut self, addr: u64, len: u64) {
         for e in &mut self.entries {
-            if addr < e.addr.saturating_add(e.bytes) && e.addr < addr.saturating_add(len) {
+            if overlaps(e.addr, e.bytes, addr, len) {
                 e.dirty = true;
             }
         }
@@ -301,8 +310,20 @@ struct Surface {
     data: Vec<i8>,
     /// Shape of one image.
     shape: Shape4,
-    /// Written, or staged from DRAM, during the current launch.
+    /// Written, or staged from DRAM or a golden restore, during the
+    /// current launch.
     live: bool,
+}
+
+/// The golden records of a suffix launch: one record per image of the
+/// launch, each the live-in `(addr, bytes)` `surfaces` packed back to back,
+/// as DRAM holds them. A one-record launch writes its record to DRAM; a
+/// mini-batch stages its live-ins from the records. Empty in every other
+/// launch.
+#[derive(Copy, Clone, Default)]
+struct Restore<'a> {
+    surfaces: &'a [(u64, u64)],
+    records: &'a [i8],
 }
 
 /// Reusable intermediate buffers of the op executor. Every field is
@@ -324,6 +345,8 @@ struct Scratch {
     logits: Vec<i32>,
     /// The surface map: every dense surface of the launch, by address.
     surfaces: HashMap<u64, Surface>,
+    /// `(addr, len)` of every DRAM range the current launch's ops wrote.
+    written: Vec<(u64, u64)>,
 }
 
 /// A clone starts empty: nothing in the scratch arena outlives a launch,
@@ -631,8 +654,8 @@ impl Accelerator {
     /// the window pay anything: lane-delta visits the selected lanes'
     /// products inside the window, and every other op runs the clean GEMM.
     /// [`ExecMode::Exact`] runs every product through the oracle. Windowed
-    /// batches run image by image, the granularity of golden-prefix
-    /// restores.
+    /// mini-batches run as one launch, like permanent ones, and so do
+    /// golden-prefix captures and restores.
     ///
     /// Cycle numbering restarts at every launched inference (see
     /// [`Accelerator::mac_cycles_retired`]), so the window describes a pulse
@@ -708,8 +731,8 @@ impl Accelerator {
     }
 
     /// MAC cycles retired by ops `0..boundary` — the value the cycle counter
-    /// holds when op `boundary` starts, which a golden restore
-    /// ([`Accelerator::run_suffix_i8_view`]) must re-seed.
+    /// holds, per image, when op `boundary` starts, which a golden restore
+    /// ([`Accelerator::run_suffix_i8_view`]) re-seeds.
     ///
     /// # Panics
     ///
@@ -724,11 +747,12 @@ impl Accelerator {
 
     /// The functional MAC-array cycle counter: atomic ops retired by the
     /// most recent launch — one image's [`Accelerator::run_inference_i8_view`],
-    /// [`Accelerator::run_prefix_i8_view`] or [`Accelerator::run_suffix_i8_view`],
-    /// or one mini-batch of [`Accelerator::run_batch_i8_view`], which retires
-    /// the cycles of all its images. The counter restarts at each launch (a
-    /// golden suffix re-seeds it with its prefix's count), so transient fault
-    /// windows are per-inference-deterministic.
+    /// or one mini-batch of [`Accelerator::run_batch_i8_view`],
+    /// [`Accelerator::run_prefix_i8_view`] or
+    /// [`Accelerator::run_suffix_i8_view`], which retires the cycles of all
+    /// its images. The counter restarts at each launch (a golden suffix of
+    /// `b` images re-seeds it with `b` times its prefix's count), so
+    /// transient fault windows are per-inference-deterministic.
     #[must_use]
     pub fn mac_cycles_retired(&self) -> u64 {
         self.cycle
@@ -745,86 +769,129 @@ impl Accelerator {
     /// input image, or any engine error.
     pub fn run_inference_i8_view(&mut self, image: &[i8]) -> Result<InferenceResult, AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
-        self.launch(&plan, Some(image), 1, 0..plan.ops.len(), 0)?;
+        self.launch(&plan, Some(image), Restore::default(), 1, 0..plan.ops.len())?;
         self.read_result(&plan)
     }
 
-    /// Runs only the plan's prefix `ops[0..boundary]` on one pre-quantized
-    /// i8 image, leaving DRAM in exactly the state a full run would have at
-    /// that op boundary (and the cycle counter at the prefix's retired
-    /// count). This is the **capture** half of the golden-prefix protocol: a
-    /// campaign runs it fault-free once per image, snapshots the boundary's
-    /// live-in surfaces (see `ExecutionPlan::live_in_surfaces`) and replays
-    /// them into [`Accelerator::run_suffix_i8_view`] for every windowed work
-    /// item. Counted by the process-wide [`golden_prefix_passes`] probe.
+    /// Runs only the plan's prefix `ops[0..boundary]` on pre-quantized i8
+    /// images borrowed as dense, back-to-back CHW slices, and appends one
+    /// **record** per image to `records`: the boundary's live-in `surfaces`
+    /// (see `ExecutionPlan::live_in_surfaces`), packed back to back exactly
+    /// as DRAM holds them after a one-image prefix run. This is the
+    /// **capture** half of the golden-prefix protocol: a campaign runs it
+    /// fault-free once per image and replays the records into
+    /// [`Accelerator::run_suffix_i8_view`] for every windowed work item.
+    ///
+    /// The images run as one launch (one-image launches under
+    /// [`ExecMode::Exact`]), and the records are packed out of its surface
+    /// map, so they do not depend on how images are grouped. A one-image
+    /// launch also leaves DRAM in the state a full run has at the boundary.
+    /// Counted, per image, by the process-wide [`golden_prefix_passes`]
+    /// probe.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::NoPlan`] without a loaded plan,
-    /// [`AccelError::BadPlan`] on a shape mismatch or `boundary` outside the
-    /// plan, or any engine error.
-    pub fn run_prefix_i8_view(&mut self, image: &[i8], boundary: usize) -> Result<(), AccelError> {
+    /// [`AccelError::BadPlan`] if `images.len()` is not a whole, non-zero
+    /// number of plan input images, `boundary` is outside the plan or a
+    /// live-in surface is not a surface the prefix left live at its size,
+    /// or any engine error.
+    pub fn run_prefix_i8_view(
+        &mut self,
+        images: &[i8],
+        boundary: usize,
+        surfaces: &[(u64, u64)],
+        records: &mut Vec<i8>,
+    ) -> Result<(), AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
-        if boundary > plan.ops.len() {
-            return Err(AccelError::BadPlan(format!(
-                "prefix boundary {boundary} outside the {}-op plan",
-                plan.ops.len()
-            )));
+        check_boundary(&plan, boundary)?;
+        let b_n = whole_images(&plan, images)?.max(1);
+        if b_n > 1 && self.per_image_only() {
+            for image in images.chunks_exact(images.len() / b_n) {
+                self.run_prefix_i8_view(image, boundary, surfaces, records)?;
+            }
+            return Ok(());
         }
-        self.launch(&plan, Some(image), 1, 0..boundary, 0)?;
-        golden_prefix_counter().inc();
+        self.launch(&plan, Some(images), Restore::default(), b_n, 0..boundary)?;
+        self.capture(surfaces, b_n, records)?;
+        golden_prefix_counter().add(b_n as u64);
         Ok(())
     }
 
-    /// Runs the plan's suffix `ops[boundary..]` from a restored golden
-    /// prefix: `surfaces` names the boundary's live-in `(addr, bytes)`
-    /// regions and `data` holds their bytes back to back, exactly as
-    /// captured after [`Accelerator::run_prefix_i8_view`]. The cycle counter
-    /// is re-seeded with the prefix's retired count, so transient fault
-    /// windows observe the same absolute cycle numbers as a full run —
-    /// results are bit-identical to [`Accelerator::run_inference_i8_view`]
-    /// of the same image (property-tested in `tests/equivalence.rs`).
-    /// Counted by the process-wide [`golden_restores`] probe.
+    /// Runs the plan's suffix `ops[boundary..]` from restored golden
+    /// prefixes: `surfaces` names the boundary's live-in `(addr, bytes)`
+    /// regions and `records` holds one record per image, each those
+    /// surfaces' bytes back to back, exactly as
+    /// [`Accelerator::run_prefix_i8_view`] captured them. The records run
+    /// as one launch whose cycle counter is re-seeded with the prefix's
+    /// retired count per image, so transient fault windows observe the same
+    /// absolute cycle numbers as a full run. A one-record launch writes the
+    /// record to DRAM and stages its live-ins from there; a mini-batch
+    /// unpacks every record straight into its batch-innermost surface map.
+    /// Under [`ExecMode::Exact`] each record runs as a one-image launch.
+    /// Results are bit-identical to [`Accelerator::run_inference_i8_view`]
+    /// of each image (tested in `tests/equivalence.rs`). Counted, per
+    /// record, by the process-wide [`golden_restores`] probe.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::NoPlan`] without a loaded plan,
-    /// [`AccelError::BadPlan`] if `boundary` is outside the plan or `data`
-    /// does not match `surfaces`, or any engine error.
+    /// [`AccelError::BadPlan`] if `boundary` is outside the plan or
+    /// `records` is not a whole, non-zero number of records of `surfaces`,
+    /// or any engine error.
     pub fn run_suffix_i8_view(
         &mut self,
         boundary: usize,
         surfaces: &[(u64, u64)],
-        data: &[i8],
-    ) -> Result<InferenceResult, AccelError> {
+        records: &[i8],
+    ) -> Result<Vec<InferenceResult>, AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
-        if boundary > plan.ops.len() {
+        check_boundary(&plan, boundary)?;
+        let stride: usize = surfaces.iter().map(|&(_, b)| b as usize).sum();
+        if stride == 0 || records.is_empty() || !records.len().is_multiple_of(stride) {
             return Err(AccelError::BadPlan(format!(
-                "suffix boundary {boundary} outside the {}-op plan",
-                plan.ops.len()
+                "golden restore of {} bytes is not a whole number of {stride}-byte \
+                 live-in records",
+                records.len()
             )));
         }
-        let need: u64 = surfaces.iter().map(|(_, b)| b).sum();
-        if need != data.len() as u64 {
-            return Err(AccelError::BadPlan(format!(
-                "golden restore of {} bytes against a {}-byte live-in set",
-                data.len(),
-                need
-            )));
+        let b_n = records.len() / stride;
+        if b_n > 1 && self.per_image_only() {
+            let mut out = Vec::with_capacity(b_n);
+            for record in records.chunks_exact(stride) {
+                out.extend(self.run_suffix_i8_view(boundary, surfaces, record)?);
+            }
+            return Ok(out);
         }
-        let mut off = 0usize;
-        for &(addr, bytes) in surfaces {
-            let bytes = bytes as usize;
-            self.dram.write_i8(addr, &data[off..off + bytes])?;
-            // Activation surfaces never alias weight regions by allocator
-            // construction, but keep the DRAM-mutation contract anyway.
-            self.arena.invalidate_overlap(addr, bytes as u64);
-            off += bytes;
+        let restore = Restore { surfaces, records };
+        self.launch(&plan, None, restore, b_n, boundary..plan.ops.len())?;
+        golden_restore_counter().add(b_n as u64);
+        self.results(&plan, b_n)
+    }
+
+    /// The results of a launch that ran to the logits: a one-image launch
+    /// reads its logits back from DRAM, a mini-batch splits the image-major
+    /// `scratch.logits`.
+    fn results(
+        &mut self,
+        plan: &ExecutionPlan,
+        b_n: usize,
+    ) -> Result<Vec<InferenceResult>, AccelError> {
+        if b_n == 1 {
+            return Ok(vec![self.read_result(plan)?]);
         }
-        let cycle = self.prefix_mac_cycles(boundary);
-        self.launch(&plan, None, 1, boundary..plan.ops.len(), cycle)?;
-        golden_restore_counter().inc();
-        self.read_result(&plan)
+        let logits = &self.scratch.logits;
+        if logits.is_empty() {
+            return Err(AccelError::BadPlan("plan has no linear head".into()));
+        }
+        Ok(logits
+            .chunks_exact(logits.len() / b_n)
+            .map(|l| InferenceResult {
+                logits: l.to_vec(),
+                class: nvfi_quant::exec::argmax(l),
+                perf: self.perf_report(),
+            })
+            .collect())
     }
 
     /// Reads the logits back and assembles an [`InferenceResult`].
@@ -854,8 +921,8 @@ impl Accelerator {
     /// CHW, which DRAM packs and the oracle reads). The result is
     /// bit-identical to [`Accelerator::run_inference_i8_view`] per image (GEMM
     /// output columns are independent, and lane-delta corrects every column
-    /// of the mini-batch at once). Under [`ExecMode::Exact`] or an armed
-    /// transient window the batch runs as one-image launches.
+    /// of the mini-batch at once, inside a transient window too). Under
+    /// [`ExecMode::Exact`] the batch runs as one-image launches.
     ///
     /// # Errors
     ///
@@ -865,38 +932,24 @@ impl Accelerator {
     /// written, or any engine error.
     pub fn run_batch_i8_view(&mut self, images: &[i8]) -> Result<Vec<InferenceResult>, AccelError> {
         let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
-        let image_len = plan.input_shape.with_n(1).image_len();
-        if !images.len().is_multiple_of(image_len) {
-            return Err(AccelError::BadPlan(format!(
-                "batch of {} pixels is not a whole number of plan input images \
-                 ({} pixels each)",
-                images.len(),
-                image_len
-            )));
-        }
-        let b_n = images.len() / image_len;
+        let b_n = whole_images(&plan, images)?;
         if b_n == 0 {
             return Ok(Vec::new());
         }
-        if b_n == 1 || self.per_image_only() {
+        if b_n > 1 && self.per_image_only() {
             return images
-                .chunks_exact(image_len)
+                .chunks_exact(images.len() / b_n)
                 .map(|img| self.run_inference_i8_view(img))
                 .collect();
         }
-        self.launch(&plan, Some(images), b_n, 0..plan.ops.len(), 0)?;
-        let logits = &self.scratch.logits;
-        if logits.is_empty() {
-            return Err(AccelError::BadPlan("plan has no linear head".into()));
-        }
-        Ok(logits
-            .chunks_exact(logits.len() / b_n)
-            .map(|l| InferenceResult {
-                logits: l.to_vec(),
-                class: nvfi_quant::exec::argmax(l),
-                perf: self.perf_report(),
-            })
-            .collect())
+        self.launch(
+            &plan,
+            Some(images),
+            Restore::default(),
+            b_n,
+            0..plan.ops.len(),
+        )?;
+        self.results(&plan, b_n)
     }
 
     /// Classifies a batch of pre-quantized i8 images borrowed as dense,
@@ -911,37 +964,23 @@ impl Accelerator {
     /// number of plan input images; propagates the first engine error.
     pub fn classify_batch_i8(&mut self, images: &[i8]) -> Result<Vec<u8>, AccelError> {
         let plan = self.plan.as_ref().ok_or(AccelError::NoPlan)?;
+        let n = whole_images(plan, images)?;
         let image_len = plan.input_shape.with_n(1).image_len();
-        if !images.len().is_multiple_of(image_len) {
-            return Err(AccelError::BadPlan(format!(
-                "batch of {} pixels is not a whole number of plan input images \
-                 ({} pixels each)",
-                images.len(),
-                image_len
-            )));
-        }
-        let n = images.len() / image_len;
         let batch = self.config.batch.max(1);
         let mut out = Vec::with_capacity(n);
-        let mut n0 = 0;
-        while n0 < n {
-            let nn = (n0 + batch).min(n);
-            for r in self.run_batch_i8_view(&images[n0 * image_len..nn * image_len])? {
-                out.push(r.class);
-            }
-            n0 = nn;
+        for mini in images.chunks(batch * image_len) {
+            out.extend(self.run_batch_i8_view(mini)?.iter().map(|r| r.class));
         }
         Ok(out)
     }
 
     // -- internal op execution ---------------------------------------------
 
-    /// Whether the next batch must run as one-image launches: always under
-    /// [`ExecMode::Exact`] (the oracle is per-image), and under an armed
-    /// transient window, whose golden-prefix restores are per image.
+    /// Whether a mini-batch must run as one-image launches: only under
+    /// [`ExecMode::Exact`], whose per-product oracle runs one image at a
+    /// time. Transient windows and golden restores run batched.
     fn per_image_only(&self) -> bool {
-        let fi = &self.csb.fi;
-        self.config.mode == ExecMode::Exact || (fi.any_active() && fi.window.is_some())
+        self.config.mode == ExecMode::Exact
     }
 
     /// The execution path of plan op `op_idx` under the current fault
@@ -994,20 +1033,25 @@ impl Accelerator {
     }
 
     /// One launch: `b_n` images through plan ops `ops`, the cycle counter
-    /// starting at `cycle`. `images` seeds the plan input surface; the
-    /// golden suffix passes `None` and reads its live-ins from DRAM. Every
-    /// surface-map entry of an earlier launch goes stale first, so a launch
-    /// reads only surfaces it wrote itself or, with one image, DRAM.
+    /// starting at `b_n` times the MAC cycles of ops `0..ops.start`.
+    /// `images` seeds the plan input surface. A golden suffix passes `None`
+    /// and its `restore` records instead: a one-image launch writes its
+    /// record to DRAM and stages the live-ins from there, a mini-batch
+    /// stages them from the records (see [`Accelerator::stage_surface`]).
+    /// Every surface-map entry of an earlier launch goes stale first, so a
+    /// launch reads only surfaces it wrote or restored itself or, with one
+    /// image, DRAM.
     fn launch(
         &mut self,
         plan: &ExecutionPlan,
         images: Option<&[i8]>,
+        restore: Restore<'_>,
         b_n: usize,
         ops: Range<usize>,
-        cycle: u64,
     ) -> Result<(), AccelError> {
-        self.cycle = cycle;
+        self.cycle = b_n as u64 * self.prefix_mac_cycles(ops.start);
         self.scratch.logits.clear();
+        self.scratch.written.clear();
         for s in self.scratch.surfaces.values_mut() {
             s.live = false;
         }
@@ -1025,17 +1069,61 @@ impl Accelerator {
             let out = &mut self.scratch.out;
             out.resize(images.len(), 0);
             for (b, image) in images.chunks_exact(shape.image_len()).enumerate() {
-                for (i, &v) in image.iter().enumerate() {
-                    out[i * b_n + b] = v;
-                }
+                put_lane(image, b, b_n, out);
             }
             self.commit_surface(plan.input_addr, shape, b_n)?;
         }
+        if b_n == 1 {
+            let mut off = 0usize;
+            for &(addr, bytes) in restore.surfaces {
+                let bytes = bytes as usize;
+                self.dram
+                    .write_i8(addr, &restore.records[off..off + bytes])?;
+                // Activation surfaces never alias weight regions by allocator
+                // construction, but keep the DRAM-mutation contract anyway.
+                self.arena.invalidate_overlap(addr, bytes as u64);
+                off += bytes;
+            }
+        }
         for i in ops {
             match &plan.ops[i] {
-                PlanOp::Conv(c) => self.exec_conv(i, c, b_n)?,
-                PlanOp::Pool(p) => self.exec_pool(p, b_n)?,
-                PlanOp::Linear(l) => self.exec_linear(i, l, b_n)?,
+                PlanOp::Conv(c) => self.exec_conv(i, c, b_n, restore)?,
+                PlanOp::Pool(p) => self.exec_pool(p, b_n, restore)?,
+                PlanOp::Linear(l) => self.exec_linear(i, l, b_n, restore)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends one record per image of the last launch to `records`: the
+    /// live-in `surfaces` packed back to back, each out of its live
+    /// surface-map entry — exactly the bytes a one-image launch leaves in
+    /// DRAM.
+    fn capture(
+        &mut self,
+        surfaces: &[(u64, u64)],
+        b_n: usize,
+        records: &mut Vec<i8>,
+    ) -> Result<(), AccelError> {
+        let Scratch {
+            surfaces: map, dma, ..
+        } = &mut self.scratch;
+        for b in 0..b_n {
+            for &(addr, bytes) in surfaces {
+                let s = map
+                    .get(&addr)
+                    .filter(|s| s.live && surface_len(s.shape) == bytes)
+                    .ok_or_else(|| {
+                        AccelError::BadPlan(format!(
+                            "live-in surface at {addr:#x} ({bytes} bytes) is not a \
+                             surface the prefix left live"
+                        ))
+                    })?;
+                dma.clear();
+                dma.extend(s.data.iter().skip(b).step_by(b_n));
+                let at = records.len();
+                records.resize(at + bytes as usize, 0);
+                surface::pack_surface_into(dma, s.shape, &mut records[at..]);
             }
         }
         Ok(())
@@ -1043,29 +1131,60 @@ impl Accelerator {
 
     /// Makes the surface at `addr` live in the surface map as `b_n`
     /// batch-innermost images of `shape`. A one-image launch reads a surface
-    /// it has not written (the golden suffix's live-ins) from DRAM; a
-    /// mini-batch launch keeps its surfaces off DRAM, so for it a missing
-    /// surface is a plan error.
-    fn stage_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
-        let scratch = &mut self.scratch;
-        if scratch
-            .surfaces
+    /// it has not written (the golden suffix's live-ins) from DRAM. A
+    /// mini-batch launch keeps its surfaces off DRAM: it unpacks a surface
+    /// of its `restore` set that no op of the launch wrote from each
+    /// image's record, and any other missing surface is a plan error.
+    fn stage_surface(
+        &mut self,
+        addr: u64,
+        shape: Shape4,
+        b_n: usize,
+        restore: Restore<'_>,
+    ) -> Result<(), AccelError> {
+        let Scratch {
+            dma,
+            surfaces,
+            written,
+            ..
+        } = &mut self.scratch;
+        if surfaces
             .get(&addr)
             .is_some_and(|s| s.live && s.shape == shape)
         {
             return Ok(());
         }
-        if b_n != 1 {
-            return Err(AccelError::BadPlan(format!(
-                "an op reads the surface at {addr:#x} as {shape}, which this \
-                 {b_n}-image launch has not written"
-            )));
-        }
-        let bytes = surface::surface_bytes(shape.c, shape.h, shape.w) as u64;
-        self.dram.read_i8_into(addr, bytes, &mut scratch.dma)?;
-        let s = scratch.surfaces.entry(addr).or_default();
-        s.data.resize(shape.image_len(), 0);
-        surface::unpack_surface_into(&scratch.dma, shape, &mut s.data);
+        let bytes = surface_len(shape);
+        let s = if b_n == 1 {
+            self.dram.read_i8_into(addr, bytes, dma)?;
+            let s = surfaces.entry(addr).or_default();
+            s.data.resize(shape.image_len(), 0);
+            surface::unpack_surface_into(dma, shape, &mut s.data);
+            s
+        } else {
+            let at = restore
+                .offset(addr, bytes)
+                .filter(|_| {
+                    !written
+                        .iter()
+                        .any(|&(a, len)| overlaps(a, len, addr, bytes))
+                })
+                .ok_or_else(|| {
+                    AccelError::BadPlan(format!(
+                        "an op reads the surface at {addr:#x} as {shape}, which this \
+                         {b_n}-image launch has neither written nor restored"
+                    ))
+                })?;
+            let s = surfaces.entry(addr).or_default();
+            s.data.resize(b_n * shape.image_len(), 0);
+            dma.resize(shape.image_len(), 0);
+            let stride = restore.records.len() / b_n;
+            for (b, record) in restore.records.chunks_exact(stride).enumerate() {
+                surface::unpack_surface_into(&record[at..at + bytes as usize], shape, dma);
+                put_lane(dma, b, b_n, &mut s.data);
+            }
+            s
+        };
         s.shape = shape;
         s.live = true;
         Ok(())
@@ -1073,16 +1192,16 @@ impl Accelerator {
 
     /// Publishes `scratch.out`, `b_n` batch-innermost images of `shape`, as
     /// the surface at `addr`. A one-image launch also writes it to DRAM,
-    /// packed: the DRAM contract of per-image runs and golden captures.
+    /// packed: the DRAM contract of per-image runs.
     fn commit_surface(&mut self, addr: u64, shape: Shape4, b_n: usize) -> Result<(), AccelError> {
-        let bytes = surface::surface_bytes(shape.c, shape.h, shape.w);
+        let bytes = surface_len(shape);
         let scratch = &mut self.scratch;
         if b_n == 1 {
-            scratch.packed.resize(bytes, 0);
+            scratch.packed.resize(bytes as usize, 0);
             surface::pack_surface_into(&scratch.out, shape, &mut scratch.packed);
             self.dram.write_i8(addr, &scratch.packed)?;
         }
-        self.overwritten(addr, bytes as u64);
+        self.overwritten(addr, bytes);
         // Copied, not swapped: each address keeps a buffer of its own size.
         let s = self.scratch.surfaces.entry(addr).or_default();
         s.data.clear();
@@ -1092,15 +1211,16 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Marks stale every surface-map entry whose packed DRAM footprint
-    /// overlaps `[addr, addr + len)`, which the launch just wrote. Compiled
-    /// plans never overlap surfaces, but a plan committed through the
-    /// command FIFO is not verified; this keeps a one-image launch reading
-    /// exactly what DRAM holds.
+    /// Records that the launch wrote `[addr, addr + len)` and marks stale
+    /// every surface-map entry whose packed DRAM footprint overlaps it.
+    /// Compiled plans never overlap surfaces, but a plan committed through
+    /// the command FIFO is not verified; this keeps a one-image launch
+    /// reading exactly what DRAM holds, and a mini-batch from restoring a
+    /// live-in its own ops overwrote.
     fn overwritten(&mut self, addr: u64, len: u64) {
+        self.scratch.written.push((addr, len));
         for (&a, s) in &mut self.scratch.surfaces {
-            let s_len = surface::surface_bytes(s.shape.c, s.shape.h, s.shape.w) as u64;
-            if addr < a.saturating_add(s_len) && a < addr.saturating_add(len) {
+            if overlaps(a, surface_len(s.shape), addr, len) {
                 s.live = false;
             }
         }
@@ -1118,13 +1238,14 @@ impl Accelerator {
         g: &ConvGeom,
         input_addr: u64,
         b_n: usize,
+        restore: Restore<'_>,
         timer: &mut PhaseTimer,
     ) -> Result<(), AccelError> {
         let path = self.op_path(op_idx, b_n);
         let op_cycles = self.op_mac_cycles(op_idx);
         let faulted = self.faulted_cycles(op_idx);
         self.refresh_weights(op_idx)?;
-        self.stage_surface(input_addr, g.input.with_n(1), b_n)?;
+        self.stage_surface(input_addr, g.input.with_n(1), b_n, restore)?;
         timer.lap(Phase::Surface);
         let fi = &self.csb.fi;
         let gated = self.config.idle_lanes == IdleLanePolicy::Gated;
@@ -1170,15 +1291,21 @@ impl Accelerator {
 
     /// Convolution: the accumulation, then the SDP into the op's output
     /// surface.
-    fn exec_conv(&mut self, op_idx: usize, op: &ConvOp, b_n: usize) -> Result<(), AccelError> {
+    fn exec_conv(
+        &mut self,
+        op_idx: usize,
+        op: &ConvOp,
+        b_n: usize,
+        restore: Restore<'_>,
+    ) -> Result<(), AccelError> {
         let mut timer = PhaseTimer::start();
         let g = op.geom;
-        self.accumulate(op_idx, &g, op.input_addr, b_n, &mut timer)?;
+        self.accumulate(op_idx, &g, op.input_addr, b_n, restore, &mut timer)?;
         let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
         // Staged after the accumulation, which is done with the input: in a
         // one-image launch the residual may replace it in the surface map.
         if let Some(addr) = op.fuse_add_addr {
-            self.stage_surface(addr, out_shape, b_n)?;
+            self.stage_surface(addr, out_shape, b_n, restore)?;
             timer.lap(Phase::Surface);
         }
         let Scratch {
@@ -1193,9 +1320,14 @@ impl Accelerator {
         Ok(())
     }
 
-    fn exec_pool(&mut self, op: &PoolOp, b_n: usize) -> Result<(), AccelError> {
+    fn exec_pool(
+        &mut self,
+        op: &PoolOp,
+        b_n: usize,
+        restore: Restore<'_>,
+    ) -> Result<(), AccelError> {
         let (s, o) = (op.in_shape.with_n(1), op.out_shape());
-        self.stage_surface(op.input_addr, s, b_n)?;
+        self.stage_surface(op.input_addr, s, b_n, restore)?;
         let Scratch { surfaces, out, .. } = &mut self.scratch;
         out.resize(b_n * o.image_len(), 0);
         pool_into(op, &surfaces[&op.input_addr].data, b_n, out);
@@ -1205,13 +1337,19 @@ impl Accelerator {
     /// The linear head: the accumulation plus bias into `scratch.logits`,
     /// image-major (the accumulators are `[out_f][B]`). DRAM receives the
     /// launch's last image's logits, as after a run of that image alone.
-    fn exec_linear(&mut self, op_idx: usize, op: &LinearOp, b_n: usize) -> Result<(), AccelError> {
+    fn exec_linear(
+        &mut self,
+        op_idx: usize,
+        op: &LinearOp,
+        b_n: usize,
+        restore: Restore<'_>,
+    ) -> Result<(), AccelError> {
         let mut timer = PhaseTimer::start();
         // The head runs on the same MAC array as a 1x1 convolution over a
         // 1x1 spatial extent — faults apply here too — and its `[C][1][1][B]`
         // input surface is already the `in_f x B` GEMM operand.
         let g = ConvGeom::new(Shape4::new(1, op.in_f, 1, 1), op.out_f, 1, 1, 1, 0);
-        self.accumulate(op_idx, &g, op.input_addr, b_n, &mut timer)?;
+        self.accumulate(op_idx, &g, op.input_addr, b_n, restore, &mut timer)?;
         let Scratch { acc, logits, .. } = &mut self.scratch;
         logits.clear();
         logits.extend((0..acc.len()).map(|i| {
@@ -1224,6 +1362,64 @@ impl Accelerator {
         self.overwritten(op.output_addr, 4 * op.out_f as u64);
         timer.lap(Phase::Surface);
         Ok(())
+    }
+}
+
+impl Restore<'_> {
+    /// Offset, within each record, of the restored surface at `addr`, when
+    /// the restore set holds one of at least `bytes` bytes there.
+    fn offset(&self, addr: u64, bytes: u64) -> Option<usize> {
+        let mut at = 0;
+        for &(a, len) in self.surfaces {
+            if a == addr && len >= bytes {
+                return Some(at);
+            }
+            at += len as usize;
+        }
+        None
+    }
+}
+
+/// The number of plan input images in `images`.
+fn whole_images(plan: &ExecutionPlan, images: &[i8]) -> Result<usize, AccelError> {
+    let image_len = plan.input_shape.with_n(1).image_len();
+    if !images.len().is_multiple_of(image_len) {
+        return Err(AccelError::BadPlan(format!(
+            "batch of {} pixels is not a whole number of plan input images \
+             ({} pixels each)",
+            images.len(),
+            image_len
+        )));
+    }
+    Ok(images.len() / image_len)
+}
+
+/// Rejects a golden prefix/suffix boundary outside the plan.
+fn check_boundary(plan: &ExecutionPlan, boundary: usize) -> Result<(), AccelError> {
+    if boundary > plan.ops.len() {
+        return Err(AccelError::BadPlan(format!(
+            "golden boundary {boundary} outside the {}-op plan",
+            plan.ops.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Packed DRAM bytes of one image's surface of `shape`.
+fn surface_len(shape: Shape4) -> u64 {
+    surface::surface_bytes(shape.c, shape.h, shape.w) as u64
+}
+
+/// Whether the byte ranges `[a, a + a_len)` and `[b, b + b_len)` overlap.
+fn overlaps(a: u64, a_len: u64, b: u64, b_len: u64) -> bool {
+    a < b.saturating_add(b_len) && b < a.saturating_add(a_len)
+}
+
+/// Writes the CHW `image` into lane `b` of a batch-innermost surface of
+/// `b_n` images.
+fn put_lane(image: &[i8], b: usize, b_n: usize, surface: &mut [i8]) {
+    for (i, &v) in image.iter().enumerate() {
+        surface[i * b_n + b] = v;
     }
 }
 

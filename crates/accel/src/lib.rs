@@ -46,22 +46,24 @@
 //! * [`ExecMode::Exact`] pushes every single product through the injector
 //!   muxes in the CMAC's atomic-op schedule — the ground-truth oracle the
 //!   other modes are tested against. It runs image by image: a mini-batch
-//!   under it (or under an armed transient window) runs as one-image
-//!   launches.
+//!   under it runs as one-image launches. Under [`ExecMode::Auto`] a
+//!   mini-batch is one launch, inside a transient window too.
 //!
 //! Lane-delta equals the oracle for every fault kind × lane set × window
 //! placement × idle-lane policy; `tests/equivalence.rs` proves it
 //! exhaustively on small geometries and `tests/proptests.rs` by property.
 //!
 //! The fault-free prefix of a windowed inference is also *restorable*:
-//! [`Accelerator::run_prefix_i8_view`] runs ops `0..b` and leaves DRAM in
-//! the boundary state, and [`Accelerator::run_suffix_i8_view`] re-seeds the
-//! boundary's live-in surfaces (`ExecutionPlan::live_in_surfaces`) plus the
-//! prefix cycle count and runs ops `b..` — bit-identical to the full run.
-//! Fault-injection campaigns build a campaign-lifetime golden-prefix
-//! activation cache on top of this pair (`nvfi::GoldenActivationCache`),
-//! capturing each image's prefix once (probed by [`golden_prefix_passes`])
-//! and restoring it for every windowed work item ([`golden_restores`]).
+//! [`Accelerator::run_prefix_i8_view`] runs ops `0..b` on a mini-batch and
+//! records, per image, the boundary's live-in surfaces
+//! (`ExecutionPlan::live_in_surfaces`) packed as DRAM holds them, and
+//! [`Accelerator::run_suffix_i8_view`] restores a mini-batch of such
+//! records plus the prefix cycle count and runs ops `b..` — bit-identical
+//! to the full run. Fault-injection campaigns build a campaign-lifetime
+//! golden-prefix activation cache on top of this pair
+//! (`nvfi::GoldenActivationCache`), capturing each image's prefix once
+//! (probed per image by [`golden_prefix_passes`]) and restoring it for
+//! every windowed work item ([`golden_restores`]).
 //!
 //! # Weight-arena lifecycle
 //!
@@ -78,10 +80,10 @@
 //! # One executor and its scratch reuse invariants
 //!
 //! Every launch runs the same executor: one image
-//! ([`Accelerator::run_inference_i8_view`], the golden prefix and suffix)
-//! or a mini-batch ([`Accelerator::run_batch_i8_view`], which
+//! ([`Accelerator::run_inference_i8_view`]) or a mini-batch
+//! ([`Accelerator::run_batch_i8_view`], which
 //! [`Accelerator::classify_batch_i8`] drives per [`AccelConfig::batch`]
-//! images). Activation surfaces are batch-innermost, `[C][H][W][B]` (plain
+//! images, and the golden prefix and suffix). Activation surfaces are batch-innermost, `[C][H][W][B]` (plain
 //! CHW in a one-image launch), so a conv or linear op is one im2col + GEMM
 //! with columns in `(oy, ox, b)` order, then lane-delta or, under
 //! [`ExecMode::Exact`], the oracle, and the SDP and pooling each run once
@@ -104,11 +106,13 @@
 //! 3. a **one-image launch writes through**: every surface it produces is
 //!    also packed into DRAM, and a surface it has not produced (the golden
 //!    suffix's restored live-ins) is read from DRAM. `dma_read` of any
-//!    surface address, and so the golden capture, sees exactly the
-//!    per-inference state. A mini-batch launch keeps its surfaces off DRAM,
-//!    writes only its last image's logits there (for parity with a
-//!    one-image run), and rejects a plan whose ops read a surface the
-//!    launch has not written with [`AccelError::BadPlan`].
+//!    surface address sees exactly the per-inference state, and a golden
+//!    capture, packed out of the surface map, records the same bytes. A
+//!    mini-batch launch keeps its surfaces off DRAM, writes only its last
+//!    image's logits there (for parity with a one-image run), unpacks a
+//!    golden suffix's live-ins straight from its records, and rejects a
+//!    plan whose ops read any other surface the launch has not written
+//!    with [`AccelError::BadPlan`].
 
 //! # DRAM memory model
 //!

@@ -618,16 +618,24 @@ fn golden_prefix_restore_is_bit_identical() {
         // Golden capture (fault-free), then restore + suffix under fault.
         let mut golden = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
         let surfaces = plan.live_in_surfaces(boundary);
-        golden.run_prefix_i8_view(img.as_slice(), boundary).unwrap();
         let mut data = Vec::new();
-        for &(addr, bytes) in &surfaces {
-            data.extend(golden.dma_read(addr, bytes).unwrap());
-        }
+        golden
+            .run_prefix_i8_view(img.as_slice(), boundary, &surfaces, &mut data)
+            .unwrap();
+        let dram: Vec<i8> = surfaces
+            .iter()
+            .flat_map(|&(addr, bytes)| golden.dma_read(addr, bytes).unwrap())
+            .collect();
+        assert_eq!(
+            data, dram,
+            "a one-image capture records the boundary's DRAM state (boundary {boundary})"
+        );
         golden.inject(&fault);
         golden.set_fault_window(Some(window.clone())).unwrap();
         let got = golden
             .run_suffix_i8_view(boundary, &surfaces, &data)
-            .unwrap();
+            .unwrap()
+            .remove(0);
         assert_eq!(
             want.logits, got.logits,
             "golden restore diverged at boundary {boundary} (window {window:?})"
@@ -683,21 +691,22 @@ fn golden_restore_on_a_dirty_device_matches_a_cold_run() {
     let surfaces = plan.live_in_surfaces(boundary);
 
     let mut capture = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
-    capture.run_prefix_i8_view(b, boundary).unwrap();
     let mut live_in_b = Vec::new();
-    for &(addr, bytes) in &surfaces {
-        live_in_b.extend(capture.dma_read(addr, bytes).unwrap());
-    }
+    capture
+        .run_prefix_i8_view(b, boundary, &surfaces, &mut live_in_b)
+        .unwrap();
 
     let mut dirty = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
     dirty.run_batch_i8_view(images.as_slice()).unwrap();
-    dirty.run_prefix_i8_view(a, boundary).unwrap();
+    dirty
+        .run_prefix_i8_view(a, boundary, &surfaces, &mut Vec::new())
+        .unwrap();
     let got = dirty
         .run_suffix_i8_view(boundary, &surfaces, &live_in_b)
         .unwrap();
 
     let mut cold = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
-    assert_eq!(got.logits, cold.run_inference_i8_view(b).unwrap().logits);
+    assert_eq!(got[0].logits, cold.run_inference_i8_view(b).unwrap().logits);
 }
 
 #[test]
@@ -955,14 +964,16 @@ fn lane_delta_matches_exact_exhaustively() {
                     let Some(w) = window else { continue };
                     let boundary = auto.first_op_in_window(w).unwrap();
                     let live_in = plan.live_in_surfaces(boundary);
-                    let img = &images.as_slice()[..image_len];
-                    auto.run_prefix_i8_view(img, boundary).unwrap();
                     let mut data = Vec::new();
-                    for &(addr, bytes) in &live_in {
-                        data.extend(auto.dma_read(addr, bytes).unwrap());
-                    }
-                    let got = auto.run_suffix_i8_view(boundary, &live_in, &data).unwrap();
-                    assert_eq!(got.logits, want[0], "golden suffix: {case}");
+                    auto.run_prefix_i8_view(images.as_slice(), boundary, &live_in, &mut data)
+                        .unwrap();
+                    let got: Vec<Vec<i32>> = auto
+                        .run_suffix_i8_view(boundary, &live_in, &data)
+                        .unwrap()
+                        .into_iter()
+                        .map(|r| r.logits)
+                        .collect();
+                    assert_eq!(got, want, "golden suffix: {case}");
                 }
             }
         }
@@ -1089,5 +1100,130 @@ fn batched_pool_and_residual_match_exact() {
     assert!(
         clean.windows(2).any(|w| w[0] != w[1]),
         "every image has the same logits"
+    );
+}
+
+/// Windowed mini-batches against the oracle, with and without golden
+/// restores: on [`pool_and_residual_model`], for windows inside the
+/// residual conv (whose two live-ins share one surface), straddling the two
+/// 1x1 convs and on the linear head, under both idle-lane policies and
+/// two-lane `Constant(±1)` and `StuckBits` programs. Each mini-batch size
+/// 1-9 walks the nine images the way a device pool does: per chunk, the
+/// cached images run as one golden restore and the rest as one full
+/// launch, with a full cache, a partial one (a chunk can hold both kinds)
+/// and none. Every image gets the logits and prediction of its own
+/// `ExecMode::Exact` run, and every launch retires the MAC cycles of all
+/// its images. Batched captures record the same bytes as one-image ones.
+#[test]
+fn windowed_batches_match_exact() {
+    let q = pool_and_residual_model();
+    let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let n = 9;
+    let images = q.quantize_input(&Tensor::from_fn(q.input_shape.with_n(n), |n, c, h, w| {
+        ((n * 37 + c * 17 + h * 7 + w * 3) % 43) as f32 * 0.05 - 1.0
+    }));
+    let image_len = q.input_shape.image_len();
+    let probe = accel_with(&q, ExecMode::Exact, IdleLanePolicy::ZeroFed);
+    let spans = probe.mac_cycle_spans().to_vec();
+    let total = probe.total_mac_cycles().unwrap();
+    assert!(matches!(plan.ops[2], nvfi_compiler::PlanOp::Conv(ref c) if c.fuse_add_addr.is_some()));
+    let head = spans.len() - 1;
+    let windows = [
+        spans[2].start + 3..spans[2].end - 3,
+        spans[3].end - 4..spans[4].start + 4,
+        spans[head].clone(),
+    ];
+    let kinds = [
+        FaultKind::Constant(1),
+        FaultKind::Constant(-1),
+        FaultKind::StuckBits {
+            fsel: 1 << 17,
+            fdata: 1 << 17,
+        },
+    ];
+    let mut perturbed = 0;
+    for idle in [IdleLanePolicy::ZeroFed, IdleLanePolicy::Gated] {
+        let clean = accel_with(&q, ExecMode::Exact, idle)
+            .run_inference_i8_view(images.image(0))
+            .unwrap()
+            .logits;
+        for window in &windows {
+            let boundary = probe.first_op_in_window(window).unwrap();
+            assert!(boundary > 0);
+            let surfaces = plan.live_in_surfaces(boundary);
+            let mut records = Vec::new();
+            let mut capture = accel_with(&q, ExecMode::Auto, idle).accel;
+            for img in images.as_slice().chunks(image_len) {
+                capture
+                    .run_prefix_i8_view(img, boundary, &surfaces, &mut records)
+                    .unwrap();
+            }
+            for b_n in 2..=n {
+                let mut batched = Vec::new();
+                for imgs in images.as_slice().chunks(b_n * image_len) {
+                    capture
+                        .run_prefix_i8_view(imgs, boundary, &surfaces, &mut batched)
+                        .unwrap();
+                }
+                assert_eq!(batched, records, "capture in batches of {b_n}");
+            }
+            let stride = records.len() / n;
+            for kind in kinds {
+                let program = |mode| {
+                    let mut d = accel_with(&q, mode, idle).accel;
+                    d.inject(&FaultConfig::new(
+                        vec![MultId::new(1, 2), MultId::new(5, 7)],
+                        kind,
+                    ));
+                    d.set_fault_window(Some(window.clone())).unwrap();
+                    d
+                };
+                let mut exact = program(ExecMode::Exact);
+                let want: Vec<(Vec<i32>, u8)> = images
+                    .as_slice()
+                    .chunks(image_len)
+                    .map(|img| {
+                        let r = exact.run_inference_i8_view(img).unwrap();
+                        assert_eq!(exact.mac_cycles_retired(), total);
+                        (r.logits, r.class)
+                    })
+                    .collect();
+                perturbed += want.iter().filter(|(l, _)| *l != clean).count();
+                let mut auto = program(ExecMode::Auto);
+                for b_n in 1..=n {
+                    for cached in [n, 4, 0] {
+                        let case = format!(
+                            "{kind:?} window {window:?} {idle:?}, batch {b_n}, {cached} cached"
+                        );
+                        let mut got = Vec::new();
+                        for c0 in (0..n).step_by(b_n) {
+                            let c1 = (c0 + b_n).min(n);
+                            let split = cached.clamp(c0, c1);
+                            if c0 < split {
+                                let run = &records[c0 * stride..split * stride];
+                                got.extend(
+                                    auto.run_suffix_i8_view(boundary, &surfaces, run).unwrap(),
+                                );
+                                let cycles = auto.mac_cycles_retired();
+                                assert_eq!(cycles, (split - c0) as u64 * total, "restore: {case}");
+                            }
+                            if split < c1 {
+                                let run = &images.as_slice()[split * image_len..c1 * image_len];
+                                got.extend(auto.run_batch_i8_view(run).unwrap());
+                                let cycles = auto.mac_cycles_retired();
+                                assert_eq!(cycles, (c1 - split) as u64 * total, "batch: {case}");
+                            }
+                        }
+                        let got: Vec<(Vec<i32>, u8)> =
+                            got.into_iter().map(|r| (r.logits, r.class)).collect();
+                        assert_eq!(got, want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        perturbed > 50,
+        "only {perturbed} windowed runs moved the logits"
     );
 }

@@ -269,10 +269,11 @@ proptest! {
         prop_assert_eq!(&auto, &want[0]);
     }
 
-    /// Permanent bit-granular faults run batched: `classify_batch_i8` in
-    /// mini-batches of 4, and the logits of one batch, equal per-image runs
-    /// of the exact oracle for random raw `sel`/`fsel`/`fdata`/`xor` and
-    /// windows (a windowed batch runs image by image).
+    /// Bit-granular faults run batched: `classify_batch_i8` in mini-batches
+    /// of 4, and the logits of one batch, equal per-image runs of the exact
+    /// oracle for random raw `sel`/`fsel`/`fdata`/`xor`, permanent and
+    /// windowed. The batch is one launch, windowed or not: it retires the
+    /// MAC cycles of all four images.
     #[test]
     fn batched_lane_delta_equals_per_image_runs(
         (model, _, _, _, gated) in case(),
@@ -319,6 +320,7 @@ proptest! {
             .map(|r| r.logits)
             .collect();
         prop_assert_eq!(&batched[..], &want[..4]);
+        prop_assert_eq!(auto.mac_cycles_retired(), 4 * total);
         let classes: Vec<u8> = want.iter().map(|l| nvfi_quant::exec::argmax(l)).collect();
         prop_assert_eq!(auto.classify_batch_i8(images.as_slice()).expect("runs"), classes);
     }

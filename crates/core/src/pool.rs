@@ -51,18 +51,22 @@ type ShardFn<'a> =
 /// MAC-cycle span intersects it; every op before the first such op computes
 /// exactly the same activations for every one of a campaign's thousands of
 /// windowed work items. The cache runs that prefix **once per image**
-/// ([`nvfi_accel::Accelerator::run_prefix_i8_view`], counted by the
-/// `nvfi_accel::golden_prefix_passes` probe), snapshots the boundary's
-/// live-in DRAM surfaces (`ExecutionPlan::live_in_surfaces` — every surface
-/// some suffix op reads before the suffix itself rewrites it, so aliasing
-/// allocators are handled), and work items restore those bytes instead of
-/// recomputing the prefix
+/// ([`nvfi_accel::Accelerator::run_prefix_i8_view`], counted per image by
+/// the `nvfi_accel::golden_prefix_passes` probe), snapshots the boundary's
+/// live-in surfaces (`ExecutionPlan::live_in_surfaces` — every surface some
+/// suffix op reads before the suffix itself rewrites it, so aliasing
+/// allocators are handled) as DRAM would hold them, and work items restore
+/// those bytes instead of recomputing the prefix
 /// ([`nvfi_accel::Accelerator::run_suffix_i8_view`]).
 ///
 /// # Memory model
 ///
 /// Entries are laid out contiguously, one fixed-stride record per image
-/// (`stride = Σ live-in surface bytes`), and the whole cache is shared
+/// (`stride = Σ live-in surface bytes`), so the records of images `i..j`
+/// are one contiguous slice ([`GoldenActivationCache::records`]), which a
+/// work item restores as one mini-batch launch. Capture is one prefix
+/// launch per mini-batch of [`nvfi_accel::AccelConfig::batch`] images,
+/// whose records do not depend on the batch size. The whole cache is shared
 /// **read-only** across every device of a [`DevicePool`] (borrowed into the
 /// shard threads — no copies, no locks). The byte budget
 /// (`CampaignSpec::golden_cache_bytes`, `NVFI_GOLDEN_CACHE`) bounds the
@@ -121,14 +125,13 @@ impl GoldenActivationCache {
         if cached_images == 0 {
             return Ok(None);
         }
+        let batch = device.accel().config().batch.max(1);
         let mut data = Vec::with_capacity(cached_images * stride);
-        for i in 0..cached_images {
+        for start in (0..cached_images).step_by(batch) {
+            let images = set.view(start..(start + batch).min(cached_images));
             device
                 .accel_mut()
-                .run_prefix_i8_view(set.view(i..i + 1), boundary)?;
-            for &(addr, bytes) in &surfaces {
-                data.extend(device.accel().dma_read(addr, bytes)?);
-            }
+                .run_prefix_i8_view(images, boundary, &surfaces, &mut data)?;
         }
         Ok(Some(GoldenActivationCache {
             boundary,
@@ -197,19 +200,15 @@ impl GoldenActivationCache {
         self.data.len()
     }
 
-    /// The captured live-in surfaces of image `i`, or `None` when `i` fell
-    /// outside the byte budget (caller recomputes the prefix instead).
+    /// The captured records of the images `range`, back to back — what
+    /// [`nvfi_accel::Accelerator::run_suffix_i8_view`] restores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past [`GoldenActivationCache::cached_images`].
     #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn entry(&self, i: usize) -> Option<(&[(u64, u64)], &[i8])> {
-        if i < self.cached_images {
-            Some((
-                &self.surfaces,
-                &self.data[i * self.stride..(i + 1) * self.stride],
-            ))
-        } else {
-            None
-        }
+    pub fn records(&self, range: Range<usize>) -> &[i8] {
+        &self.data[range.start * self.stride..range.end * self.stride]
     }
 }
 
@@ -498,12 +497,13 @@ impl DevicePool {
     }
 
     /// Classifies a pre-quantized evaluation set under an armed transient
-    /// fault window, restoring each image's golden prefix from `cache`
-    /// instead of recomputing it. Images outside the cache's byte budget —
-    /// or all of them, when `cache` is `None` — run the full op-scoped
-    /// inference (clean prefix, lane-delta on the window's ops, clean
-    /// suffix). Predictions are bit-identical to [`DevicePool::classify_i8`]
-    /// for every cache budget (asserted by `tests/campaign_determinism.rs`).
+    /// fault window, restoring the images' golden prefixes from `cache`, a
+    /// mini-batch at a time, instead of recomputing them. Images outside the
+    /// cache's byte budget — or all of them, when `cache` is `None` — run
+    /// the full op-scoped inference in mini-batches (clean prefix,
+    /// lane-delta on the window's ops, clean suffix). Predictions are
+    /// bit-identical to [`DevicePool::classify_i8`] for every cache budget
+    /// (asserted by `tests/campaign_determinism.rs`).
     ///
     /// # Errors
     ///
@@ -560,9 +560,11 @@ impl DevicePool {
 
     /// The one ranged classify behind every entry point: shards the images
     /// `range` of `set` across the pool per [`DevicePool::shard_plan`] and
-    /// merges in image order. With a golden cache, each image restores its
-    /// cached prefix (looked up by **absolute** index, so a shard of images
-    /// `64..96` hits entries `64..96`) or recomputes it when uncached.
+    /// merges in image order. With a golden cache, each shard walks its
+    /// images in chunks of one device mini-batch: the chunk's cached images
+    /// (looked up by **absolute** index, so a shard of images `64..96` hits
+    /// records `64..96`) run as one batched restore, and its uncached ones
+    /// as one full mini-batch launch.
     fn classify_range(
         &mut self,
         set: &QuantizedEvalSet,
@@ -587,17 +589,24 @@ impl DevicePool {
                 device.classify_i8(set.view(offset + r.start..offset + r.end))
             });
         };
+        let batch = Self::granularity(&self.config());
         self.classify_sharded(range.len(), &move |device, r| {
+            let (start, end) = (offset + r.start, offset + r.end);
+            let accel = device.accel_mut();
             let mut preds = Vec::with_capacity(r.len());
-            for i in offset + r.start..offset + r.end {
-                let accel = device.accel_mut();
-                let out = match cache.entry(i) {
-                    Some((surfaces, data)) => {
-                        accel.run_suffix_i8_view(cache.boundary(), surfaces, data)?
-                    }
-                    None => accel.run_inference_i8_view(set.view(i..i + 1))?,
-                };
-                preds.push(out.class);
+            for c0 in (start..end).step_by(batch) {
+                let c1 = (c0 + batch).min(end);
+                let split = cache.cached_images().clamp(c0, c1);
+                if c0 < split {
+                    let records = cache.records(c0..split);
+                    let out =
+                        accel.run_suffix_i8_view(cache.boundary(), cache.surfaces(), records)?;
+                    preds.extend(out.iter().map(|r| r.class));
+                }
+                if split < c1 {
+                    let out = accel.run_batch_i8_view(set.view(split..c1))?;
+                    preds.extend(out.iter().map(|r| r.class));
+                }
             }
             Ok(preds)
         })
@@ -908,6 +917,37 @@ mod tests {
             Some(pool.run_item(None, None, &set, 0..n, None).unwrap()),
             baseline
         );
+    }
+
+    /// Capture runs one prefix launch per mini-batch, yet records the same
+    /// bytes as one-image launches: a cache built with `accel.batch = 8`
+    /// equals one built with `accel.batch = 1`, for a budget that holds the
+    /// whole set and one that holds a ragged 5 of its 11 images.
+    #[test]
+    fn batched_golden_capture_matches_per_image() {
+        let (q, eval) = setup();
+        let set = QuantizedEvalSet::build(&q, &eval.images);
+        let build = |batch: usize, budget: usize| {
+            let mut config = PlatformConfig::default();
+            config.accel.batch = batch;
+            let mut device = EmulationPlatform::assemble(&q, config).unwrap();
+            let total = device.plan().total_mac_cycles();
+            let window = total / 2..total / 2 + 100;
+            GoldenActivationCache::build(&mut device, &set, &window, budget)
+                .unwrap()
+                .expect("a mid-inference window has a prefix")
+        };
+        let one = build(1, usize::MAX);
+        assert_eq!(one.cached_images(), set.len());
+        let stride = one.byte_size() / set.len();
+        for budget in [usize::MAX, 5 * stride] {
+            let (per_image, batched) = (build(1, budget), build(8, budget));
+            assert_eq!(batched.boundary(), per_image.boundary());
+            assert_eq!(batched.surfaces(), per_image.surfaces());
+            assert_eq!(batched.cached_images(), per_image.cached_images());
+            assert!(batched.data() == per_image.data(), "budget {budget}");
+        }
+        assert_eq!(build(8, 5 * stride).cached_images(), 5);
     }
 
     #[test]
