@@ -38,6 +38,42 @@
 //! slower. The quad's rows are negated into a buffer before the tiles run:
 //! negated inside the tile, the broadcast `a` values let LLVM move the
 //! negation onto the vector sums, one more instruction per sum.
+//!
+//! # f32 tile
+//!
+//! Most GEMMs run their row quads on a second tile, in f32 with
+//! `f32::mul_add`, and stay bit-identical to the wrapping i32 loop. An
+//! i8·i8 product lies in `[−16256, 16384]`, so a sum of at most 1024 of
+//! them is an integer of magnitude ≤ 2^24, and f32 holds every such integer
+//! exactly: no FMA in such a chain ever rounds. A 4 x 64 tile of f32
+//! accumulators fills 16 zmm registers, and each k step costs four panel
+//! loads, four broadcasts and 16 `vfmadd231ps`.
+//!
+//! - **K-blocks and the flush.** K runs in blocks of at most `F32_KMAX`
+//!   (1024) rows, split evenly: 1152 is two blocks of 576, not 1024 + 128.
+//!   Each tile starts a block from zero and ends it by converting every
+//!   partial to i32, exactly, and wrapping-adding it into `out`; no partial
+//!   ever holds more than 1024 products. The conversion is an f64
+//!   magic-number add, not `as i32`, which rustc lowers lane by lane and
+//!   which cost the tile a third of its speed.
+//! - **Packed panels.** Each K-block x 64-column panel of `b` is converted
+//!   to f32 once, into one reused, cache-line aligned buffer of at most
+//!   1024 x 64 x 4 B = 256 KiB, and serves every quad, BLIS-style. `a` is
+//!   converted one K-block at a time (at most `m` x 1024 values). The
+//!   im2col columns stay i8.
+//! - **Dispatch.** [`gemm_i8_i32_into`] takes the f32 tile when `m ≥ 8`
+//!   (`F32_MIN_M`), `k ≥ 12` (`F32_MIN_K`) and `n ≥ 64`, and the build
+//!   has FMA. It covers the whole quads' whole 64-column panels; columns
+//!   past `n / 64 * 64` and rows past `m / 4 * 4` stay on the i8 tiles. The
+//!   constants come from a probe of `gemm_i8_i32_into` against the i8-only
+//!   kernel on a 2-vCPU AVX-512 Xeon (f32 / i8 GMAC/s, three rounds): `m = 4`
+//!   is one quad, which shares no panel, and ran 0.86–1.25x; `k ≤ 9` ran
+//!   0.48–1.07x; every measured shape with `m ≥ 8` and `k ≥ 12` ran
+//!   1.11–2.20x, among them all six of the medium fixture's batch-8 conv
+//!   GEMMs (1.27x for the 32 x 16 x 2048 1x1 conv, 1.37x for the
+//!   16 x 27 x 8192 stem, 1.6–2.2x for the rest). A 6 x 64 tile spilled its
+//!   24 accumulators to the stack and ran at a third of the 4 x 64 tile's
+//!   speed.
 
 use crate::Mat;
 
@@ -45,6 +81,21 @@ use crate::Mat;
 /// (4 x 768 B) plus one i32 output slab (3 KiB) fit comfortably in a 32 KiB
 /// L1 alongside the streaming `a` row.
 const COL_BLOCK: usize = 768;
+
+/// Column width of the f32 tile: 64 f32 lanes, four zmm registers per row.
+const F32_COLS: usize = 64;
+
+/// Largest K-block of the f32 tile: a sum of at most 1024 i8·i8 products is
+/// an integer of magnitude ≤ 2^24, which f32 holds exactly.
+const F32_KMAX: usize = 1024;
+
+/// Smallest output-row count `m` that takes the f32 tile: at least two
+/// quads share each packed panel (see "f32 tile" in the module docs).
+const F32_MIN_M: usize = 8;
+
+/// Smallest reduction depth `k` that takes the f32 tile: below it the
+/// per-block flush outweighs the FMAs it follows.
+const F32_MIN_K: usize = 12;
 
 /// `out += a * b` for f32 matrices.
 ///
@@ -105,9 +156,17 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
         return;
     }
     // 4-row register blocking: the four output rows of a quad share every
-    // `b` panel load, quartering B-operand traffic. `neg` holds the current
+    // `b` panel load, quartering B-operand traffic. On deep shapes the f32
+    // tile takes the quads' whole 64-column panels (see "f32 tile" above)
+    // and the i8 tiles the columns from `j0` on. `neg` holds the current
     // quad's rows, negated (see "Pair products" above).
     let quads = m / 4;
+    let j0 = if takes_f32_tile(m, k, n) {
+        gemm_f32_panels(&a[..quads * 4 * k], b, &mut out[..quads * 4 * n], k, n);
+        n / F32_COLS * F32_COLS
+    } else {
+        0
+    };
     let mut neg = Vec::new();
     for q in 0..quads {
         let i = q * 4;
@@ -117,6 +176,7 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
             &mut out[i * n..(i + 4) * n],
             k,
             n,
+            j0,
             &mut neg,
         );
     }
@@ -131,15 +191,15 @@ pub fn gemm_i8_i32_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
     }
 }
 
-/// Four output rows of the blocked microkernel: `orow4 (+)= arow4 * b`,
-/// where `arow4` holds four consecutive rows of `a` and `orow4` the four
-/// matching output rows. The rows are first negated into `neg` as i16 (see
-/// the module docs), then columns are walked in fixed-width
-/// register tiles (64-wide, then at most one 32- and one 16-wide tile for
-/// the remainder, then a scalar tail): one tile is four `[i32; T]`
-/// accumulators that live in vector registers across the whole `k` loop,
-/// so every output element is loaded and stored exactly once per GEMM, and
-/// each `b` element loaded serves four rows.
+/// Four output rows of the blocked microkernel over the columns from `j0`
+/// on: `orow4 (+)= arow4 * b`, where `arow4` holds four consecutive rows of
+/// `a` and `orow4` the four matching output rows. The rows are first
+/// negated into `neg` as i16 (see the module docs), then columns are walked
+/// in fixed-width register tiles (64-wide, then at most one 32- and one
+/// 16-wide tile for the remainder, then a scalar tail): one tile is four
+/// `[i32; T]` accumulators that live in vector registers across the whole
+/// `k` loop, so every output element is loaded and stored exactly once per
+/// GEMM, and each `b` element loaded serves four rows.
 #[inline]
 fn gemm_quad_blocked(
     arow4: &[i8],
@@ -147,8 +207,12 @@ fn gemm_quad_blocked(
     orow4: &mut [i32],
     k: usize,
     n: usize,
+    j0: usize,
     neg: &mut Vec<i16>,
 ) {
+    if j0 == n {
+        return;
+    }
     neg.clear();
     neg.extend(arow4.iter().map(|&v| -i16::from(v)));
     let (x0, xrest) = neg.split_at(k);
@@ -159,7 +223,7 @@ fn gemm_quad_blocked(
     let (o1, orest) = orest.split_at_mut(n);
     let (o2, o3) = orest.split_at_mut(n);
     let mut o4 = [o0, o1, o2, o3];
-    let mut j = 0;
+    let mut j = j0;
     while j + 64 <= n {
         gemm_quad_tile::<64>(&x4, b, &mut o4, k, n, j);
         j += 64;
@@ -258,6 +322,88 @@ fn gemm_quad_tile<const T: usize>(
     for (c, o) in c.iter().zip(o4.iter_mut()) {
         o[j..j + T].copy_from_slice(c);
     }
+}
+
+/// Whether [`gemm_i8_i32_into`] runs an `m x k x n` GEMM's quads on the f32
+/// tile (see "f32 tile" in the module docs). Without the FMA target feature
+/// `f32::mul_add` is a libm call, so such a build keeps the i8 tiles.
+fn takes_f32_tile(m: usize, k: usize, n: usize) -> bool {
+    cfg!(target_feature = "fma") && m >= F32_MIN_M && k >= F32_MIN_K && n >= F32_COLS
+}
+
+/// The f32 tile over every whole 64-column panel: `out[.., ..n / 64 * 64]
+/// (+)= a * b`, where `a` holds whole row quads (`a.len() / k` rows, a
+/// multiple of four). K runs in even blocks of at most `F32_KMAX` rows. Per
+/// block, `x` holds `a`'s rows of the block in f32, and each 64-column
+/// panel of `b` is packed to f32 once and serves every quad.
+fn gemm_f32_panels(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
+    let blocks = k.div_ceil(F32_KMAX);
+    let kb_max = k.div_ceil(blocks);
+    let mut x = Vec::with_capacity(a.len() / k * kb_max);
+    // The panel starts `off` floats into its buffer, on a cache-line
+    // boundary: each of the tile's four zmm loads per k step then reads one
+    // line, not two (unaligned, the deep shapes ran 20–35 % slower). The
+    // buffer never grows past its capacity, so `off` holds for every panel.
+    let mut panel = Vec::<f32>::with_capacity(kb_max * F32_COLS + 15);
+    let off = panel.as_ptr().align_offset(64).min(15);
+    let mut p0 = 0;
+    for blk in 0..blocks {
+        let kb = k / blocks + usize::from(blk < k % blocks);
+        x.clear();
+        for arow in a.chunks_exact(k) {
+            x.extend(arow[p0..p0 + kb].iter().map(|&v| f32::from(v)));
+        }
+        for j in (0..n / F32_COLS).map(|c| c * F32_COLS) {
+            panel.clear();
+            panel.resize(off, 0.0);
+            for p in p0..p0 + kb {
+                panel.extend(b[p * n + j..][..F32_COLS].iter().map(|&v| f32::from(v)));
+            }
+            for (xq, oq) in x.chunks_exact(4 * kb).zip(out.chunks_exact_mut(4 * n)) {
+                gemm_f32_tile(xq, &panel[off..], oq, n, j);
+            }
+        }
+        p0 += kb;
+    }
+}
+
+/// One 4 x 64 f32 tile: the quad's rows of one K-block (`xq`, four rows of
+/// `kb` values) against the packed `kb x 64` `panel`, flushed into columns
+/// `j..j + 64` of the quad's output rows `oq`. The accumulators stay in 16
+/// zmm registers across the block; every partial is an integer of
+/// magnitude ≤ 2^24, which [`exact_f32_to_i32`] converts exactly.
+#[inline]
+fn gemm_f32_tile(xq: &[f32], panel: &[f32], oq: &mut [i32], n: usize, j: usize) {
+    let kb = panel.len() / F32_COLS;
+    let [x0, x1, x2, x3] = [0, 1, 2, 3].map(|r| &xq[r * kb..][..kb]);
+    let mut c = [[0f32; F32_COLS]; 4];
+    let xs = x0.iter().zip(x1).zip(x2).zip(x3);
+    for (bp, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact(F32_COLS).zip(xs) {
+        for (c, v) in c.iter_mut().zip([v0, v1, v2, v3]) {
+            for (c, &bv) in c.iter_mut().zip(bp) {
+                *c = v.mul_add(bv, *c);
+            }
+        }
+    }
+    for (r, c) in c.iter().enumerate() {
+        let o = &mut oq[r * n + j..][..F32_COLS];
+        for (o, &c) in o.iter_mut().zip(c) {
+            *o = o.wrapping_add(exact_f32_to_i32(c));
+        }
+    }
+}
+
+/// An integer-valued `f32` of magnitude below 2^51 as `i32`, exactly.
+///
+/// `v as i32` gives the same value, but rustc lowers that saturating cast
+/// one lane at a time (`vcvttss2si` plus two fix-ups), which cost the f32
+/// tile a third of its speed; this form vectorizes. Adding 1.5·2^52 puts
+/// `v` in `[2^52, 2^53)`, where f64 steps by exactly 1, so the sum is exact
+/// and its low 32 mantissa bits hold `v + 2^51`, which is `v` mod 2^32.
+#[inline]
+fn exact_f32_to_i32(v: f32) -> i32 {
+    const MAGIC: f64 = 6_755_399_441_055_744.0;
+    (f64::from(v) + MAGIC).to_bits() as i32
 }
 
 /// One output row of the blocked microkernel: `orow (+)= arow * b`.
@@ -544,6 +690,57 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn f32_tile_is_exact_across_k_blocks() {
+        // Rows x columns on the f32 tile: all -128, and -128 against 127,
+        // plus an adversarial column. Row 2 against column 2 is 1024
+        // products of (-128)·(-128), then +1 (row 3: -1), then zeros: a
+        // partial of 2^24 + 1 rounds in f32, so a K-block over 1024 rows or
+        // an accumulator carried across blocks fails here. Every partial
+        // of all -128 is a multiple of 16384, which f32 holds exactly far
+        // past 2^24, so all -128 alone could not catch either. Row 8 and
+        // the 3 columns past 64 run on the i8 tiles.
+        let (m, n) = (9, 67);
+        for k in [1023, 1024, 1025, 2048] {
+            assert_eq!(takes_f32_tile(m, k, n), cfg!(target_feature = "fma"));
+            let a = Mat::from_vec(
+                m,
+                k,
+                (0..m * k)
+                    .map(|v| match (v / k, v % k) {
+                        (1, _) => 127,
+                        (2, 1024) => 1,
+                        (3, 1024) => -1,
+                        (4..=7, p) if p % 2 == 1 => 127,
+                        _ => -128,
+                    })
+                    .collect(),
+            );
+            let b = Mat::from_vec(
+                k,
+                n,
+                (0..k * n)
+                    .map(|v| match (v / n, v % n) {
+                        (_, 1) => 127,
+                        (1024, 2) => 1,
+                        (p, 2) if p > 1024 => 0,
+                        (p, c) if c > 2 && (p + c) % 3 == 0 => 127,
+                        _ => -128,
+                    })
+                    .collect(),
+            );
+            let init: Vec<i32> = (0..m * n).map(|v| i32::MAX - v as i32).collect();
+            let mut got = Mat::from_vec(m, n, init.clone());
+            gemm_i8_i32_acc(&a, &b, &mut got);
+            let want: Vec<i32> = init
+                .iter()
+                .zip(naive_i32(&a, &b).as_slice())
+                .map(|(i, s)| i.wrapping_add(*s))
+                .collect();
+            assert_eq!(got.as_slice(), want.as_slice(), "k {k}");
         }
     }
 

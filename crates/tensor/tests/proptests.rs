@@ -83,6 +83,25 @@ fn i32_near_max() -> impl Strategy<Value = i32> {
     (0i32..1 << 20).prop_map(|d| i32::MAX - d)
 }
 
+/// An `m x k` by `k x n` int8 GEMM across the f32 tile's dispatch rule
+/// (`m ≥ 8`, `k ≥ 12`, `n ≥ 64`) and its K-blocks (at most 1024 rows):
+/// `m` on both sides of 8 and mostly not a multiple of 4, `n` with
+/// 64-column tails, `k` around 12, 1024 and 2048, and outputs near
+/// `i32::MAX`.
+fn f32_dispatch_case() -> impl Strategy<Value = (usize, usize, usize, Vec<i8>, Vec<i8>, Vec<i32>)> {
+    const KS: [usize; 10] = [1, 9, 11, 12, 13, 144, 1023, 1024, 1025, 2048];
+    (4usize..14, 0..KS.len(), 0usize..201).prop_flat_map(|(m, ki, n)| {
+        let k = KS[ki];
+        (
+            Just((m, k, n)),
+            proptest::collection::vec(any::<i8>(), m * k),
+            proptest::collection::vec(any::<i8>(), k * n),
+            proptest::collection::vec(i32_near_max(), m * n),
+        )
+            .prop_map(|((m, k, n), a, b, out)| (m, k, n, a, b, out))
+    })
+}
+
 /// The naive wrapping triple loop: `init (+)= a * b`.
 fn naive_gemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], init: &[i32]) -> Vec<i32> {
     let mut want = init.to_vec();
@@ -135,6 +154,18 @@ proptest! {
     #[test]
     fn gemm_i8_into_equals_naive_at_extremes_near_i32_max(
         (m, k, n, a, b, init) in gemm_case_of(i8_extreme, i8_extreme, i32_near_max)
+    ) {
+        let want = naive_gemm(m, k, n, &a, &b, &init);
+        let mut got = init;
+        gemm::gemm_i8_i32_into(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The same across the f32 tile's dispatch rule and K-blocks, where the
+    /// f32 and i8 tiles share a GEMM's rows and columns.
+    #[test]
+    fn gemm_i8_into_equals_naive_across_the_f32_dispatch(
+        (m, k, n, a, b, init) in f32_dispatch_case()
     ) {
         let want = naive_gemm(m, k, n, &a, &b, &init);
         let mut got = init;

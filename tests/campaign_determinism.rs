@@ -133,8 +133,9 @@ fn transient_window_campaign_is_shard_invariant() {
         eval_images: 10,
         threads,
         // A mid-inference pulse: the window's ops run lane-delta and the
-        // rest the clean GEMM, image by image (a windowed batch is split
-        // into one-image launches), end-to-end through Campaign::run.
+        // rest the clean GEMM, in mini-batch launches (a windowed batch runs
+        // batched; only ExecMode::Exact splits one), end-to-end through
+        // Campaign::run.
         fault_window: Some(50..5_000),
         ..Default::default()
     };
